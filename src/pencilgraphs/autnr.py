@@ -91,19 +91,6 @@ def subsets_of_dim(mask: int, d: int) -> list[int]:
     return sorted(out)
 
 
-def theta_blocks(n: int, theta: int) -> list[int]:
-    """All cosets of theta u {0} (affine blocks with theta at infinity)."""
-    out = []
-    seen = theta
-    for x in range(1, n + 1):
-        if seen >> x & 1:
-            continue
-        b = gf2.coset_mask(theta, x)
-        seen |= b
-        out.append(b)
-    return out
-
-
 Factor = tuple[int, int, tuple[tuple[int, int], ...]]  # (theta, chi, pairs)
 
 
@@ -174,14 +161,13 @@ def point_factors(ctx: SpaceCtx, table, alpha: int, thetas: list[int],
     are listed -- the presentation convention for the family whose thetas
     leave the base initial entry.
     """
-    n = ctx.n
     factors = []
     for theta in thetas:
         if within_span_of is not None:
             w = gf2.span_mask(gf2.points_of(within_span_of | theta))
         pairs = []
         chi = None
-        for b in theta_blocks(n, theta):
+        for b in gf2.coset_table(ctx.r, theta)[0]:
             img = 0
             rest = b
             while rest:
@@ -324,15 +310,15 @@ def fiber_apply(ctx: SpaceCtx, J: int, theta: int, block_map: dict[int, int],
         return v
     blk = v[0] & ~theta
     a0 = theta | block_map.get(blk, blk)
+    block_of = gf2.coset_table(ctx.r, theta)[1]
     ents = []
     for m in v[1:]:
         img = 0
         rest = m
         ok = True
         while rest:
-            x = gf2.min_point(rest)
-            b = gf2.coset_mask(theta, x)
-            if b & m != b:
+            b = block_of.get(gf2.min_point(rest), 0)
+            if not b or b & m != b:
                 ok = False
                 break
             rest &= ~b
@@ -352,7 +338,6 @@ def synth_fiber_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
     permutation of the closed neighborhood preserves its adjacency.
     """
     J = g.vertices[0][0]
-    n = ctx.n
     slots = _neighbor_slots(g)
     slot_index = {s: k for k, s in enumerate(slots)}
     ball = {0} | set(slots)
@@ -365,7 +350,7 @@ def synth_fiber_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
             if alpha & J != J:
                 continue
             block_map = {}
-            for b in theta_blocks(n, theta):
+            for b in gf2.coset_table(ctx.r, theta)[0]:
                 if b & alpha == b:
                     continue
                 b2 = 0

@@ -7,9 +7,11 @@ output regardless of the worker thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -78,11 +80,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as f:
-            f.write(text)
-    else:
+    """Write to stdout, or replace --out atomically: a failed write leaves
+    any existing file untouched and no temporary file behind."""
+    if not cfg.out:
         sys.stdout.write(text)
+        return
+    tmp = f"{cfg.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, cfg.out)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _json(data) -> str:
@@ -198,7 +209,7 @@ def cmd_hrho(cfg: RunConfig) -> int:
 
 
 def hrho_heavy_cosets(rho: int) -> dict:
-    """Coset-based order check for the group too big to materialize."""
+    """Order check by cosets, for the group too big to materialize."""
     from pencilgraphs.hrho_heavy import coset_reps_heavy
 
     reps = coset_reps_heavy(rho)
@@ -294,7 +305,9 @@ def cmd_config(cfg: RunConfig) -> int:
 def cmd_homog(cfg: RunConfig) -> int:
     ctx, g = _graph_for(cfg)
     sample_validate = None if len(g) <= 3000 else 200
-    gens = homog.full_generator_set(ctx, g, validate_sample=sample_validate)
+    stab_gens = autnr.synth_generators(ctx, g, threads=cfg.threads)
+    gens = homog.full_generator_set(ctx, g, stab_gens=stab_gens,
+                                    validate_sample=sample_validate)
     exhaustive = len(g) <= 1000
     reports = homog.check_H_property(ctx, g, gens, exhaustive=exhaustive,
                                      seed=cfg.seed)

@@ -8,7 +8,7 @@ intersection and translation single integer ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -66,48 +66,6 @@ def span_mask(points) -> int:
     return mask
 
 
-@dataclass(frozen=True, order=True)
-class Subspace:
-    """A projective subspace: XOR-closed point set of size 2^d - 1."""
-
-    points: tuple[int, ...]
-    mask: int = field(compare=False)
-
-    @classmethod
-    def from_points(cls, points) -> "Subspace":
-        pts = tuple(sorted(set(points)))
-        m = mask_of(pts)
-        if pts and not is_xor_closed(m):
-            raise Gf2Error(f"not XOR-closed: {pts}")
-        return cls(pts, m)
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "Subspace":
-        return cls(points_of(mask), mask)
-
-    @property
-    def dim_linear(self) -> int:
-        return (len(self.points) + 1).bit_length() - 1
-
-    def __contains__(self, p: int) -> bool:
-        return bool(self.mask >> p & 1)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class Coset:
-    """A nontrivial coset of A0 u {0}: 2^sigma points disjoint from A0."""
-
-    points: tuple[int, ...]
-    mask: int
-    base: Subspace
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 @dataclass(frozen=True)
 class SpaceCtx:
     """Parameters of one (r, sigma) instance, all derived values precomputed."""
@@ -153,10 +111,6 @@ class SpaceCtx:
     def all_points_mask(self) -> int:
         return (1 << (self.n + 1)) - 2
 
-    def initial_subspace(self, d: int) -> Subspace:
-        """The initial copy {1, .., 2^d - 1}."""
-        return Subspace.from_mask(((1 << (1 << d)) - 2))
-
 
 def line_third(a: int, b: int) -> int:
     """Third point of the line through distinct points a, b."""
@@ -172,14 +126,6 @@ def complement_point(ctx: SpaceCtx, i: int) -> int:
     return ctx.n ^ i
 
 
-def span(pts) -> Subspace:
-    """Smallest XOR-closed superset of a nonempty point set."""
-    pts = list(pts)
-    if not pts:
-        raise Gf2Error("span of empty set")
-    return Subspace.from_mask(span_mask(pts))
-
-
 def gaussian_binomial(r: int, sigma: int) -> int:
     """Number of sigma-dimensional GF(2)-subspaces of an r-dimensional space."""
     if not 0 <= sigma <= r:
@@ -189,12 +135,16 @@ def gaussian_binomial(r: int, sigma: int) -> int:
         num *= (1 << (i + sigma)) - 1
         den *= (1 << i) - 1
     q, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise Gf2Error(f"gaussian binomial ({r}, {sigma}) is not integral")
     return q
 
 
 @lru_cache(maxsize=None)
-def _subspace_masks(r: int, d: int) -> tuple[int, ...]:
+def subspace_masks(r: int, d: int) -> tuple[int, ...]:
+    """Masks of all linear-dimension-d subspaces, sorted by their point tuples."""
+    if not 0 <= d <= r:
+        raise Gf2Error(f"dimension {d} out of range for r={r}")
     # Each subspace has a unique reduced-row-echelon basis; enumerating those
     # avoids both duplicates and the 2^n subset scan.
     if d == 0:
@@ -228,20 +178,6 @@ def _subspace_masks(r: int, d: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def enumerate_subspaces(ctx: SpaceCtx, d: int) -> list[Subspace]:
-    """All linear-dimension-d subspaces, sorted by their point tuples."""
-    if not 0 <= d <= ctx.r:
-        raise Gf2Error(f"dimension {d} out of range for r={ctx.r}")
-    return [Subspace.from_mask(m) for m in _subspace_masks(ctx.r, d)]
-
-
-def hyperplanes(ctx: SpaceCtx) -> list[Subspace]:
-    """All codimension-1 subspaces; one per dual point y: {x : <x,y> = 0}."""
-    out = [Subspace.from_mask(m) for m in hyperplane_masks(ctx.r)]
-    assert len(out) == ctx.n
-    return out
-
-
 @lru_cache(maxsize=None)
 def hyperplane_masks(r: int) -> tuple[int, ...]:
     """Hyperplane masks indexed by dual point: entry y-1 is ker<.,y>."""
@@ -265,24 +201,6 @@ def coset_mask(base_mask: int, x: int) -> int:
         m |= 1 << (x ^ (low.bit_length() - 1))
         rest ^= low
     return m
-
-
-def cosets_mod(ctx: SpaceCtx, a0: Subspace) -> list[Coset]:
-    """The m1 nontrivial cosets of a0 u {0}, sorted by minimum element."""
-    if a0.dim_linear != ctx.sigma:
-        raise Gf2Error(
-            f"expected a {ctx.sigma}-subspace, got dimension {a0.dim_linear}"
-        )
-    out = []
-    seen = a0.mask
-    for x in range(1, ctx.n + 1):
-        if seen >> x & 1:
-            continue
-        cm = coset_mask(a0.mask, x)
-        seen |= cm
-        out.append(Coset(points_of(cm), cm, a0))
-    assert len(out) == ctx.m1
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -66,41 +66,36 @@ def clique_slices(ctx: SpaceCtx, v: VTuple) -> list[tuple[int, VTuple]]:
     for y in _copy_dual_points(ctx.r, v[0]):
         h = hp[y - 1]
         out.append((h, tuple(m & h for m in v)))
-    assert len(out) == ctx.m0
-    return out
-
-
-def _slice_vertices(ctx: SpaceCtx, h: int, sl: VTuple) -> list[VTuple]:
-    """All 2s pencils whose slice through hyperplane h equals sl."""
-    u0 = sl[0]
-    outside = ctx.all_points_mask & ~h
-    out = []
-    seen = 0
-    x = outside
-    while x:
-        low = x & -x
-        x ^= low
-        p = low.bit_length() - 1
-        if seen >> p & 1:
-            continue
-        blk = gf2.coset_mask(u0, p)
-        seen |= blk
-        a0 = u0 | blk
-        _, lut = gf2.coset_table(ctx.r, a0)
-        out.append((a0,) + tuple(lut[gf2.min_point(m)] for m in sl[1:]))
-    assert len(out) == 2 * ctx.s
+    if len(out) != ctx.m0:
+        raise BuildError(f"{len(out)} clique copies at a vertex, expected {ctx.m0}")
     return out
 
 
 def clique_copy_vertices(ctx: SpaceCtx, h: int, sl: VTuple) -> list[VTuple]:
-    return _slice_vertices(ctx, h, sl)
+    """All 2s pencils whose slice through hyperplane h equals sl."""
+    u0 = sl[0]
+    out = []
+    # U0 lies in h, so each coset of U0 is inside h or disjoint from it
+    for blk in gf2.coset_table(ctx.r, u0)[0]:
+        if blk & h:
+            continue
+        a0 = u0 | blk
+        _, lut = gf2.coset_table(ctx.r, a0)
+        out.append((a0,) + tuple(lut[gf2.min_point(m)] for m in sl[1:]))
+    if len(out) != 2 * ctx.s:
+        raise BuildError(f"{len(out)} pencils on a slice, expected {2 * ctx.s}")
+    return out
 
 
 def neighbors(ctx: SpaceCtx, v: VTuple) -> list[VTuple]:
-    """The s(t-1)m1 neighbors of v, in deterministic copy-then-vertex order."""
+    """The s(t-1)m1 neighbors of v, in deterministic copy-then-vertex order.
+
+    Raises PencilError unless v is a well-formed pencil of ctx.
+    """
+    pencil.validate(ctx, v)
     out = []
     for h, sl in clique_slices(ctx, v):
-        for w in _slice_vertices(ctx, h, sl):
+        for w in clique_copy_vertices(ctx, h, sl):
             if w != v:
                 out.append(w)
     return out
@@ -153,7 +148,7 @@ class PencilGraph:
         return self._nbr_masks[i]
 
     def vertex_display(self, i: int) -> str:
-        return pencil.from_tuple(self.ctx, self.vertices[i]).display()
+        return pencil.display(self.vertices[i])
 
 
 def _bfs_close(ctx: SpaceCtx, seeds: list[VTuple], cap: int,
@@ -221,15 +216,16 @@ def build_full(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     adj_rows: list[array] = []
     comp_of: dict[int, int] = {}
     n_comp = 0
-    for sub in gf2.enumerate_subspaces(ctx, ctx.sigma):
-        for seed in pencil.tuples_through(ctx, sub.mask):
+    for a0 in gf2.subspace_masks(ctx.r, ctx.sigma):
+        for seed in pencil.tuples_through(ctx, a0):
             if seed in index:
                 continue
             new_ids = _bfs_close(ctx, [seed], cap, vertices, index, adj_rows)
             for i in new_ids:
                 comp_of[i] = n_comp
             n_comp += 1
-    assert len(vertices) == total
+    if len(vertices) != total:
+        raise BuildError(f"full graph has {len(vertices)} pencils, expected {total}")
     flat = array("i")
     for row in adj_rows:
         flat.extend(row)

@@ -66,12 +66,11 @@ class GeneratorSet:
 
 def full_generator_set(ctx: SpaceCtx, g: PencilGraph,
                        stab_gens: list[autnr.AutoMap] | None = None,
-                       validate_sample: int | None = None,
-                       threads: int | None = None) -> GeneratorSet:
-    from pencilgraphs.parallel import pmap
-
+                       validate_sample: int | None = None) -> GeneratorSet:
+    """Stabilizer generators, entry permutations and the base movers of
+    :func:`base_movers`, each validated as an automorphism of g."""
     if stab_gens is None:
-        stab_gens = autnr.synth_generators(ctx, g, threads=threads)
+        stab_gens = autnr.synth_generators(ctx, g)
     stab = [
         (a.display(), a.vperm) for a in stab_gens if a.vperm is not None
     ]
@@ -83,23 +82,10 @@ def full_generator_set(ctx: SpaceCtx, g: PencilGraph,
                 f"entry permutation p({gf2.mask_str(q)},{a}) is not an automorphism"
             )
         entry.append((f"psi:{hrho.perm_display(psi, pivot=a)}", tuple(vperm)))
-
-    def build_mover(cand):
-        alpha, c = cand
-        table = autnr.transvection_table(ctx.r, alpha, c)
-        vperm = linear_vperm(ctx, g, table)
-        if vperm is None or vperm[0] == 0:
-            return None
+    movers = base_movers(ctx, g, [p for _, p in entry])
+    for name, vperm in movers:
         if not autnr._is_automorphism(g, vperm, validate_sample):
-            return None
-        return (f"mov:{gf2.mask_str(alpha)}+{gf2.point_str(c)}", tuple(vperm))
-
-    cands = [
-        (alpha, c)
-        for alpha in gf2.hyperplane_masks(ctx.r)
-        for c in gf2.points_of(alpha)
-    ]
-    movers = [m for m in pmap(build_mover, cands, threads) if m is not None]
+            raise HomogError(f"base mover {name} is not an automorphism")
     return GeneratorSet(stab, entry, movers)
 
 
@@ -118,23 +104,21 @@ def _table_from_basis_images(r: int, images: list[int]) -> list[int]:
     return table
 
 
-def lean_transitive_vperms(ctx: SpaceCtx, g: PencilGraph) -> list[tuple[int, ...]]:
-    """A small vertex-transitive generator set: entry permutations plus a
-    full-cycle linear map and transvections.  The pointwise linear maps are
-    automorphisms outright (no adjacency validation needed), only their
-    staying inside the component is checked during materialization."""
+def base_movers(ctx: SpaceCtx, g: PencilGraph,
+                entry_vperms: list[tuple[int, ...]]
+                ) -> list[tuple[str, tuple[int, ...]]]:
+    """Position-preserving linear maps that move the base vertex: a full-cycle
+    map, then one transvection per axis until, together with the entry
+    permutations, they reach every vertex of g."""
     out = []
-    for q, a, psi in hrho.generators(ctx.rho):
-        vperm = index_perm_vperm(ctx, g, psi)
-        if vperm is not None:
-            out.append(tuple(vperm))
     # companion map of a primitive polynomial: cycles all points
     images = [1 << (i + 1) for i in range(ctx.r - 1)] + [_FEEDBACK[ctx.r]]
     cyc = linear_vperm(ctx, g, _table_from_basis_images(ctx.r, images))
     if cyc is not None:
-        out.append(tuple(cyc))
+        out.append(("mov:cycle", tuple(cyc)))
+    gens = list(entry_vperms) + [p for _, p in out]
     seen = {0}
-    _orbit_grow(seen, [0], out, lambda x, p: p[x])
+    _orbit_grow(seen, [0], gens, lambda x, p: p[x])
     for alpha in gf2.hyperplane_masks(ctx.r):
         if len(seen) == len(g.vertices):
             break
@@ -143,10 +127,25 @@ def lean_transitive_vperms(ctx: SpaceCtx, g: PencilGraph) -> list[tuple[int, ...
             vperm = linear_vperm(ctx, g, table)
             if vperm is None or vperm[0] == 0:
                 continue
-            out.append(tuple(vperm))
-            _orbit_grow(seen, list(seen), out, lambda x, p: p[x])
+            out.append((f"mov:{gf2.mask_str(alpha)}+{gf2.point_str(c)}",
+                        tuple(vperm)))
+            gens.append(tuple(vperm))
+            _orbit_grow(seen, list(seen), gens, lambda x, p: p[x])
             break
     return out
+
+
+def lean_transitive_vperms(ctx: SpaceCtx, g: PencilGraph) -> list[tuple[int, ...]]:
+    """A small vertex-transitive generator set: entry permutations plus the
+    base movers.  The pointwise maps are automorphisms outright (no adjacency
+    validation needed), only their staying inside the component is checked
+    during materialization."""
+    entry = []
+    for _, _, psi in hrho.generators(ctx.rho):
+        vperm = index_perm_vperm(ctx, g, psi)
+        if vperm is not None:
+            entry.append(tuple(vperm))
+    return entry + [p for _, p in base_movers(ctx, g, entry)]
 
 
 # ---------------------------------------------------------------------------

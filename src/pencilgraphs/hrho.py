@@ -190,7 +190,7 @@ def f_slot(rho: int, j: int) -> int:
 
 
 def zeta(rho: int) -> int:
-    """Subspace mask of the leftmost 2^(rho-1)-1 symbols of the lower level."""
+    """The subspace mask of the leftmost 2^(rho-1)-1 symbols of the lower level."""
     eta = two_line_lower(rho)
     m = gf2.mask_of(eta[: (1 << (rho - 1)) - 1])
     if not gf2.is_xor_closed(m):
@@ -459,10 +459,6 @@ def build_group(rho: int, cap: int = 1 << 22) -> GroupStore:
     return GroupStore(rho, elements, index, distance, gens)
 
 
-def cayley_distances(store: GroupStore) -> list[int]:
-    return store.distance
-
-
 def check_distance_law(store: GroupStore) -> bool:
     """log2(1 + #fixed) + d == rho for every element."""
     rho = store.rho
@@ -521,7 +517,8 @@ def coset_partition(rho: int) -> list[list[int]]:
         members = []
         for k in K:
             j = store.index[compose(g, k)]
-            assert assigned[j] < 0
+            if assigned[j] >= 0:
+                raise HrhoError(f"element {j} lies in two cosets")
             assigned[j] = cid
             members.append(j)
         cosets.append(sorted(members))

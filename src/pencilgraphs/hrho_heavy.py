@@ -1,4 +1,4 @@
-"""Coset-based handling of the auxiliary group at rho = 5.
+"""The auxiliary group at rho = 5, handled through its cosets.
 
 The full group (9,999,360 elements) is never materialized.  It is covered by
 the cosets of the doubled rho = 4 subgroup: coset detection uses invariants

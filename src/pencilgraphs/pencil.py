@@ -1,18 +1,16 @@
 """Ordered pencils: a sigma-subspace A0 plus an ordered tuple of its cosets.
 
-These are the graph vertices.  The hot representation is a plain tuple of
-bitmasks ``(a0, e1, .., e_m1)`` (see :func:`as_tuple`); the OrderedPencil
-dataclass is the API-level view.
+These are the graph vertices, each a plain tuple of bitmasks
+``(a0, e1, .., e_m1)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
 from pencilgraphs import gf2
-from pencilgraphs.gf2 import Coset, SpaceCtx, Subspace
+from pencilgraphs.gf2 import SpaceCtx
 
 
 class PencilError(ValueError):
@@ -23,29 +21,15 @@ class PencilError(ValueError):
 VTuple = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrderedPencil:
-    a0: Subspace
-    entries: tuple[Coset, ...]
-
-    def as_tuple(self) -> VTuple:
-        return (self.a0.mask,) + tuple(e.mask for e in self.entries)
-
-    def display(self) -> str:
-        parts = [gf2.mask_str(self.a0.mask)]
-        parts += [gf2.mask_str(e.mask) for e in self.entries]
-        return "(" + ",".join(parts) + ")"
-
-
-def from_tuple(ctx: SpaceCtx, v: VTuple) -> OrderedPencil:
-    a0 = Subspace.from_mask(v[0])
-    return OrderedPencil(
-        a0, tuple(Coset(gf2.points_of(m), m, a0) for m in v[1:])
-    )
+def display(v: VTuple) -> str:
+    """Extended-hex form such as ``(1,23,45,67)``."""
+    return "(" + ",".join(map(gf2.mask_str, v)) + ")"
 
 
 def validate(ctx: SpaceCtx, v: VTuple) -> None:
     """Raise unless v is a well-formed (r, sigma)-ordered pencil."""
+    if not isinstance(v, tuple) or not v:
+        raise PencilError("a pencil is a nonempty tuple of point masks")
     a0 = v[0]
     if a0.bit_count() != (1 << ctx.sigma) - 1 or not gf2.is_xor_closed(a0):
         raise PencilError(f"bad initial entry {gf2.mask_str(a0)}")
@@ -58,18 +42,6 @@ def base_vertex_tuple(ctx: SpaceCtx) -> VTuple:
     a0 = (1 << (1 << ctx.sigma)) - 2
     masks, _ = gf2.coset_table(ctx.r, a0)
     return (a0,) + tuple(masks)
-
-
-def base_vertex(ctx: SpaceCtx) -> OrderedPencil:
-    """The lexicographically smallest (r, sigma)-ordered pencil."""
-    return from_tuple(ctx, base_vertex_tuple(ctx))
-
-
-def pencils_through(ctx: SpaceCtx, a0: Subspace) -> Iterator[OrderedPencil]:
-    """All m1! orderings of the cosets of a0, in lex order of the orderings."""
-    cosets = gf2.cosets_mod(ctx, a0)
-    for perm in permutations(cosets):
-        yield OrderedPencil(a0, perm)
 
 
 def tuples_through(ctx: SpaceCtx, a0_mask: int) -> Iterator[VTuple]:
@@ -94,11 +66,8 @@ def encode_tuple(v: VTuple) -> bytes:
     return b"".join(map(_mask_bytes, v))
 
 
-def encode(v: OrderedPencil) -> bytes:
-    return encode_tuple(v.as_tuple())
-
-
-def decode(ctx: SpaceCtx, key: bytes) -> OrderedPencil:
+def decode(ctx: SpaceCtx, key: bytes) -> VTuple:
+    """Inverse of :func:`encode_tuple`; raises PencilError on a bad key."""
     w = 1 << ctx.sigma
     a0 = gf2.mask_of(key[: w - 1])
     masks = [
@@ -106,7 +75,7 @@ def decode(ctx: SpaceCtx, key: bytes) -> OrderedPencil:
     ]
     v = (a0,) + tuple(masks)
     validate(ctx, v)
-    return from_tuple(ctx, v)
+    return v
 
 
 def total_pencil_count(ctx: SpaceCtx) -> int:

@@ -79,10 +79,11 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
                              {"cliques": exp, "turans": texp},
                              {"cliques": got, "turans": tgot}))
 
-    # 5: stabilizer-group order (neighborhood automorphism group)
+    # 5: stabilizer-group order (neighborhood automorphism group); the
+    # generators are synthesized once and reused by check 10
+    stab_gens = autnr.synth_generators(ctx, g, threads=threads)
     if case in _golden.NR_ORDERS and (case != (5, 2) or enable_heavy):
-        gens = autnr.synth_generators(ctx, g, threads=threads)
-        order = autnr.closure_order(gens, g,
+        order = autnr.closure_order(stab_gens, g,
                                     cross_check_full=(case == (3, 1)))
         formula = autnr.nr_order_formula(ctx)
         checks.append(_check(
@@ -159,8 +160,8 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
 
     # 10: homogeneity
     sample_validate = None if len(g) <= 3000 else 200
-    gens_h = homog.full_generator_set(ctx, g, validate_sample=sample_validate,
-                                      threads=threads)
+    gens_h = homog.full_generator_set(ctx, g, stab_gens=stab_gens,
+                                      validate_sample=sample_validate)
     exhaustive = len(g) <= 1000
     hreps = homog.check_H_property(ctx, g, gens_h, exhaustive=exhaustive,
                                    seed=seed)

@@ -105,7 +105,7 @@ def test_apply_example():
     u = gf2.parse_mask  # shorthand
     u31 = (u("2"), u("13"), u("46"), u("57"))
     image = autnr.apply(ctx, omega, u31)
-    assert pencil.from_tuple(ctx, image).display() == "(2,13,57,46)"
+    assert pencil.display(image) == "(2,13,57,46)"
     v = pencil.base_vertex_tuple(ctx)
     assert autnr.apply(ctx, omega, v) == v
 

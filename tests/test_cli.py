@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
-from pencilgraphs import _golden
+from pencilgraphs import _golden, cli
 from pencilgraphs.cli import main
 
 
@@ -120,3 +121,32 @@ def test_report_passes_31(tmp_path):
     data = json.loads(out.read_text())
     assert data["all_pass"] is True
     assert data["failed_checks"] == []
+
+
+@pytest.mark.parametrize("args,sha256", [
+    (["report", "-r", "3", "-s", "1"],
+     "488d8f3f4e86ea521ec75ae1968dce431bf577400027f2c8661528c982618200"),
+    (["report", "-r", "4", "-s", "2"],
+     "aef431767ac0dded6ec252b2fa170f1e2ef032569d9670219a0bfa437b646f1d"),
+    (["build", "-r", "3", "-s", "1"],
+     "c789610679736af2da8def7f9965cdee7afa7d4e92103fea7f277934e3ffb053"),
+], ids=["report-3-1", "report-4-2", "build-3-1"])
+def test_artifact_digests_pinned(tmp_path, args, sha256):
+    """Artifacts at the default seed stay byte-identical to the reference."""
+    out = tmp_path / "a.out"
+    assert main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_out_write_is_atomic(tmp_path):
+    """A failed write keeps the existing --out file and leaves no temp file."""
+    out = tmp_path / "r.json"
+    out.write_text("previous\n")
+    cfg = cli.RunConfig(command="build", out=str(out))
+    with pytest.raises(UnicodeEncodeError):
+        cli._emit(cfg, "partial" + "\ud800")
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    cli._emit(cfg, "new\n")
+    assert out.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]

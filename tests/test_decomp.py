@@ -57,7 +57,7 @@ def test_turan_part_of_base(case, i):
     v = pencil.base_vertex_tuple(ctx)
     tid = decomp.turan_copies_at(ctx, v)[i - 1]
     parts = decomp.turan_vertices(ctx, g, tid)
-    got = {pencil.from_tuple(ctx, w).display() for w in parts[v[0]]}
+    got = {pencil.display(w) for w in parts[v[0]]}
     assert got == set(_golden.TURAN_PART_OF_BASE[case + (i,)])
 
 

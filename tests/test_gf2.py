@@ -45,19 +45,19 @@ def test_complement_point_whole_space():
 
 
 def test_span_examples():
-    assert gf2.span([1, 2]).points == (1, 2, 3)
-    assert gf2.span([3, 4]).points == (3, 4, 7)
-    assert gf2.span([1, 6, 7]).points == (1, 6, 7)
+    assert gf2.span_mask([1, 2]) == gf2.mask_of([1, 2, 3])
+    assert gf2.span_mask([3, 4]) == gf2.mask_of([3, 4, 7])
+    assert gf2.span_mask([1, 6, 7]) == gf2.mask_of([1, 6, 7])
 
 
 @given(st.sets(st.integers(min_value=1, max_value=31), min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_span_is_closed_and_minimal(pts):
-    s = gf2.span(pts)
-    assert gf2.is_xor_closed(s.mask)
-    for a, b in combinations(s.points, 2):
-        assert (a ^ b) in s
-    assert all(p in s for p in pts)
+    s = gf2.span_mask(pts)
+    assert gf2.is_xor_closed(s)
+    for a, b in combinations(gf2.points_of(s), 2):
+        assert s >> (a ^ b) & 1
+    assert all(s >> p & 1 for p in pts)
 
 
 def _brute_subspaces(r, d):
@@ -70,27 +70,27 @@ def _brute_subspaces(r, d):
 
 
 def test_enumerate_subspaces_small():
-    ctx = SpaceCtx(3, 1)
-    singles = gf2.enumerate_subspaces(ctx, 1)
-    assert [s.points for s in singles] == [(i,) for i in range(1, 8)]
-    lines = gf2.enumerate_subspaces(ctx, 2)
+    singles = gf2.subspace_masks(3, 1)
+    assert [gf2.points_of(m) for m in singles] == [(i,) for i in range(1, 8)]
+    lines = gf2.subspace_masks(3, 2)
     assert len(lines) == 7
-    assert lines[0].points == (1, 2, 3)
-    assert [s.points for s in lines] == _brute_subspaces(3, 2)
+    assert gf2.points_of(lines[0]) == (1, 2, 3)
+    assert [gf2.points_of(m) for m in lines] == _brute_subspaces(3, 2)
 
 
 def test_enumerate_subspaces_r4_brute_force():
-    ctx = SpaceCtx(4, 2)
-    lines = gf2.enumerate_subspaces(ctx, 2)
+    lines = gf2.subspace_masks(4, 2)
     assert len(lines) == 35
-    assert [s.points for s in lines] == _brute_subspaces(4, 2)
+    assert [gf2.points_of(m) for m in lines] == _brute_subspaces(4, 2)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
 def test_subspace_counts_match_gaussian(r):
-    ctx = SpaceCtx(r, 1)
     for d in range(0, r + 1):
-        assert len(gf2.enumerate_subspaces(ctx, d)) == gf2.gaussian_binomial(r, d)
+        assert len(gf2.subspace_masks(r, d)) == gf2.gaussian_binomial(r, d)
+    for d in (-1, r + 1):
+        with pytest.raises(gf2.Gf2Error):
+            gf2.subspace_masks(r, d)
 
 
 def test_gaussian_binomial_values():
@@ -100,59 +100,50 @@ def test_gaussian_binomial_values():
     assert gf2.gaussian_binomial(5, 2) == 155
 
 
-def test_cosets_mod_examples():
-    ctx = SpaceCtx(3, 1)
-    cs = gf2.cosets_mod(ctx, gf2.Subspace.from_points([1]))
-    assert [c.points for c in cs] == [(2, 3), (4, 5), (6, 7)]
-    ctx = SpaceCtx(4, 2)
-    cs = gf2.cosets_mod(ctx, gf2.Subspace.from_points([1, 2, 3]))
-    assert [c.points for c in cs] == [
+def _cosets(r, points):
+    return [gf2.points_of(m) for m in gf2.coset_table(r, gf2.mask_of(points))[0]]
+
+
+def test_coset_table_examples():
+    assert _cosets(3, [1]) == [(2, 3), (4, 5), (6, 7)]
+    assert _cosets(4, [1, 2, 3]) == [
         (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15)]
-    ctx = SpaceCtx(4, 1)
-    cs = gf2.cosets_mod(ctx, gf2.Subspace.from_points([2]))
-    assert cs[0].points == (1, 3)
-
-
-def test_cosets_mod_wrong_dimension():
-    ctx = SpaceCtx(4, 2)
-    with pytest.raises(gf2.Gf2Error):
-        gf2.cosets_mod(ctx, gf2.Subspace.from_points([1]))
+    assert _cosets(4, [2])[0] == (1, 3)
 
 
 @pytest.mark.parametrize("r,sigma", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)])
 def test_cosets_partition_everything(r, sigma):
     ctx = SpaceCtx(r, sigma)
-    for sub in gf2.enumerate_subspaces(ctx, sigma)[:8]:
-        cs = gf2.cosets_mod(ctx, sub)
-        union = sub.mask
-        for c in cs:
-            assert union & c.mask == 0
-            assert len(c) == 1 << sigma
-            union |= c.mask
+    for sub in gf2.subspace_masks(r, sigma)[:8]:
+        masks, lut = gf2.coset_table(r, sub)
+        assert len(masks) == ctx.m1
+        union = sub
+        for c in masks:
+            assert union & c == 0
+            assert c.bit_count() == 1 << sigma
+            assert all(lut[p] == c for p in gf2.points_of(c))
+            union |= c
         assert union == ctx.all_points_mask
 
 
 def test_hyperplanes():
-    ctx = SpaceCtx(3, 1)
-    hs = gf2.hyperplanes(ctx)
+    hs = gf2.hyperplane_masks(3)
     assert len(hs) == 7
-    pts = {h.points for h in hs}
+    pts = {gf2.points_of(h) for h in hs}
     assert (1, 2, 3) in pts
     assert (1, 6, 7) in pts
-    assert pts == {s.points for s in gf2.enumerate_subspaces(ctx, 2)}
-    ctx = SpaceCtx(4, 1)
-    hs = gf2.hyperplanes(ctx)
+    assert pts == {gf2.points_of(m) for m in gf2.subspace_masks(3, 2)}
+    hs = gf2.hyperplane_masks(4)
     assert len(hs) == 15
-    assert (1, 2, 3, 4, 5, 6, 7) in {h.points for h in hs}
+    assert (1, 2, 3, 4, 5, 6, 7) in {gf2.points_of(h) for h in hs}
 
 
 @given(st.integers(min_value=3, max_value=5))
 @settings(max_examples=10, deadline=None)
 def test_subspace_closure_property(r):
-    ctx = SpaceCtx(r, 1)
-    for s in gf2.enumerate_subspaces(ctx, min(3, r - 1)):
-        for a, b in combinations(s.points, 2):
-            assert (a ^ b) in s
+    for s in gf2.subspace_masks(r, min(3, r - 1)):
+        for a, b in combinations(gf2.points_of(s), 2):
+            assert s >> (a ^ b) & 1
 
 
 def test_point_labels():

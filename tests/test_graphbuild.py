@@ -1,5 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pencilgraphs
 from pencilgraphs import gf2, graphbuild as gb, pencil
 from pencilgraphs.gf2 import SpaceCtx
 from pencilgraphs.pencil import encode_tuple
@@ -16,7 +23,7 @@ def test_adjacent_edge_examples(r, sigma, u_disp, U_disp):
     nbrs = gb.neighbors(ctx, v)
     assert len(nbrs) == ctx.degree
     u = min(nbrs, key=encode_tuple)
-    assert pencil.from_tuple(ctx, u).display() == u_disp
+    assert pencil.display(u) == u_disp
     U = gb.adjacent(ctx, v, u)
     assert gf2.mask_str(U) == U_disp
     assert gb.adjacent(ctx, v, v) is None
@@ -98,3 +105,71 @@ def test_deterministic_rebuild():
     b = gb.build_component(SpaceCtx(3, 1))
     assert a.vertices == b.vertices
     assert a.adj == b.adj
+
+
+def _malformed_62():
+    """Two non-pencils at (6, 2): an initial entry {1, 2, 4} that is not a
+    subspace, and the base vertex with points 7 and 8 swapped between its
+    first two entries."""
+    ctx = SpaceCtx(6, 2)
+    v = pencil.base_vertex_tuple(ctx)
+    swap = 1 << 7 | 1 << 8
+    return ctx, [(gf2.mask_of([1, 2, 4]),) + v[1:],
+                 (v[0], v[1] ^ swap, v[2] ^ swap) + v[3:]]
+
+
+def test_neighbors_rejects_malformed_pencils():
+    ctx, bad = _malformed_62()
+    for v in bad:
+        with pytest.raises(pencil.PencilError):
+            gb.neighbors(ctx, v)
+
+
+def test_neighbors_rejects_malformed_pencils_under_O():
+    """The rejection is not an assert, so it survives python -O."""
+    code = (
+        "from pencilgraphs import graphbuild, pencil\n"
+        "from tests.test_graphbuild import _malformed_62\n"
+        "ctx, bad = _malformed_62()\n"
+        "for v in bad:\n"
+        "    try:\n"
+        "        graphbuild.neighbors(ctx, v)\n"
+        "    except pencil.PencilError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted a malformed pencil')\n"
+        "assert False, 'asserts must be off under -O'\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilgraphs.__file__))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr + res.stdout
+
+
+@st.composite
+def _pencils(draw, ctx):
+    a0 = draw(st.sampled_from(gf2.subspace_masks(ctx.r, ctx.sigma)))
+    masks, _ = gf2.coset_table(ctx.r, a0)
+    return (a0,) + tuple(draw(st.permutations(masks)))
+
+
+@pytest.mark.parametrize("r,sigma", [(6, 2), (7, 3)])
+def test_neighbors_match_literal_adjacency(r, sigma):
+    """Beyond desk scale: the copy-based neighbours of random pencils are
+    ctx.degree distinct well-formed pencils, each adjacent by the literal
+    three-condition test, and adjacency is symmetric."""
+    ctx = SpaceCtx(r, sigma)
+
+    @given(_pencils(ctx), st.integers(min_value=0))
+    @settings(max_examples=8, deadline=None)
+    def check(v, k):
+        nbrs = gb.neighbors(ctx, v)
+        assert len(nbrs) == len(set(nbrs)) == ctx.degree
+        assert v not in nbrs
+        for w in nbrs:
+            pencil.validate(ctx, w)
+            assert gb.adjacent(ctx, v, w) is not None
+        assert v in gb.neighbors(ctx, nbrs[k % len(nbrs)])
+
+    check()

@@ -19,7 +19,7 @@ def test_pure_entry_permutation_action():
     psi = hrho.parse_perm(2, "1(23)")
     vperm = homog.index_perm_vperm(ctx, g, psi)
     image = g.vertices[vperm[0]]
-    assert pencil.from_tuple(ctx, image).display() == "(1,23,67,45)"
+    assert pencil.display(image) == "(1,23,67,45)"
 
 
 def test_entry_permutations_are_automorphisms():

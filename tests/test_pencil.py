@@ -3,7 +3,7 @@ from itertools import islice
 import pytest
 
 from pencilgraphs import gf2, pencil
-from pencilgraphs.gf2 import SpaceCtx, Subspace
+from pencilgraphs.gf2 import SpaceCtx
 
 
 @pytest.mark.parametrize("r,sigma,display", [
@@ -12,18 +12,18 @@ from pencilgraphs.gf2 import SpaceCtx, Subspace
     (4, 2, "(123,4567,89ab,cdef)"),
 ])
 def test_base_vertex(r, sigma, display):
-    assert pencil.base_vertex(SpaceCtx(r, sigma)).display() == display
+    assert pencil.display(pencil.base_vertex_tuple(SpaceCtx(r, sigma))) == display
 
 
 def test_pencils_through_counts_and_order():
     ctx = SpaceCtx(3, 1)
-    ps = list(pencil.pencils_through(ctx, Subspace.from_points([1])))
+    ps = list(pencil.tuples_through(ctx, gf2.mask_of([1])))
     assert len(ps) == 6
-    assert ps[0].display() == "(1,23,45,67)"
+    assert pencil.display(ps[0]) == "(1,23,45,67)"
     ctx = SpaceCtx(4, 2)
-    assert len(list(pencil.pencils_through(ctx, Subspace.from_points([1, 2, 3])))) == 6
+    assert len(list(pencil.tuples_through(ctx, gf2.mask_of([1, 2, 3])))) == 6
     ctx = SpaceCtx(4, 1)
-    gen = pencil.pencils_through(ctx, Subspace.from_points([1]))
+    gen = pencil.tuples_through(ctx, gf2.mask_of([1]))
     assert sum(1 for _ in gen) == 5040
 
 
@@ -34,13 +34,15 @@ def test_encode_orders_and_roundtrip():
     assert pencil.encode_tuple(a) != pencil.encode_tuple(swapped)
 
     keys = []
-    for sub in gf2.enumerate_subspaces(ctx, 1):
-        for p in pencil.pencils_through(ctx, sub):
-            k = pencil.encode(p)
-            assert pencil.decode(ctx, k).as_tuple() == p.as_tuple()
+    for a0 in gf2.subspace_masks(ctx.r, 1):
+        for p in pencil.tuples_through(ctx, a0):
+            k = pencil.encode_tuple(p)
+            assert pencil.decode(ctx, k) == p
             keys.append(k)
     assert len(keys) == len(set(keys)) == 42
-    assert min(keys) == pencil.encode(pencil.base_vertex(ctx))
+    assert min(keys) == pencil.encode_tuple(pencil.base_vertex_tuple(ctx))
+    with pytest.raises(pencil.PencilError):
+        pencil.decode(ctx, pencil.encode_tuple(a)[:-2])
 
 
 def test_validate():
@@ -51,6 +53,16 @@ def test_validate():
         pencil.validate(ctx, (v[0], v[1], v[1], v[3]))
     with pytest.raises(pencil.PencilError):
         pencil.validate(ctx, (gf2.mask_of([1, 2]), v[1], v[2], v[3]))
+    with pytest.raises(pencil.PencilError):
+        pencil.validate(ctx, list(v))
+
+
+def test_validate_wrong_dimension():
+    """A 1-point A0 is not a (4, 2) initial entry."""
+    ctx = SpaceCtx(4, 2)
+    a0 = gf2.mask_of([1])
+    with pytest.raises(pencil.PencilError):
+        pencil.validate(ctx, (a0,) + gf2.coset_table(4, a0)[0])
 
 
 def test_total_and_component_counts():
@@ -64,9 +76,9 @@ def test_total_and_component_counts():
 
 def test_entries_cover_everything():
     ctx = SpaceCtx(4, 2)
-    for p in islice(pencil.pencils_through(ctx, Subspace.from_points([1, 2, 3])), 6):
-        cover = p.a0.mask
-        for e in p.entries:
-            assert cover & e.mask == 0
-            cover |= e.mask
+    for p in islice(pencil.tuples_through(ctx, gf2.mask_of([1, 2, 3])), 6):
+        cover = p[0]
+        for e in p[1:]:
+            assert cover & e == 0
+            cover |= e
         assert cover == ctx.all_points_mask
