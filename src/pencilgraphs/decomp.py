@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from pencilgraphs import gf2, graphbuild, hrho
+from pencilgraphs import gf2, graphbuild, hrho, pencil
 from pencilgraphs.gf2 import SpaceCtx
 from pencilgraphs.graphbuild import PencilGraph
 from pencilgraphs.pencil import VTuple
@@ -51,7 +51,11 @@ class TuranCopyId:
 
 
 def clique_copies_at(ctx: SpaceCtx, v: VTuple) -> list[CliqueCopyId]:
-    """The m0 clique-copy ids at v, in dual-point order."""
+    """The m0 clique-copy ids at v, in dual-point order.
+
+    Raises PencilError unless v is a well-formed pencil of ctx.
+    """
+    pencil.validate(ctx, v)
     return [
         CliqueCopyId(h, sl[0], tuple(sl[1:]))
         for h, sl in graphbuild.clique_slices(ctx, v)
@@ -78,7 +82,18 @@ def turan_copies_at(ctx: SpaceCtx, v: VTuple) -> list[TuranCopyId]:
 
 
 def turan_part(ctx: SpaceCtx, v: VTuple, i: int) -> list[VTuple]:
-    """The s vertices sharing v's part: the orbit under pivot-i index maps."""
+    """The s vertices sharing v's part: the orbit under pivot-i index maps.
+
+    Raises PencilError unless v is a well-formed pencil of ctx, and
+    DecompError unless i is an entry index 1..m1.
+    """
+    pencil.validate(ctx, v)
+    if not 1 <= i <= ctx.m1:
+        raise DecompError(f"entry index {i} outside 1..{ctx.m1}")
+    return _turan_part(ctx, v, i)
+
+
+def _turan_part(ctx: SpaceCtx, v: VTuple, i: int) -> list[VTuple]:
     part = [v]
     for q in gf2.hyperplane_masks(ctx.rho):
         if q >> i & 1:
@@ -90,10 +105,11 @@ def turan_vertices(ctx: SpaceCtx, g: PencilGraph, tid: TuranCopyId
                    ) -> dict[int, list[VTuple]]:
     """Parts of a Turan copy, keyed by the part label A0."""
     v = tid.anchor
-    parts: dict[int, list[VTuple]] = {v[0]: turan_part(ctx, v, tid.i)}
     vi = g.index.get(v)
     if vi is None:
         raise DecompError("anchor vertex not in graph")
+    # a vertex of g is a well-formed pencil, so it is not validated again
+    parts: dict[int, list[VTuple]] = {v[0]: _turan_part(ctx, v, tid.i)}
     for j in g.neighbors_of(vi):
         w = g.vertices[j]
         if w[0] & tid.w == w[0]:

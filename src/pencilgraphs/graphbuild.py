@@ -28,9 +28,10 @@ def adjacent(ctx: SpaceCtx, v: VTuple, w: VTuple):
 
     Checks the three edge conditions literally; condition 3 is evaluated even
     where it is implied by the first two (rho = 2), as a cross-check.
+    Raises PencilError unless v and w are well-formed pencils of ctx.
     """
-    if len(v) != len(w) or len(v) != ctx.m1 + 1:
-        raise BuildError("pencils from different contexts")
+    pencil.validate(ctx, v)
+    pencil.validate(ctx, w)
     half = 1 << (ctx.sigma - 1)
     inter = v[0] & w[0]
     if inter.bit_count() != half - 1:

@@ -2,8 +2,9 @@
 
 Elements ("A-permutations") are stored as image bytes b with b[0] = 0 and
 b[x] = image of x for x in 1..2^rho-1.  Composition is left to right:
-(p * q)(x) = q(p(x)).  The generators are the involutions p(Q, a) that fix a
-hyperplane Q pointwise and map x to a^x off Q.
+(p * q)(x) = q(p(x)), computed as one ``bytes.translate`` call with q (padded
+to 256 entries) as the table.  The generators are the involutions p(Q, a)
+that fix a hyperplane Q pointwise and map x to a^x off Q.
 """
 
 from __future__ import annotations
@@ -22,9 +23,17 @@ def identity(rho: int) -> bytes:
     return bytes(range(1 << rho))
 
 
+_PAD = bytes(range(256))
+
+
+def translate_table(q: bytes) -> bytes:
+    """q as a 256-entry table: p.translate(translate_table(q)) == compose(p, q)."""
+    return q + _PAD[len(q):]
+
+
 def compose(p: bytes, q: bytes) -> bytes:
     """Left-to-right product: apply p, then q."""
-    return bytes(q[x] for x in p)
+    return p.translate(q + _PAD[len(q):])  # translate_table(q), inlined
 
 
 def inverse(p: bytes) -> bytes:
@@ -435,22 +444,24 @@ def build_group(rho: int, cap: int = 1 << 22) -> GroupStore:
             "use the coset machinery for rho >= 5"
         )
     gens = generators(rho)
+    tables = [translate_table(g) for _, _, g in gens]
     ident = identity(rho)
     elements = [ident]
     index = {ident: 0}
     distance = [0]
     frontier = [ident]
+    depth = 0
     while frontier:
+        depth += 1
         nxt = []
         for p in frontier:
-            d = distance[index[p]]
-            for _, _, g in gens:
-                q = compose(p, g)
+            for t in tables:
+                q = p.translate(t)
                 if q not in index:
                     index[q] = len(elements)
                     elements.append(q)
-                    distance.append(d + 1)
                     nxt.append(q)
+        distance += [depth] * len(nxt)
         frontier = nxt
     if len(elements) != expected:
         raise HrhoError(

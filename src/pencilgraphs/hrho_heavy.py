@@ -1,10 +1,23 @@
 """The auxiliary group at rho = 5, handled through its cosets.
 
 The full group (9,999,360 elements) is never materialized.  It is covered by
-the cosets of the doubled rho = 4 subgroup: coset detection uses invariants
-of the doubled form (image of the top point, preimage of the lower half, and
-conjugated mirror), each candidate verified exactly by a subgroup-membership
-lookup, so a hash collision between distinct cosets cannot miscount.
+the left cosets g*K of the doubled subgroup K, one representative each, found
+by a breadth-first walk over the generators p(Q, a).
+
+Each coset has an exact label, not a hash.  Every p(Q, a) is GF(2)-linear
+(it fixes the hyperplane Q and adds a to the points off it), so H lies in
+GL(rho, 2).  Let n be the top point and L the hyperplane of the points below
+2^(rho-1).  The stabilizer of the pair (n, L) in GL(rho, 2) acts as any
+element of GL(L) = GL(rho-1, 2) on L and fixes n: that is the doubled
+GL(rho-1, 2), which is K.  By orbit-stabilizer, g and h therefore lie in one
+left coset of K exactly when g^-1(n) = h^-1(n) and g^-1(L) = h^-1(L).  The
+label ``h.translate(_label_table(rho))`` marks each point x by whether h(x)
+is n, lies in L, or neither, so it encodes both preimages in one bytes object.
+
+The argument is still checked as the walk runs: on every label hit the
+product rep^-1 * h is looked up in K, and a miss raises HrhoError, so a flaw
+in it fails loudly instead of miscounting.  The number of cosets found is
+checked against ``hrho.coset_index_formula``.
 """
 
 from __future__ import annotations
@@ -14,16 +27,11 @@ from functools import lru_cache
 from pencilgraphs import hrho
 
 
-def _mirror_invariants(p: bytes):
-    n = len(p) - 1
-    half = (n + 1) // 2
-    inv = hrho.inverse(p)
-    pos_top = inv[n]
-    lower_pre = frozenset(inv[x] for x in range(1, half))
-    iota = tuple(
-        inv[n ^ p[x]] if p[x] != n else 0 for x in range(1, n + 1)
-    )
-    return (pos_top, lower_pre, iota)
+def _label_table(rho: int) -> bytes:
+    """Translate table: 1 on the points of L, 2 on the top point, else 0."""
+    n = (1 << rho) - 1
+    half = 1 << (rho - 1)
+    return bytes(1 if 0 < y < half else 2 if y == n else 0 for y in range(256))
 
 
 @lru_cache(maxsize=1)
@@ -34,29 +42,28 @@ def _k_set(rho: int) -> frozenset[bytes]:
 def coset_reps_heavy(rho: int) -> list[bytes]:
     """One representative per left coset of the doubled subgroup."""
     K = _k_set(rho)
-    gens = [g for _, _, g in hrho.generators(rho)]
+    label = _label_table(rho)
+    tables = [hrho.translate_table(g) for _, _, g in hrho.generators(rho)]
     ident = hrho.identity(rho)
-    reps: dict[tuple, list[bytes]] = {_mirror_invariants(ident): [ident]}
+    reps = {ident.translate(label): (ident, ident)}  # label -> (rep, rep^-1)
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
-            for s in gens:
-                h = hrho.compose(g, s)
-                key = _mirror_invariants(h)
-                bucket = reps.get(key)
-                if bucket is None:
-                    reps[key] = [h]
+            for t in tables:
+                h = g.translate(t)
+                key = h.translate(label)
+                hit = reps.get(key)
+                if hit is None:
+                    reps[key] = (h, hrho.inverse(h))
                     nxt.append(h)
-                    continue
-                if any(
-                    hrho.compose(hrho.inverse(r), h) in K for r in bucket
-                ):
-                    continue
-                bucket.append(h)  # genuine collision of invariants
-                nxt.append(h)
+                elif hrho.compose(hit[1], h) not in K:
+                    raise hrho.HrhoError(
+                        "two elements share a coset label but lie in "
+                        "different cosets of the doubled subgroup"
+                    )
         frontier = nxt
-    out = [r for bucket in reps.values() for r in bucket]
+    out = [rep for rep, _ in reps.values()]
     expected = hrho.coset_index_formula(rho)
     if len(out) != expected:
         raise hrho.HrhoError(
@@ -121,8 +128,9 @@ def verify_category_cosets_heavy(rho: int) -> dict[str, int]:
     for cat, lst in reps.items():
         flat += [(cat, g) for g in lst]
     for i in range(len(flat)):
+        inv = hrho.inverse(flat[i][1])
         for j in range(i + 1, len(flat)):
-            if hrho.compose(hrho.inverse(flat[i][1]), flat[j][1]) in K:
+            if hrho.compose(inv, flat[j][1]) in K:
                 raise hrho.HrhoError(
                     f"coset collision: {flat[i][0]} vs {flat[j][0]}"
                 )

@@ -152,7 +152,6 @@ def test_criterion_09_coset_structure():
     _line(9, "coset index and category representatives", ok)
 
 
-@pytest.mark.heavy
 def test_criterion_09_heavy_rho5():
     from pencilgraphs import hrho_heavy
 

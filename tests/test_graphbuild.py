@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pencilgraphs
-from pencilgraphs import gf2, graphbuild as gb, pencil
+from pencilgraphs import decomp, gf2, graphbuild as gb, pencil
 from pencilgraphs.gf2 import SpaceCtx
 from pencilgraphs.pencil import encode_tuple
 
@@ -118,25 +118,39 @@ def _malformed_62():
                  (v[0], v[1] ^ swap, v[2] ^ swap) + v[3:]]
 
 
+def _queries(ctx, v):
+    """The queries that serve any pencil, each called on v."""
+    good = pencil.base_vertex_tuple(ctx)
+    return [
+        lambda: gb.neighbors(ctx, v),
+        lambda: gb.adjacent(ctx, v, good),
+        lambda: gb.adjacent(ctx, good, v),
+        lambda: decomp.clique_copies_at(ctx, v),
+        lambda: decomp.turan_part(ctx, v, 1),
+    ]
+
+
 def test_neighbors_rejects_malformed_pencils():
     ctx, bad = _malformed_62()
     for v in bad:
-        with pytest.raises(pencil.PencilError):
-            gb.neighbors(ctx, v)
+        for query in _queries(ctx, v):
+            with pytest.raises(pencil.PencilError):
+                query()
 
 
 def test_neighbors_rejects_malformed_pencils_under_O():
     """The rejection is not an assert, so it survives python -O."""
     code = (
-        "from pencilgraphs import graphbuild, pencil\n"
-        "from tests.test_graphbuild import _malformed_62\n"
+        "from pencilgraphs import pencil\n"
+        "from tests.test_graphbuild import _malformed_62, _queries\n"
         "ctx, bad = _malformed_62()\n"
         "for v in bad:\n"
-        "    try:\n"
-        "        graphbuild.neighbors(ctx, v)\n"
-        "    except pencil.PencilError:\n"
-        "        continue\n"
-        "    raise SystemExit('accepted a malformed pencil')\n"
+        "    for query in _queries(ctx, v):\n"
+        "        try:\n"
+        "            query()\n"
+        "        except pencil.PencilError:\n"
+        "            continue\n"
+        "        raise SystemExit('accepted a malformed pencil')\n"
         "assert False, 'asserts must be off under -O'\n"
     )
     src = os.path.dirname(os.path.dirname(pencilgraphs.__file__))
@@ -145,6 +159,15 @@ def test_neighbors_rejects_malformed_pencils_under_O():
     res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr + res.stdout
+
+
+def test_turan_part_rejects_bad_entry_index():
+    ctx = SpaceCtx(6, 2)
+    v = pencil.base_vertex_tuple(ctx)
+    assert len(decomp.turan_part(ctx, v, ctx.m1)) == ctx.s
+    for i in (0, ctx.m1 + 1):
+        with pytest.raises(decomp.DecompError):
+            decomp.turan_part(ctx, v, i)
 
 
 @st.composite

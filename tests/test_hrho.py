@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilgraphs import _golden, gf2, hrho
+from pencilgraphs import _golden, gf2, hrho, hrho_heavy
 
 
 def P(rho, text):
@@ -264,3 +266,50 @@ def test_compose_associativity_sample(i, j):
 def test_j5_type_components():
     t = str(hrho.type_of(hrho.j_rho(5)))
     assert "(21_16)" in t and "(3_1)" in t
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_compose_matches_literal_definition(n, data):
+    p = bytes(data.draw(st.permutations(range(n))))
+    q = bytes(data.draw(st.permutations(range(n))))
+    assert hrho.compose(p, q) == bytes(q[x] for x in p)
+
+
+def test_build_group_pinned():
+    """Elements, their order and their Cayley distances, as first computed."""
+    s = hrho.build_group(4)
+    digest = hashlib.sha256(b"".join(s.elements) + bytes(s.distance)).hexdigest()
+    assert digest == (
+        "8821cda808096520c1c0de42fb611a1495731fce72378be4b22cfad0ba08d27f"
+    )
+
+
+def test_coset_reps_heavy_pinned():
+    """The rho = 5 representatives and their order, as first computed."""
+    digest = hashlib.sha256(b"".join(hrho_heavy.coset_reps_heavy(5))).hexdigest()
+    assert digest == (
+        "bdc4ecc37eceb20578e18b8a6d7aaa08cbefccd1d49e0a2df929109fd5406483"
+    )
+
+
+@pytest.mark.parametrize("rho", [3, 4])
+def test_coset_reps_heavy_one_per_exact_coset(rho):
+    store = hrho.build_group(rho)
+    cosets = hrho.coset_partition(rho)
+    coset_of_el = {i: cid for cid, members in enumerate(cosets) for i in members}
+    reps = hrho_heavy.coset_reps_heavy(rho)
+    hit = sorted(coset_of_el[store.index[r]] for r in reps)
+    assert hit == list(range(len(cosets)))
+
+
+def test_coset_reps_heavy_checks_membership(monkeypatch):
+    """With K replaced by a proper subgroup, some label hit lands outside it;
+    the walk must raise instead of counting a new coset."""
+    K = hrho.doubled_subgroup(3)
+    stab = frozenset(k for k in K if k[1] == 1)
+    assert hrho.identity(3) in stab and len(stab) < len(K)
+    monkeypatch.setattr(hrho_heavy, "_k_set", lambda rho: stab)
+    with pytest.raises(hrho.HrhoError):
+        hrho_heavy.coset_reps_heavy(3)
