@@ -3,10 +3,28 @@
 Every edge lies in exactly one copy of each family; a clique copy is a
 hyperplane slice shared by its 2s vertices, and a Turan copy is anchored by
 any of its vertices via the pivot-orbit construction of its parts.
+
+Each Turan copy is found once.  A copy spans a (sigma+1)-subspace W: its t
+parts are labelled by the t sigma-subspaces of W, so the vertex set fixes W.
+A vertex x lies in at most one copy of a given W, the one anchored at
+(x, i) for the entry i of x inside W.  So the pairs (vertex, W) are claims:
+a newly found copy claims (x, W) for each of its s*t members, an anchor
+whose pair is already claimed is skipped, and a second claim on a pair means
+two different copies through one anchor and raises.  The first anchor of a
+copy in vertex-then-entry order is never skipped, so the copies come out in
+the same order, with the same parts, as from the all-anchor walk.
+
+The edge-cover check names the edge (x, y) by the slot of y in x's sorted
+adjacency row, and keeps one array of copy indices per slot and family.
+It does not count how often each pair of vertices lies in a clique copy:
+two clique copies sharing a pair either cover the edge twice or contain a
+non-edge, and the cover pass already reports both.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,7 +95,11 @@ def apply_index_perm(ctx: SpaceCtx, v: VTuple, psi: bytes) -> VTuple:
 
 
 def turan_copies_at(ctx: SpaceCtx, v: VTuple) -> list[TuranCopyId]:
-    """The m1 Turan-copy ids at v: W spans the initial entry with entry i."""
+    """The m1 Turan-copy ids at v: W spans the initial entry with entry i.
+
+    Raises PencilError unless v is a well-formed pencil of ctx.
+    """
+    pencil.validate(ctx, v)
     return [TuranCopyId(v[0] | v[i], i, v) for i in range(1, ctx.m1 + 1)]
 
 
@@ -93,12 +115,16 @@ def turan_part(ctx: SpaceCtx, v: VTuple, i: int) -> list[VTuple]:
     return _turan_part(ctx, v, i)
 
 
+@lru_cache(maxsize=None)
+def _pivot_maps(rho: int, i: int) -> tuple[bytes, ...]:
+    """The index maps p(Q, i), one per hyperplane Q of P(rho) through i."""
+    return tuple(hrho.pQa(rho, q, i)
+                 for q in gf2.hyperplane_masks(rho) if q >> i & 1)
+
+
 def _turan_part(ctx: SpaceCtx, v: VTuple, i: int) -> list[VTuple]:
-    part = [v]
-    for q in gf2.hyperplane_masks(ctx.rho):
-        if q >> i & 1:
-            part.append(apply_index_perm(ctx, v, hrho.pQa(ctx.rho, q, i)))
-    return part
+    return [v] + [apply_index_perm(ctx, v, psi)
+                  for psi in _pivot_maps(ctx.rho, i)]
 
 
 def turan_vertices(ctx: SpaceCtx, g: PencilGraph, tid: TuranCopyId
@@ -179,28 +205,37 @@ def enumerate_clique_copies(ctx: SpaceCtx, g: PencilGraph):
 
 
 def enumerate_turan_copies(ctx: SpaceCtx, g: PencilGraph):
-    """frozen vertex set -> (parts as index sets), plus per-vertex incidence."""
+    """frozen vertex set -> (parts as index sets), plus per-vertex incidence.
+
+    Each copy is built once, from its first anchor (v, i) in vertex-then-entry
+    order, and claims (x, W) for each member x; incidence[x] counts the copies
+    that contain x.
+    """
     cached = getattr(g, "_turan_copy_cache", None)
     if cached is not None:
         return cached
     copies: dict[frozenset, list[frozenset]] = {}
     incidence = [0] * len(g.vertices)
+    claimed: set[int] = set()  # vertex index << shift | W
+    shift = ctx.n + 1
     for vi, v in enumerate(g.vertices):
-        for tid in turan_copies_at(ctx, v):
-            incidence[vi] += 1
-            parts = turan_vertices(ctx, g, tid)
+        for i in range(1, ctx.m1 + 1):
+            w = v[0] | v[i]
+            if vi << shift | w in claimed:
+                continue
+            parts = turan_vertices(ctx, g, TuranCopyId(w, i, v))
             part_sets = [
-                frozenset(g.index[w] for w in plist)
+                frozenset(g.index[x] for x in plist)
                 for plist in parts.values()
             ]
             key = frozenset().union(*part_sets)
-            if key in copies:
-                if frozenset(map(frozenset, part_sets)) != frozenset(
-                    map(frozenset, copies[key])
-                ):
+            for x in key:
+                c = x << shift | w
+                if c in claimed:
                     raise DecompError("same copy, different part structure")
-            else:
-                copies[key] = part_sets
+                claimed.add(c)
+                incidence[x] += 1
+            copies[key] = part_sets
     g._turan_copy_cache = (copies, incidence)
     return copies, incidence
 
@@ -229,81 +264,112 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph,
     if ell1 != exp_ell1:
         failures.append(f"Turan copy count {ell1} != {exp_ell1}")
 
-    # each edge in exactly one copy per family, and the copies intersect in it
-    edge_clique: dict[tuple[int, int], tuple] = {}
-    pair_seen_clique: set[tuple[int, int]] = set()
+    # each edge in exactly one copy per family, and the copies intersect in
+    # it; edge (x, y) is the slot of y in x's sorted adjacency row, a pair
+    # with no slot is a non-edge and is kept by pair in a dict.  The slot
+    # lookup is written out in both passes: a call per pair would cost about
+    # a tenth of the check.
+    adj, d = g.adj, g.degree
+    edges = g.edge_count()
+    clique_verts = list(cliques.values())
+    clique_of = array("i", [-1]) * len(adj)  # slot -> last clique copy on it
+    stray_clique: dict[tuple[int, int], int] = {}  # non-edge -> copy
+    order = array("i")  # covered pairs in first-cover order; ~j is stray j
     bad = False
-    for key, verts in cliques.items():
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                e = (verts[a], verts[b])
-                if not g.has_edge(*e):
-                    failures.append(f"clique copy not a clique at {e}")
-                    bad = True
-                if e in edge_clique:
+    for ci, verts in enumerate(clique_verts):
+        for a, x in enumerate(verts):
+            lo = x * d
+            hi = lo + d
+            for y in verts[a + 1:]:
+                k = bisect_left(adj, y, lo, hi)
+                if k < hi and adj[k] == y:
+                    if clique_of[k] >= 0:
+                        failures.append(f"edge {(x, y)} in two clique copies")
+                        bad = True
+                    else:
+                        order.append(k)
+                    clique_of[k] = ci
+                    continue
+                e = (x, y)
+                failures.append(f"clique copy not a clique at {e}")
+                bad = True
+                if e in stray_clique:
                     failures.append(f"edge {e} in two clique copies")
-                    bad = True
-                edge_clique[e] = key
+                else:
+                    order.append(~len(stray_clique))
+                stray_clique[e] = ci
             if bad:
                 break
         if bad:
             break
-    if len(edge_clique) != g.edge_count():
+    if len(order) != edges:
         failures.append(
-            f"clique copies cover {len(edge_clique)} pairs, "
-            f"expected {g.edge_count()} edges"
+            f"clique copies cover {len(order)} pairs, "
+            f"expected {edges} edges"
         )
 
-    edge_turan: dict[tuple[int, int], frozenset] = {}
-    pair_mult: dict[tuple[int, int], int] = {}
-    for key, part_sets in turans.items():
+    turan_keys = list(turans)
+    turan_of = array("i", [-1]) * len(adj)  # slot -> last Turan copy on it
+    stray_turan: dict[tuple[int, int], int] = {}  # non-edge across parts
+    same_pairs: set[int] = set()  # x * n + y for pairs inside a part
+    turan_cover = 0
+    for ti, part_sets in enumerate(turans.values()):
         labels = {}
         for pi, ps in enumerate(part_sets):
             for x in ps:
                 labels[x] = pi
         verts = sorted(labels)
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                x, y = verts[a], verts[b]
-                same = labels[x] == labels[y]
-                edge = g.has_edge(x, y)
-                if same and edge:
-                    failures.append(f"Turan copy edge inside a part {x},{y}")
-                if not same:
-                    if not edge:
-                        failures.append(f"Turan copy non-edge across parts {x},{y}")
-                    if (x, y) in edge_turan:
+        for a, x in enumerate(verts):
+            lx = labels[x]
+            lo = x * d
+            hi = lo + d
+            for y in verts[a + 1:]:
+                k = bisect_left(adj, y, lo, hi)
+                edge = k < hi and adj[k] == y
+                if labels[y] == lx:
+                    if edge:
+                        failures.append(f"Turan copy edge inside a part {x},{y}")
+                    if pair_check:
+                        p = x * n + y
+                        if (p in same_pairs
+                                or (turan_of[k] >= 0 if edge
+                                    else (x, y) in stray_turan)):
+                            failures.append(
+                                f"two Turan copies share vertices {x},{y}"
+                            )
+                        same_pairs.add(p)
+                elif edge:
+                    if turan_of[k] >= 0:
                         failures.append(f"edge ({x},{y}) in two Turan copies")
-                    edge_turan[(x, y)] = key
-                if pair_check:
-                    pair_mult[(x, y)] = pair_mult.get((x, y), 0) + 1
-                    if pair_mult[(x, y)] > 1 and same:
-                        failures.append(
-                            f"two Turan copies share vertices {x},{y}"
-                        )
-    if len(edge_turan) != g.edge_count():
+                    else:
+                        turan_cover += 1
+                    turan_of[k] = ti
+                else:
+                    failures.append(f"Turan copy non-edge across parts {x},{y}")
+                    if (x, y) in stray_turan:
+                        failures.append(f"edge ({x},{y}) in two Turan copies")
+                    else:
+                        turan_cover += 1
+                    stray_turan[(x, y)] = ti
+    if turan_cover != edges:
         failures.append(
-            f"Turan copies cover {len(edge_turan)} edges, "
-            f"expected {g.edge_count()}"
+            f"Turan copies cover {turan_cover} edges, "
+            f"expected {edges}"
         )
 
-    # shared-pair check for cliques (two copies sharing >= 2 vertices)
-    if pair_check:
-        seen_pairs: dict[tuple[int, int], int] = {}
-        for key, verts in cliques.items():
-            for a in range(len(verts)):
-                for b in range(a + 1, len(verts)):
-                    e = (verts[a], verts[b])
-                    seen_pairs[e] = seen_pairs.get(e, 0) + 1
-        if any(cnt > 1 for cnt in seen_pairs.values()):
-            failures.append("two clique copies share two vertices")
-
-    # the edge is the intersection of its two copies
-    for e, ckey in list(edge_clique.items())[:: max(1, len(edge_clique) // 512)]:
-        tkey = edge_turan.get(e)
-        if tkey is None:
+    # the edge is the intersection of its two copies, sampled at every k-th
+    # covered pair in clique-copy order
+    strays = list(stray_clique)
+    for code in order[:: max(1, len(order) // 512)]:
+        if code >= 0:
+            e = (code // d, adj[code])
+            ci, ti = clique_of[code], turan_of[code]
+        else:
+            e = strays[~code]
+            ci, ti = stray_clique[e], stray_turan.get(e, -1)
+        if ti < 0:
             continue
-        inter = set(cliques[ckey]) & set(tkey)
+        inter = set(clique_verts[ci]) & set(turan_keys[ti])
         if inter != set(e):
             failures.append(f"copy intersection at {e} is {sorted(inter)}")
 
@@ -313,9 +379,9 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph,
     # degree identity and double-cover arithmetic
     if ctx.m0 * (two_s - 1) != ctx.degree:
         failures.append("degree identity m0(2s-1) = s(t-1)m1 fails")
-    if ell0 * (two_s * (two_s - 1) // 2) != g.edge_count():
+    if ell0 * (two_s * (two_s - 1) // 2) != edges:
         failures.append("clique edge double-cover arithmetic fails")
-    if ell1 * (s * s * t * (t - 1) // 2) != g.edge_count():
+    if ell1 * (s * s * t * (t - 1) // 2) != edges:
         failures.append("Turan edge double-cover arithmetic fails")
 
     note = (
@@ -324,7 +390,7 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph,
         "swaps the two families and is treated as a typo (counts verified)"
     )
     return DecompReport(not failures, ell0, ell1, ctx.m0, ctx.m1,
-                        g.edge_count(), failures, note)
+                        edges, failures, note)
 
 
 def _check_maximality(g: PencilGraph, cliques, turans, failures) -> None:

@@ -82,7 +82,8 @@ def clique_copy_vertices(ctx: SpaceCtx, h: int, sl: VTuple) -> list[VTuple]:
             continue
         a0 = u0 | blk
         _, lut = gf2.coset_table(ctx.r, a0)
-        out.append((a0,) + tuple(lut[gf2.min_point(m)] for m in sl[1:]))
+        out.append((a0,) + tuple(lut[(m & -m).bit_length() - 1]
+                                 for m in sl[1:]))
     if len(out) != 2 * ctx.s:
         raise BuildError(f"{len(out)} pencils on a slice, expected {2 * ctx.s}")
     return out

@@ -130,7 +130,11 @@ def test_report_passes_31(tmp_path):
      "aef431767ac0dded6ec252b2fa170f1e2ef032569d9670219a0bfa437b646f1d"),
     (["build", "-r", "3", "-s", "1"],
      "c789610679736af2da8def7f9965cdee7afa7d4e92103fea7f277934e3ffb053"),
-], ids=["report-3-1", "report-4-2", "build-3-1"])
+    (["verify", "-r", "4", "-s", "1"],
+     "3ee049d80546ae6748991b4940857f206ca7fe474dd4d3c5060680f3db03b8ed"),
+    (["homog", "-r", "4", "-s", "2"],
+     "d15f704315166d825258ca661464efba06b3721452768d58169fff2bb397500e"),
+], ids=["report-3-1", "report-4-2", "build-3-1", "verify-4-1", "homog-4-2"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"

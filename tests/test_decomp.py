@@ -94,6 +94,45 @@ def test_turan_anchor_irrelevant_within_copy():
         assert decomp.turan_vertex_set(ctx, g, tid2) == members
 
 
+def _all_anchor_turan_copies(ctx, g):
+    """The literal enumeration: build the copy at every anchor (v, i)."""
+    copies, at_anchor = {}, {}
+    for vi, v in enumerate(g.vertices):
+        for i in range(1, ctx.m1 + 1):
+            tid = decomp.TuranCopyId(v[0] | v[i], i, v)
+            parts = decomp.turan_vertices(ctx, g, tid)
+            part_sets = [frozenset(g.index[w] for w in plist)
+                         for plist in parts.values()]
+            key = frozenset().union(*part_sets)
+            copies.setdefault(key, part_sets)
+            at_anchor[(vi, tid.w)] = (key, set(part_sets))
+    return copies, at_anchor
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
+def test_turan_copies_found_once_match_all_anchors(case):
+    ctx = SpaceCtx(*case)
+    g = gb.component(*case)
+    got, incidence = decomp.enumerate_turan_copies(ctx, g)
+    want, at_anchor = _all_anchor_turan_copies(ctx, g)
+    assert list(got) == list(want)
+    assert got == want
+    assert incidence == [ctx.m1] * len(g)
+    # every anchor rebuilds, part for part, the one copy that claimed it
+    claimed_by = {}
+    for key, part_sets in got.items():
+        w = 0
+        for ps in part_sets:
+            w |= g.vertices[next(iter(ps))][0]
+        for x in key:
+            assert (x, w) not in claimed_by
+            claimed_by[(x, w)] = key
+    assert claimed_by.keys() == at_anchor.keys()
+    for anchor, (key, parts) in at_anchor.items():
+        assert key == claimed_by[anchor]
+        assert parts == set(got[key])
+
+
 @pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
 def test_verify_decomposition(case):
     ctx = SpaceCtx(*case)
@@ -114,3 +153,165 @@ def test_edge_double_cover_arithmetic():
         assert data["ell0"] * (2 * s) * (2 * s - 1) // 2 == g.edge_count()
         assert data["ell1"] * s * s * t * (t - 1) // 2 == g.edge_count()
         assert ctx.m0 * (2 * s - 1) == ctx.degree
+
+
+def _tampered(case):
+    """A freshly built graph whose copy caches are filled and safe to edit.
+
+    The lru-cached ``graphbuild.component`` is not used, so editing the
+    caches cannot leak into other tests.
+    """
+    ctx = SpaceCtx(*case)
+    g = gb.build_component(ctx)
+    cliques, _ = decomp.enumerate_clique_copies(ctx, g)
+    turans, _ = decomp.enumerate_turan_copies(ctx, g)
+    return ctx, g, cliques, turans
+
+
+def _outsider(g, members, avoid):
+    """The least vertex outside members that is not adjacent to avoid."""
+    return next(z for z in range(len(g)) if z not in members
+                and z != avoid and not g.has_edge(avoid, z))
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_duplicated_clique_copy(case):
+    ctx, g, cliques, _ = _tampered(case)
+    verts = next(iter(cliques.values()))
+    cliques[(-1,)] = verts
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    assert f"edge {(verts[0], verts[1])} in two clique copies" in rep.failures
+    assert f"clique copy count {rep.ell0} != {rep.ell0 - 1}" in rep.failures
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_dropped_clique_copy(case):
+    ctx, g, cliques, _ = _tampered(case)
+    del cliques[next(iter(cliques))]
+    rep = decomp.verify_decomposition(ctx, g)
+    e, two_s = g.edge_count(), 2 * ctx.s
+    assert rep.ok is False
+    assert (f"clique copies cover {e - two_s * (two_s - 1) // 2} pairs, "
+            f"expected {e} edges") in rep.failures
+    assert "clique edge double-cover arithmetic fails" in rep.failures
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_clique_copy_with_non_edge(case):
+    ctx, g, cliques, _ = _tampered(case)
+    key = next(iter(cliques))
+    verts = cliques[key]
+    z = _outsider(g, verts, verts[0])
+    bad = tuple(sorted(verts[:-1] + (z,)))
+    cliques[key] = bad
+    first = next((a, b) for i, a in enumerate(bad) for b in bad[i + 1:]
+                 if not g.has_edge(a, b))
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    assert f"clique copy not a clique at {first}" in rep.failures
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_duplicated_turan_copy(case):
+    ctx, g, _, turans = _tampered(case)
+    key, parts = next(iter(turans.items()))
+    # an equal key would land on the same dict slot, so use a sorted tuple
+    turans[tuple(sorted(key))] = parts
+    x, y = sorted(parts[0])[:2]
+    a, b = min(parts[0]), min(parts[1])
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    assert f"edge ({min(a, b)},{max(a, b)}) in two Turan copies" in rep.failures
+    assert f"two Turan copies share vertices {x},{y}" in rep.failures
+    assert f"Turan copy count {rep.ell1} != {rep.ell1 - 1}" in rep.failures
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_dropped_turan_copy(case):
+    ctx, g, _, turans = _tampered(case)
+    del turans[next(iter(turans))]
+    rep = decomp.verify_decomposition(ctx, g)
+    e = g.edge_count()
+    per_copy = ctx.s * ctx.s * ctx.t * (ctx.t - 1) // 2
+    assert rep.ok is False
+    assert (f"Turan copies cover {e - per_copy} edges, expected {e}"
+            in rep.failures)
+    assert "Turan edge double-cover arithmetic fails" in rep.failures
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_turan_copy_with_non_edge(case):
+    ctx, g, _, turans = _tampered(case)
+    key, parts = next(iter(turans.items()))
+    other = min(parts[1])
+    z = _outsider(g, key, other)
+    x = min(parts[0])
+    turans[key] = [parts[0] - {x} | {z}] + list(parts[1:])
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    assert (f"Turan copy non-edge across parts {min(z, other)},{max(z, other)}"
+            in rep.failures)
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_turan_parts_swapped(case):
+    ctx, g, _, turans = _tampered(case)
+    key, parts = next(iter(turans.items()))
+    x, y = min(parts[0]), min(parts[1])
+    turans[key] = [parts[0] - {x} | {y}, parts[1] - {y} | {x}] + parts[2:]
+    z = min(parts[1] - {y})
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    assert (f"Turan copy edge inside a part {min(x, z)},{max(x, z)}"
+            in rep.failures)
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_wrong_incidence(case):
+    ctx, g, _, _ = _tampered(case)
+    g._clique_copy_cache[1][0] += 1
+    g._turan_copy_cache[1][-1] -= 1
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    assert "clique incidence not m0 at every vertex" in rep.failures
+    assert "Turan incidence not m1 at every vertex" in rep.failures
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_verify_rejects_non_maximal_copies(case):
+    ctx, g, cliques, turans = _tampered(case)
+    key = next(iter(cliques))
+    cliques[key] = cliques[key][1:]
+    tkey, parts = next(iter(turans.items()))
+    turans[tkey] = [parts[0] - {min(parts[0])}] + parts[1:]
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    assert f"clique copy {key[0]:x} not maximal" in rep.failures
+    assert "Turan copy extendable inside a part" in rep.failures
+
+
+def test_verify_samples_every_kth_clique_pair():
+    """The copy-intersection check visits every k-th covered pair in
+    clique-copy order, k = edges // 512.  Each probe edge's Turan copy gets
+    a third vertex of the probe's clique copy; only the sampled probe shows."""
+    ctx, g, cliques, turans = _tampered((4, 2))
+    step = g.edge_count() // 512
+    pairs = [(verts, (a, b)) for verts in cliques.values()
+             for i, a in enumerate(verts) for b in verts[i + 1:]]
+    probes = [pairs[p] for p in (step - 1, step, step + 1)]
+    assert step > 1 and len({verts for verts, _ in probes}) == 1
+    want = {}
+    for verts, e in probes:
+        tkey = next(k for k, ps in turans.items()
+                    if set(e) <= k and not any(set(e) <= p for p in ps))
+        third = min(set(verts) - set(e))
+        turans[tkey | {third}] = turans.pop(tkey)
+        want[e] = f"copy intersection at {e} is {sorted(set(e) | {third})}"
+    rep = decomp.verify_decomposition(ctx, g)
+    unsampled, sampled, unsampled2 = want
+    assert rep.ok is False
+    assert want[sampled] in rep.failures
+    for e in (unsampled, unsampled2):
+        assert not any(f.startswith(f"copy intersection at {e} ")
+                       for f in rep.failures)

@@ -127,6 +127,7 @@ def _queries(ctx, v):
         lambda: gb.adjacent(ctx, good, v),
         lambda: decomp.clique_copies_at(ctx, v),
         lambda: decomp.turan_part(ctx, v, 1),
+        lambda: decomp.turan_copies_at(ctx, v),
     ]
 
 
