@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 
 from pencilgraphs import gf2
 from pencilgraphs.gf2 import SpaceCtx
@@ -422,89 +423,110 @@ def synth_generators(ctx: SpaceCtx, g: PencilGraph, category: str | None = None,
 # closure
 
 
-def close_permutations(gens: list[tuple[int, ...]], cap: int = 1 << 21) -> int:
+def close_permutations(gens: list[tuple[int, ...]]) -> int:
     """Order of the permutation group generated by the given tuples.
 
-    Generators already inside the running closure are skipped, so a long
-    redundant generator list costs little; the product sweep is vectorized
-    once the degree is large enough for that to pay off.
+    Deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
+    Algorithms, 2003, ch. 4).  Level i of the stabilizer chain keeps a base
+    point b_i, the strong generators fixing b_0 .. b_{i-1}, and the orbit of
+    b_i under them with a transversal.  Every Schreier generator of every
+    level is sifted through the levels below it; a residue that is not the
+    identity becomes a new strong generator.  Once all of them sift, the
+    order is the product of the basic orbit lengths.  No group element is
+    enumerated.
     """
     if not gens:
         return 1
     k = len(gens[0])
-    if k >= 100:
-        return _close_numpy(gens, cap)
     ident = tuple(range(k))
-    els = {ident}
-    kept: list[tuple[int, ...]] = []
+
+    def inverse(p):
+        inv = [0] * k
+        for x, y in enumerate(p):
+            inv[y] = x
+        return tuple(inv)
+
+    base: list[int] = []
+    strong: list[list[tuple]] = []  # level -> [(s, s^-1)]
+    trans: list[dict] = []  # level -> {point: (u, u^-1)}, u(b_i) = point
+
+    def orbit(i):
+        b = base[i]
+        t = {b: (ident, ident)}
+        pts = [b]
+        for beta in pts:
+            u, ui = t[beta]
+            for s, si in strong[i]:
+                gamma = s[beta]
+                if gamma not in t:
+                    t[gamma] = (tuple(s[x] for x in u), tuple(ui[x] for x in si))
+                    pts.append(gamma)
+        return t
+
+    def sift(h, i):
+        """Strip h through levels i, i+1, ...; (residue, level it stuck at)."""
+        for j in range(i, len(base)):
+            hit = trans[j].get(h[base[j]])
+            if hit is None:
+                return h, j
+            ui = hit[1]
+            h = tuple(ui[x] for x in h)
+        return h, len(base)
+
+    def add(h, i, j):
+        """Make the residue h (fixing b_0 .. b_{j-1}) a strong generator of
+        levels i .. j, opening level j when h fixes every base point."""
+        if j == len(base):
+            base.append(next(x for x in range(k) if h[x] != x))
+            strong.append([])
+            trans.append({})
+        pair = (h, inverse(h))
+        for lv in range(i, j + 1):
+            strong[lv].append(pair)
+            trans[lv] = orbit(lv)
+
+    def residue(i):
+        """The first Schreier generator u_beta * s * u_{s(beta)}^-1 of level
+        i that does not sift to the identity, as (residue, level), or None."""
+        for beta, (u, _) in trans[i].items():
+            for s, _ in strong[i]:
+                ui = trans[i][s[beta]][1]
+                h, j = sift(tuple(ui[s[x]] for x in u), i + 1)
+                if h != ident:
+                    return h, j
+        return None
+
     for gen in gens:
-        if gen in els:
-            continue
-        kept.append(gen)
-        frontier = list(els)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in kept:
-                    r = tuple(q[x] for x in p)
-                    if r not in els:
-                        if len(els) >= cap:
-                            raise AutError(f"closure exceeded cap {cap}")
-                        els.add(r)
-                        nxt.append(r)
-            frontier = nxt
-    return len(els)
+        h, j = sift(tuple(gen), 0)
+        if h != ident:
+            add(h, 0, j)
+    i = len(base) - 1
+    while i >= 0:
+        hit = residue(i)
+        if hit is None:
+            i -= 1
+        else:
+            add(hit[0], i + 1, hit[1])
+            i = hit[1]
+    return prod(len(t) for t in trans)
 
 
-def _close_numpy(gens, cap):
-    import numpy as np
-
-    k = len(gens[0])
-    dtype = np.uint8 if k <= 255 else np.uint16
-    ident = np.arange(k, dtype=dtype)
-    els = {ident.tobytes()}
-    rows = [ident]
-    kept: list = []
-    for gen in gens:
-        garr = np.asarray(gen, dtype=dtype)
-        if garr.tobytes() in els:
-            continue
-        kept.append(garr)
-        frontier = np.vstack(rows)
-        while len(frontier):
-            new_rows = []
-            for q in kept:
-                prods = q[frontier]  # compose: apply frontier, then q
-                for row in prods:
-                    b = row.tobytes()
-                    if b not in els:
-                        if len(els) >= cap:
-                            raise AutError(f"closure exceeded cap {cap}")
-                        els.add(b)
-                        new_rows.append(row)
-            if new_rows:
-                frontier = np.vstack(new_rows)
-                rows.append(frontier)
-            else:
-                frontier = np.empty((0, k), dtype)
-    return len(els)
-
-
-def closure_order(gens: list[AutoMap], g: PencilGraph, cap: int = 1 << 21,
+def closure_order(gens: list[AutoMap], g: PencilGraph,
                   cross_check_full: bool = False) -> int:
     """Group order generated by the neighborhood restrictions.
 
-    With cross_check_full, also closes the full-graph permutations of the
-    point-kind generators and verifies the restriction loses nothing (this
-    is the faithfulness check; it is feasible on the small cases).
+    With cross_check_full, also takes the order of the group generated by
+    the full-graph permutations of the point-kind generators and checks that
+    it equals the order of their restrictions, i.e. that restricting to the
+    neighborhood loses nothing (the faithfulness check).
     """
     nperms = [a.nperm for a in gens]
-    order = close_permutations(nperms, cap)
+    order = close_permutations(nperms)
     if cross_check_full:
         vperms = [a.vperm for a in gens if a.vperm is not None]
-        full = close_permutations(vperms, cap)
+        full = close_permutations(vperms)
         restricted = close_permutations(
-            [a.nperm for a in gens if a.vperm is not None], cap
+            [a.nperm for a in gens if a.vperm is not None]
         )
         if full != restricted:
             raise AutError(

@@ -153,7 +153,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_aut(cfg: RunConfig) -> int:
     ctx, g = _graph_for(cfg)
     gens = autnr.synth_generators(ctx, g, threads=cfg.threads)
-    order = autnr.closure_order(gens, g, cap=max(1 << 21, cfg.cap_vertices))
+    order = autnr.closure_order(gens, g)
     expected = autnr.nr_order_formula(ctx)
     data = {
         "closure_order": order,

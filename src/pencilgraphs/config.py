@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from pencilgraphs import decomp
+from pencilgraphs import decomp, homog
 from pencilgraphs.gf2 import SpaceCtx
 from pencilgraphs.graphbuild import PencilGraph
 
@@ -118,18 +118,21 @@ def _refine_colors(lv: LeviGraph, colors: list[int], rounds: int = 4):
     return colors
 
 
-def self_duality_map(cfg: IncidenceStructure, node_cap: int = 5_000_000):
+DUALITY_NODE_CAP = 5_000_000
+
+
+def self_duality_map(cfg: IncidenceStructure):
     """A Levi-graph automorphism exchanging the color classes, or None.
 
     Only defined for square configurations (m = n and c = d); returns the
-    combined permutation of the Levi graph when found.
+    combined permutation of the Levi graph when found.  The search is
+    :func:`homog._backtrack` on color-swapping candidates.
     """
     m, c, n, d = cfg.params
     if m != n or c != d:
         return None
     lv = levi_graph(cfg)
     size = len(lv)
-    full = (1 << size) - 1
     # swap-color refinement: colors must be color-blind, so start uniform
     colors = _refine_colors(lv, [0] * size)
     classes: dict[int, int] = {}
@@ -138,86 +141,16 @@ def self_duality_map(cfg: IncidenceStructure, node_cap: int = 5_000_000):
         classes[colors[x]] |= 1 << x
 
     black_mask = (1 << lv.n_black) - 1
-    white_mask = full ^ black_mask
-
-    mfwd = [-1] * size
-    used = 0
+    white_mask = ((1 << size) - 1) ^ black_mask
     cand = [
         (classes[colors[x]] & (white_mask if x < lv.n_black else black_mask))
         for x in range(size)
     ]
-    nodes = 0
-
-    trail: list = []
-
-    def assign(x, y):
-        nonlocal used
-        mfwd[x] = y
-        used |= 1 << y
-        trail.append(("a", x))
-        for z in range(size):
-            if mfwd[z] >= 0:
-                continue
-            old = cand[z]
-            new = old & (lv.adj[y] if lv.adj[x] >> z & 1 else ~lv.adj[y])
-            new &= ~(1 << y)
-            if new != old:
-                trail.append(("c", z, old))
-                cand[z] = new
-                if not new:
-                    return False
-        return True
-
-    def undo(mark):
-        nonlocal used
-        while len(trail) > mark:
-            e = trail.pop()
-            if e[0] == "a":
-                used &= ~(1 << mfwd[e[1]])
-                mfwd[e[1]] = -1
-            else:
-                cand[e[1]] = e[2]
-
-    def pick():
-        best, bestc, bestk = -1, 0, None
-        for x in range(size):
-            if mfwd[x] < 0:
-                cc = cand[x] & ~used
-                k = cc.bit_count()
-                if bestk is None or k < bestk:
-                    best, bestc, bestk = x, cc, k
-                    if k <= 1:
-                        break
-        return best, bestc
-
-    frames: list[list] = []
-    while True:
-        best, bestc = pick()
-        if best < 0:
-            return list(mfwd)
-        frames.append([best, bestc, len(trail)])
-        live = False
-        while frames:
-            x, cands, mark = frames[-1]
-            undo(mark)
-            y = None
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                frames[-1][1] = cands
-                nodes += 1
-                if nodes > node_cap:
-                    raise ConfigError("duality search exceeded node cap")
-                if assign(x, low.bit_length() - 1):
-                    y = x
-                    break
-                undo(mark)
-            if y is not None:
-                live = True
-                break
-            frames.pop()
-        if not live:
-            return None
+    try:
+        dual, _ = homog._backtrack(lv.adj, cand, {}, DUALITY_NODE_CAP)
+    except homog.HomogError:
+        raise ConfigError("duality search exceeded node cap") from None
+    return dual
 
 
 def dual_menger_isomorphic(cfg: IncidenceStructure, g: PencilGraph,

@@ -297,33 +297,44 @@ class ExtendStats:
     exhausted: bool = False
 
 
-def extend_partial(g: PencilGraph, partial: dict[int, int],
-                   node_cap: int = 2_000_000):
+EXTEND_NODE_CAP = 2_000_000
+
+
+def extend_partial(g: PencilGraph, partial: dict[int, int]):
     """Complete a partial vertex map to an automorphism, or prove exhaustion.
 
-    Returns (vperm | None, stats).  Propagation keeps per-vertex candidate
-    bitmasks; vertices with a unique candidate are forced before branching.
+    Returns (vperm | None, stats); raises HomogError past EXTEND_NODE_CAP
+    search nodes.
     """
     n = len(g.vertices)
-    full = (1 << n) - 1
     nbr = [g.nbr_mask(i) for i in range(n)]
+    return _backtrack(nbr, [(1 << n) - 1] * n, partial, EXTEND_NODE_CAP)
+
+
+def _backtrack(adj: list[int], cand: list[int], partial: dict[int, int],
+               node_cap: int):
+    """Search for a bijection m of the vertices of the bitmask graph adj with
+    m(x) in cand[x] and adj[m(x)] >> m(z) & 1 == adj[x] >> z & 1, extending
+    partial.  Returns (map | None, stats).
+
+    Propagation keeps per-vertex candidate bitmasks; vertices with a unique
+    candidate are forced before branching.
+    """
+    n = len(adj)
     stats = ExtendStats()
 
     m_fwd = [-1] * n
-    used = 0
-    cand = [full] * n
+    cand = list(cand)
 
     def assign(x, y, trail):
-        nonlocal used
         m_fwd[x] = y
-        used |= 1 << y
         trail.append(("a", x))
         # constrain all unmapped
         for z in range(n):
             if m_fwd[z] >= 0:
                 continue
             old = cand[z]
-            new = old & (nbr[y] if nbr[x] >> z & 1 else ~nbr[y]) & ~(1 << y)
+            new = old & (adj[y] if adj[x] >> z & 1 else ~adj[y]) & ~(1 << y)
             if new != old:
                 trail.append(("c", z, old))
                 cand[z] = new
@@ -332,25 +343,17 @@ def extend_partial(g: PencilGraph, partial: dict[int, int],
         return True
 
     def undo(trail, mark):
-        nonlocal used
         while len(trail) > mark:
             entry = trail.pop()
             if entry[0] == "a":
-                x = entry[1]
-                used &= ~(1 << m_fwd[x])
-                m_fwd[x] = -1
+                m_fwd[entry[1]] = -1
             else:
                 _, z, old = entry
                 cand[z] = old
 
     trail: list = []
     for x, y in sorted(partial.items()):
-        if m_fwd[x] >= 0 or used >> y & 1:
-            if m_fwd[x] == y:
-                continue
-            stats.exhausted = True
-            return None, stats
-        if not assign(x, y, trail):
+        if not (cand[x] >> y & 1 and assign(x, y, trail)):
             stats.exhausted = True
             return None, stats
 

@@ -434,13 +434,16 @@ class GroupStore:
         return len(self.elements)
 
 
+GROUP_CAP = 1 << 22
+
+
 @lru_cache(maxsize=None)
-def build_group(rho: int, cap: int = 1 << 22) -> GroupStore:
+def build_group(rho: int) -> GroupStore:
     """BFS closure of the p(Q, a) generators; also yields Cayley distances."""
     expected = group_order_formula(rho)
-    if expected > cap:
+    if expected > GROUP_CAP:
         raise HrhoError(
-            f"group order {expected} exceeds cap {cap}; "
+            f"group order {expected} exceeds cap {GROUP_CAP}; "
             "use the coset machinery for rho >= 5"
         )
     gens = generators(rho)
@@ -536,10 +539,6 @@ def coset_partition(rho: int) -> list[list[int]]:
     return cosets
 
 
-def coset_of(store: GroupStore, K: frozenset[bytes], g: bytes) -> frozenset[bytes]:
-    return frozenset(compose(g, k) for k in K)
-
-
 def category_reps(rho: int) -> dict[str, list[bytes]]:
     """Representatives for categories a, b_alpha, b_beta, c."""
     n = (1 << rho) - 1
@@ -561,17 +560,17 @@ def category_reps(rho: int) -> dict[str, list[bytes]]:
 
 
 def verify_category_cosets(rho: int) -> dict[str, int]:
-    """Check a/b/c reps lie in pairwise distinct cosets; return counts."""
-    store = build_group(rho)
+    """Check a/b/c reps lie in pairwise distinct cosets g*K of the doubled
+    subgroup; return counts.  g and h share a coset exactly when
+    compose(inverse(g), h) lies in K."""
     K = doubled_subgroup(rho)
     reps = category_reps(rho)
-    seen: dict[frozenset, str] = {}
-    for cat, lst in reps.items():
-        for g in lst:
-            cs = coset_of(store, K, g)
-            if cs in seen:
+    flat = [(cat, g) for cat, lst in reps.items() for g in lst]
+    for i, (cat_i, g) in enumerate(flat):
+        inv = inverse(g)
+        for cat_j, h in flat[i + 1:]:
+            if compose(inv, h) in K:
                 raise HrhoError(
-                    f"coset collision between {seen[cs]} and {cat}"
+                    f"coset collision between {cat_i} and {cat_j}"
                 )
-            seen[cs] = cat
     return {cat: len(lst) for cat, lst in reps.items()}

@@ -119,19 +119,3 @@ def census_heavy(rho: int):
                 census[key] = (d, int(cnt))
     return census
 
-
-def verify_category_cosets_heavy(rho: int) -> dict[str, int]:
-    """a/b/c representatives lie in pairwise distinct cosets (big rho)."""
-    K = _k_set(rho)
-    reps = hrho.category_reps(rho)
-    flat: list[tuple[str, bytes]] = []
-    for cat, lst in reps.items():
-        flat += [(cat, g) for g in lst]
-    for i in range(len(flat)):
-        inv = hrho.inverse(flat[i][1])
-        for j in range(i + 1, len(flat)):
-            if hrho.compose(inv, flat[j][1]) in K:
-                raise hrho.HrhoError(
-                    f"coset collision: {flat[i][0]} vs {flat[j][0]}"
-                )
-    return {cat: len(lst) for cat, lst in reps.items()}

@@ -156,7 +156,7 @@ def test_criterion_09_heavy_rho5():
     from pencilgraphs import hrho_heavy
 
     reps = hrho_heavy.coset_reps_heavy(5)
-    counts = hrho_heavy.verify_category_cosets_heavy(5)
+    counts = hrho.verify_category_cosets(5)
     ok = len(reps) == 496 and sum(counts.values()) == 1 + 2 * 15 + 8 * 15
     _line(9, "coset structure (rho=5)", ok)
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilgraphs import _golden, autnr, gf2, graphbuild as gb, hrho, pencil
 from pencilgraphs.gf2 import SpaceCtx
@@ -128,10 +130,38 @@ def test_fiber_generators_do_not_extend_for_sigma2():
     assert autnr.closure_order(gens, g) == 2304
 
 
-def test_closure_cap():
-    ctx, g, gens = _gens((4, 2))
-    with pytest.raises(autnr.AutError):
-        autnr.closure_order(gens, g, cap=100)
+def _enumerated_order(gens):
+    """The literal definition: every product of generators, by BFS."""
+    ident = tuple(range(len(gens[0])))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in gens:
+                r = tuple(q[x] for x in p)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return len(seen)
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=4)))
+@settings(max_examples=120, deadline=None)
+def test_closure_matches_enumeration_random(gens):
+    gens = [tuple(p) for p in gens]
+    assert autnr.close_permutations(gens) == _enumerated_order(gens)
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_closure_matches_enumeration_generators(case):
+    ctx, g, gens = _gens(case)
+    nperms = [a.nperm for a in gens]
+    vperms = [a.vperm for a in gens if a.vperm is not None]
+    for perms in (nperms, vperms):
+        assert autnr.close_permutations(perms) == _enumerated_order(perms)
 
 
 @pytest.mark.heavy

@@ -134,7 +134,12 @@ def test_report_passes_31(tmp_path):
      "3ee049d80546ae6748991b4940857f206ca7fe474dd4d3c5060680f3db03b8ed"),
     (["homog", "-r", "4", "-s", "2"],
      "d15f704315166d825258ca661464efba06b3721452768d58169fff2bb397500e"),
-], ids=["report-3-1", "report-4-2", "build-3-1", "verify-4-1", "homog-4-2"])
+    (["config", "-r", "3", "-s", "1"],
+     "1af6e1a14852128845141f247b84058f7cf494f98bda444b5c20233c1c5eee0f"),
+    (["aut", "-r", "4", "-s", "2"],
+     "5e25306f7d261320369057ce4df209543bf92523bd962184f89eb9b8ccaa2c3a"),
+], ids=["report-3-1", "report-4-2", "build-3-1", "verify-4-1", "homog-4-2",
+        "config-3-1", "aut-4-2"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"

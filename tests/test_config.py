@@ -66,6 +66,15 @@ def test_self_duality_31():
     assert cfgmod.dual_menger_isomorphic(cfg, g, dual)
 
 
+def test_duality_node_cap(monkeypatch):
+    ctx = SpaceCtx(3, 1)
+    g = gb.component(3, 1)
+    cfg = cfgmod.build_config(ctx, g)
+    monkeypatch.setattr(cfgmod, "DUALITY_NODE_CAP", 1)
+    with pytest.raises(cfgmod.ConfigError, match="node cap"):
+        cfgmod.self_duality_map(cfg)
+
+
 def test_non_square_case_has_no_duality():
     ctx = SpaceCtx(4, 2)
     g = gb.component(4, 2)

@@ -45,9 +45,9 @@ def test_combined_closure_order_31():
     """The nominal product 24 * 6 undercounts what transitivity needs."""
     ctx, g, gens = _setup((3, 1))
     partial = [p for _, p in gens.stabilizer + gens.entry_perms]
-    order = autnr.close_permutations(partial, cap=1 << 16)
+    order = autnr.close_permutations(partial)
     assert order == 24 * 6  # fiber stabilizer only
-    full = autnr.close_permutations(gens.vperms(), cap=1 << 16)
+    full = autnr.close_permutations(gens.vperms())
     assert full == 42 * 24  # vertex-transitive with the full stabilizer
     assert full % len(g) == 0
 
@@ -98,6 +98,26 @@ def test_all_k4_copy_automorphisms_extend_31():
         assert vperm is not None
         extended += 1
     assert extended == 24
+
+
+def test_extend_rejects_non_injective_partial():
+    g = gb.component(3, 1)
+    far = next(x for x in range(1, len(g)) if not g.has_edge(0, x))
+    vperm, stats = homog.extend_partial(g, {0: 0, far: 0})
+    assert vperm is None and stats.exhausted
+
+
+def test_extend_node_cap(monkeypatch):
+    """Past the node cap the search raises instead of answering."""
+    ctx = SpaceCtx(3, 1)
+    g = gb.component(3, 1)
+    copies, _ = decomp.enumerate_clique_copies(ctx, g)
+    partial = {x: x for x in min(copies.values())}
+    _, stats = homog.extend_partial(g, partial)
+    assert stats.nodes > 1
+    monkeypatch.setattr(homog, "EXTEND_NODE_CAP", 1)
+    with pytest.raises(homog.HomogError, match="node cap"):
+        homog.extend_partial(g, partial)
 
 
 @pytest.mark.parametrize("case", [(3, 1), (4, 2)])

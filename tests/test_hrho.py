@@ -205,6 +205,16 @@ def test_category_reps_distinct_cosets(rho):
     assert counts["c"] == quarter * (half - 1)
 
 
+def test_category_cosets_collision(monkeypatch):
+    """A representative moved by an element of K is reported as a collision."""
+    reps = hrho.category_reps(3)
+    k = min(hrho.doubled_subgroup(3) - {hrho.identity(3)})
+    reps["c"].insert(0, hrho.compose(reps["b_beta"][-1], k))
+    monkeypatch.setattr(hrho, "category_reps", lambda rho: reps)
+    with pytest.raises(hrho.HrhoError, match="coset collision between b_beta and c"):
+        hrho.verify_category_cosets(3)
+
+
 def test_category_reps_rho3_golden():
     reps = hrho.category_reps(3)
     for cat in ("b_alpha", "b_beta", "c"):
