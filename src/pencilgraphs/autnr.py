@@ -199,37 +199,25 @@ def _neighbor_slots(g: PencilGraph) -> list[int]:
     return sorted(g.neighbors_of(0))
 
 
-def _materialize_point(ctx, g, table, psi):
-    """Full vertex permutation of a point map, or None if it escapes g."""
-    mapper = mask_mapper(ctx.r, table)
-    vperm = []
-    for v in g.vertices:
-        w = apply_point_map(ctx, mapper, psi, v)
-        j = g.index.get(w)
-        if j is None:
-            return None
-        vperm.append(j)
-    return vperm
+# _is_automorphism checks every row up to this many vertices, else about
+# SAMPLE_ROWS evenly spaced rows
+EXHAUSTIVE_ROWS = 3000
+SAMPLE_ROWS = 400
 
 
-def _is_automorphism(g: PencilGraph, vperm, sample: int | None = None) -> bool:
-    """Adjacency preservation; sample limits the edge scan on big graphs."""
-    if sorted(vperm) != list(range(len(g.vertices))):
-        return False
-    d = g.degree
+def _is_automorphism(g: PencilGraph, vperm) -> bool:
+    """vperm is a permutation of g that maps the neighbors of each checked
+    row i onto the (sorted) row of vperm[i]."""
     n = len(g.vertices)
-    if sample is None or sample >= n:
-        rows = range(n)
-    else:
-        step = max(1, n // sample)
-        rows = range(0, n, step)
-    for i in rows:
-        ii = vperm[i]
-        base = i * d
-        for k in range(base, base + d):
-            j = g.adj[k]
-            if not g.has_edge(ii, vperm[j]):
-                return False
+    if sorted(vperm) != list(range(n)):
+        return False
+    step = 1 if n <= EXHAUSTIVE_ROWS else n // SAMPLE_ROWS
+    adj, d = g.adj, g.degree
+    image = vperm.__getitem__
+    for i in range(0, n, step):
+        lo = vperm[i] * d
+        if sorted(map(image, adj[i * d:i * d + d])) != adj[lo:lo + d].tolist():
+            return False
     return True
 
 
@@ -237,60 +225,43 @@ def _nperm_from_vperm(g: PencilGraph, vperm, slots, slot_index) -> tuple[int, ..
     return tuple(slot_index[vperm[s]] for s in slots)
 
 
-def synth_point_kind(ctx: SpaceCtx, g: PencilGraph,
-                     exhaustive: bool | None = None,
-                     threads: int | None = None) -> list[AutoMap]:
+def synth_point_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
     """Transvection generators fixing the base vertex, validated on g."""
-    from pencilgraphs.parallel import pmap
-
-    if exhaustive is None:
-        exhaustive = len(g.vertices) <= 3000
-    sample = None if exhaustive else 400
     J = g.vertices[0][0]
     slots = _neighbor_slots(g)
     slot_index = {s: k for k, s in enumerate(slots)}
     j_thetas = subsets_of_dim(J, ctx.sigma - 1)
-    candidates = [
-        (alpha, c)
-        for alpha in gf2.hyperplane_masks(ctx.r)
-        for c in gf2.points_of(alpha)
-        if (J >> c & 1) or alpha & J == J  # else it cannot fix the base
-    ]
-
-    def build(cand):
-        alpha, c = cand
-        table = transvection_table(ctx.r, alpha, c)
-        psi = quotient_psi(ctx, table)
-        vperm = _materialize_point(ctx, g, table, psi)
-        if vperm is None or vperm[0] != 0:
-            return None
-        if not _is_automorphism(g, vperm, sample):
-            return None
-        in_j = bool(J >> c & 1)
-        within = None
-        if not in_j:
-            cat, pi, thetas = "A", c, j_thetas
-        elif alpha & J == J:
-            # pi for category B: the hyperplane of J missing the center
-            cat, pi, thetas = "B", _b_pi(ctx, J, c), j_thetas
-        else:
-            cat, pi, thetas = "C", alpha & J, [
-                t for t in subsets_of_dim(alpha, ctx.sigma - 1)
-                if t & J != t
-            ]
-            within = J
-        factors = point_factors(ctx, table, alpha, thetas, within)
-        return AutoMap(cat, "point", pi, alpha, factors, psi,
-                       _nperm_from_vperm(g, vperm, slots, slot_index),
-                       tuple(vperm), center=c)
-
     out = []
     seen_vperms = set()
-    for a in pmap(build, candidates, threads):
-        if a is None or a.vperm in seen_vperms:
-            continue
-        seen_vperms.add(a.vperm)
-        out.append(a)
+    for alpha in gf2.hyperplane_masks(ctx.r):
+        for c in gf2.points_of(alpha):
+            in_j = bool(J >> c & 1)
+            if not in_j and alpha & J != J:
+                continue  # it cannot fix the base
+            table = transvection_table(ctx.r, alpha, c)
+            psi = quotient_psi(ctx, table)
+            mapper = mask_mapper(ctx.r, table)
+            vperm = g.vperm_of(lambda v: apply_point_map(ctx, mapper, psi, v))
+            if (vperm is None or vperm[0] != 0 or vperm in seen_vperms
+                    or not _is_automorphism(g, vperm)):
+                continue
+            seen_vperms.add(vperm)
+            within = None
+            if not in_j:
+                cat, pi, thetas = "A", c, j_thetas
+            elif alpha & J == J:
+                # pi for category B: the hyperplane of J missing the center
+                cat, pi, thetas = "B", _b_pi(ctx, J, c), j_thetas
+            else:
+                cat, pi, thetas = "C", alpha & J, [
+                    t for t in subsets_of_dim(alpha, ctx.sigma - 1)
+                    if t & J != t
+                ]
+                within = J
+            factors = point_factors(ctx, table, alpha, thetas, within)
+            out.append(AutoMap(cat, "point", pi, alpha, factors, psi,
+                               _nperm_from_vperm(g, vperm, slots, slot_index),
+                               vperm, center=c))
     return out
 
 
@@ -410,13 +381,8 @@ def _nperm_preserves_ball(g: PencilGraph, slots, nperm) -> bool:
     return True
 
 
-def synth_generators(ctx: SpaceCtx, g: PencilGraph, category: str | None = None,
-                     exhaustive: bool | None = None,
-                     threads: int | None = None) -> list[AutoMap]:
-    gens = synth_point_kind(ctx, g, exhaustive, threads) + synth_fiber_kind(ctx, g)
-    if category is not None:
-        gens = [a for a in gens if a.category == category]
-    return gens
+def synth_generators(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
+    return synth_point_kind(ctx, g) + synth_fiber_kind(ctx, g)
 
 
 # ---------------------------------------------------------------------------

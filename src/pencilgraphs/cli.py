@@ -1,7 +1,8 @@
 """Command-line front end: build, verify, census, symmetry and report verbs.
 
 Artifacts are deterministic: identical parameters produce byte-identical
-output regardless of the worker thread count.
+output.  Every verb runs serially; the thread-count flag is accepted and
+ignored, so existing command lines keep working.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class RunConfig:
     full: bool = False
     out: str | None = None
     fmt: str = "json"
-    threads: int | None = None
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -53,7 +53,8 @@ def _parser() -> argparse.ArgumentParser:
                        default=graphbuild.DEFAULT_CAP)
         p.add_argument("--seed", type=int, default=20240801)
         p.add_argument("--enable-heavy", action="store_true")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and ignored: every verb is serial")
 
     p = sub.add_parser("build", help="build a graph and export it")
     common(p)
@@ -152,7 +153,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_aut(cfg: RunConfig) -> int:
     ctx, g = _graph_for(cfg)
-    gens = autnr.synth_generators(ctx, g, threads=cfg.threads)
+    gens = autnr.synth_generators(ctx, g)
     order = autnr.closure_order(gens, g)
     expected = autnr.nr_order_formula(ctx)
     data = {
@@ -304,10 +305,7 @@ def cmd_config(cfg: RunConfig) -> int:
 
 def cmd_homog(cfg: RunConfig) -> int:
     ctx, g = _graph_for(cfg)
-    sample_validate = None if len(g) <= 3000 else 200
-    stab_gens = autnr.synth_generators(ctx, g, threads=cfg.threads)
-    gens = homog.full_generator_set(ctx, g, stab_gens=stab_gens,
-                                    validate_sample=sample_validate)
+    gens = homog.full_generator_set(ctx, g)
     exhaustive = len(g) <= 1000
     reports = homog.check_H_property(ctx, g, gens, exhaustive=exhaustive,
                                      seed=cfg.seed)
@@ -341,8 +339,7 @@ def cmd_report(cfg: RunConfig) -> int:
     from pencilgraphs.report import acceptance_report
 
     data = acceptance_report(cfg.r, cfg.sigma, seed=cfg.seed,
-                             enable_heavy=cfg.enable_heavy,
-                             threads=cfg.threads)
+                             enable_heavy=cfg.enable_heavy)
     _emit(cfg, _json(data))
     return 0 if data["all_pass"] else 1
 
@@ -371,7 +368,6 @@ def main(argv=None) -> int:
         enable_heavy=ns.enable_heavy,
         out=ns.out,
         fmt=ns.fmt,
-        threads=ns.threads,
     )
     if hasattr(ns, "r"):
         kwargs.update(r=ns.r, sigma=ns.sigma)

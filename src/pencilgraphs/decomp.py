@@ -240,8 +240,7 @@ def enumerate_turan_copies(ctx: SpaceCtx, g: PencilGraph):
     return copies, incidence
 
 
-def verify_decomposition(ctx: SpaceCtx, g: PencilGraph,
-                         pair_check: bool = True) -> DecompReport:
+def verify_decomposition(ctx: SpaceCtx, g: PencilGraph) -> DecompReport:
     """Check the two copy families give the double edge-disjoint structure."""
     failures: list[str] = []
     n = len(g.vertices)
@@ -329,15 +328,14 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph,
                 if labels[y] == lx:
                     if edge:
                         failures.append(f"Turan copy edge inside a part {x},{y}")
-                    if pair_check:
-                        p = x * n + y
-                        if (p in same_pairs
-                                or (turan_of[k] >= 0 if edge
-                                    else (x, y) in stray_turan)):
-                            failures.append(
-                                f"two Turan copies share vertices {x},{y}"
-                            )
-                        same_pairs.add(p)
+                    p = x * n + y
+                    if (p in same_pairs
+                            or (turan_of[k] >= 0 if edge
+                                else (x, y) in stray_turan)):
+                        failures.append(
+                            f"two Turan copies share vertices {x},{y}"
+                        )
+                    same_pairs.add(p)
                 elif edge:
                     if turan_of[k] >= 0:
                         failures.append(f"edge ({x},{y}) in two Turan copies")

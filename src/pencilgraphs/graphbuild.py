@@ -149,6 +149,18 @@ class PencilGraph:
             self._nbr_masks = masks
         return self._nbr_masks[i]
 
+    def vperm_of(self, image) -> tuple[int, ...] | None:
+        """The vertex permutation v -> image(v), or None when an image is
+        not a vertex of the graph.  Injectivity is not checked."""
+        index = self.index
+        out = []
+        for v in self.vertices:
+            j = index.get(image(v))
+            if j is None:
+                return None
+            out.append(j)
+        return tuple(out)
+
     def vertex_display(self, i: int) -> str:
         return pencil.display(self.vertices[i])
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import permutations, product
 
 from pencilgraphs import autnr, decomp, gf2, graphbuild, hrho
 from pencilgraphs.gf2 import SpaceCtx
@@ -28,31 +29,6 @@ class HomogError(RuntimeError):
 # generators
 
 
-def index_perm_vperm(ctx: SpaceCtx, g: PencilGraph, psi: bytes):
-    """Uniform entry-position permutation as a vertex permutation, or None."""
-    vperm = []
-    for v in g.vertices:
-        w = decomp.apply_index_perm(ctx, v, psi)
-        j = g.index.get(w)
-        if j is None:
-            return None
-        vperm.append(j)
-    return vperm
-
-
-def linear_vperm(ctx: SpaceCtx, g: PencilGraph, table: list[int]):
-    """Position-preserving pointwise linear map, or None if it leaves g."""
-    mapper = autnr.mask_mapper(ctx.r, table)
-    vperm = []
-    for v in g.vertices:
-        w = tuple(mapper(m) for m in v)
-        j = g.index.get(w)
-        if j is None:
-            return None
-        vperm.append(j)
-    return vperm
-
-
 @dataclass
 class GeneratorSet:
     stabilizer: list[tuple[str, tuple[int, ...]]]
@@ -65,8 +41,8 @@ class GeneratorSet:
 
 
 def full_generator_set(ctx: SpaceCtx, g: PencilGraph,
-                       stab_gens: list[autnr.AutoMap] | None = None,
-                       validate_sample: int | None = None) -> GeneratorSet:
+                       stab_gens: list[autnr.AutoMap] | None = None
+                       ) -> GeneratorSet:
     """Stabilizer generators, entry permutations and the base movers of
     :func:`base_movers`, each validated as an automorphism of g."""
     if stab_gens is None:
@@ -76,15 +52,15 @@ def full_generator_set(ctx: SpaceCtx, g: PencilGraph,
     ]
     entry = []
     for q, a, psi in hrho.generators(ctx.rho):
-        vperm = index_perm_vperm(ctx, g, psi)
-        if vperm is None or not autnr._is_automorphism(g, vperm, validate_sample):
+        vperm = g.vperm_of(lambda v: decomp.apply_index_perm(ctx, v, psi))
+        if vperm is None or not autnr._is_automorphism(g, vperm):
             raise HomogError(
                 f"entry permutation p({gf2.mask_str(q)},{a}) is not an automorphism"
             )
-        entry.append((f"psi:{hrho.perm_display(psi, pivot=a)}", tuple(vperm)))
+        entry.append((f"psi:{hrho.perm_display(psi, pivot=a)}", vperm))
     movers = base_movers(ctx, g, [p for _, p in entry])
     for name, vperm in movers:
-        if not autnr._is_automorphism(g, vperm, validate_sample):
+        if not autnr._is_automorphism(g, vperm):
             raise HomogError(f"base mover {name} is not an automorphism")
     return GeneratorSet(stab, entry, movers)
 
@@ -110,12 +86,17 @@ def base_movers(ctx: SpaceCtx, g: PencilGraph,
     """Position-preserving linear maps that move the base vertex: a full-cycle
     map, then one transvection per axis until, together with the entry
     permutations, they reach every vertex of g."""
+
+    def linear(table):
+        mapper = autnr.mask_mapper(ctx.r, table)
+        return g.vperm_of(lambda v: tuple(map(mapper, v)))
+
     out = []
     # companion map of a primitive polynomial: cycles all points
     images = [1 << (i + 1) for i in range(ctx.r - 1)] + [_FEEDBACK[ctx.r]]
-    cyc = linear_vperm(ctx, g, _table_from_basis_images(ctx.r, images))
+    cyc = linear(_table_from_basis_images(ctx.r, images))
     if cyc is not None:
-        out.append(("mov:cycle", tuple(cyc)))
+        out.append(("mov:cycle", cyc))
     gens = list(entry_vperms) + [p for _, p in out]
     seen = {0}
     _orbit_grow(seen, [0], gens, lambda x, p: p[x])
@@ -123,29 +104,14 @@ def base_movers(ctx: SpaceCtx, g: PencilGraph,
         if len(seen) == len(g.vertices):
             break
         for c in gf2.points_of(alpha):
-            table = autnr.transvection_table(ctx.r, alpha, c)
-            vperm = linear_vperm(ctx, g, table)
+            vperm = linear(autnr.transvection_table(ctx.r, alpha, c))
             if vperm is None or vperm[0] == 0:
                 continue
-            out.append((f"mov:{gf2.mask_str(alpha)}+{gf2.point_str(c)}",
-                        tuple(vperm)))
-            gens.append(tuple(vperm))
+            out.append((f"mov:{gf2.mask_str(alpha)}+{gf2.point_str(c)}", vperm))
+            gens.append(vperm)
             _orbit_grow(seen, list(seen), gens, lambda x, p: p[x])
             break
     return out
-
-
-def lean_transitive_vperms(ctx: SpaceCtx, g: PencilGraph) -> list[tuple[int, ...]]:
-    """A small vertex-transitive generator set: entry permutations plus the
-    base movers.  The pointwise maps are automorphisms outright (no adjacency
-    validation needed), only their staying inside the component is checked
-    during materialization."""
-    entry = []
-    for _, _, psi in hrho.generators(ctx.rho):
-        vperm = index_perm_vperm(ctx, g, psi)
-        if vperm is not None:
-            entry.append(tuple(vperm))
-    return entry + [p for _, p in base_movers(ctx, g, entry)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +151,6 @@ def _staged_orbit(seed, staged_gens: list[list], act, target: int):
         if len(seen) >= target:
             break
     return seen, used
-
-
-def orbit_partition(objects, gens, act) -> dict:
-    """object -> orbit id over a given finite object list."""
-    ids = {}
-    next_id = 0
-    for obj in objects:
-        if obj in ids:
-            continue
-        for x in orbit(obj, gens, act):
-            ids[x] = next_id
-        next_id += 1
-    return ids
 
 
 def vertex_orbit_of_base(g: PencilGraph, gens: list[tuple[int, ...]]) -> set[int]:
@@ -416,10 +369,11 @@ def _backtrack(adj: list[int], cand: list[int], partial: dict[int, int],
 def _copy_automorphisms_fixing_arc(part_sets: list[list[int]], a: int, b: int):
     """Bijections of a complete multipartite copy fixing vertices a and b.
 
-    Yields dicts vertex -> image, identity first, in deterministic order.
+    Yields dicts vertex -> image, identity first, in deterministic order:
+    by the order of the other parts' images, then by the maps of a's part,
+    b's part and each other part in turn, the last varying fastest.  Only
+    the per-part maps are held in memory, never the product.
     """
-    from itertools import permutations
-
     parts = [sorted(p) for p in part_sets]
     ia = next(i for i, p in enumerate(parts) if a in p)
     ib = next(i for i, p in enumerate(parts) if b in p)
@@ -435,22 +389,14 @@ def _copy_automorphisms_fixing_arc(part_sets: list[list[int]], a: int, b: int):
             yield m
 
     for rest_order in permutations(rest):
-        for ma in part_maps(parts[ia], parts[ia], pinned=a):
-            for mb in part_maps(parts[ib], parts[ib], pinned=b):
-                stack = [dict()]
-                for src_i, dst_i in zip(rest, rest_order):
-                    new_stack = []
-                    for base in stack:
-                        for mm in part_maps(parts[src_i], parts[dst_i]):
-                            d = dict(base)
-                            d.update(mm)
-                            new_stack.append(d)
-                    stack = new_stack
-                for d in stack:
-                    full = dict(ma)
-                    full.update(mb)
-                    full.update(d)
-                    yield full
+        for maps in product(part_maps(parts[ia], parts[ia], pinned=a),
+                            part_maps(parts[ib], parts[ib], pinned=b),
+                            *(part_maps(parts[i], parts[j])
+                              for i, j in zip(rest, rest_order))):
+            full = {}
+            for m in maps:
+                full.update(m)
+            yield full
 
 
 @dataclass
@@ -475,7 +421,7 @@ def base_arc(ctx: SpaceCtx, g: PencilGraph) -> tuple[int, int]:
     return 0, u
 
 
-def non_uh_witness(ctx: SpaceCtx, g: PencilGraph, limit: int | None = None):
+def non_uh_witness(ctx: SpaceCtx, g: PencilGraph):
     """First non-extensible arc-fixing automorphism of the least Turan copy.
 
     Returns (Witness | None, tried_count).
@@ -492,8 +438,6 @@ def non_uh_witness(ctx: SpaceCtx, g: PencilGraph, limit: int | None = None):
     tried = 0
     for m in _copy_automorphisms_fixing_arc(part_sets, v_i, u_i):
         tried += 1
-        if limit is not None and tried > limit:
-            break
         if all(k == vv for k, vv in m.items()):
             continue
         vperm, stats = extend_partial(g, m)
@@ -505,8 +449,6 @@ def non_uh_witness(ctx: SpaceCtx, g: PencilGraph, limit: int | None = None):
 def clique_uh_spot_check(ctx: SpaceCtx, g: PencilGraph, pairs: int = 3,
                          seed: int = 20240801) -> bool:
     """Every bijection between sampled clique copies extends (rho = 2)."""
-    from itertools import permutations
-
     copies, _ = decomp.enumerate_clique_copies(ctx, g)
     keys = sorted(copies, key=lambda k: copies[k])
     rng = random.Random(seed)

@@ -2,7 +2,7 @@
 
 Each criterion that applies to the case is evaluated at its exact expected
 value; the output is deterministic (no timing, stable ordering) so identical
-runs are byte-identical regardless of worker threads.
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ def _check(name, ok, expected, got, notes=None):
 
 
 def acceptance_report(r: int, sigma: int, seed: int = 20240801,
-                      enable_heavy: bool = False,
-                      threads: int | None = None) -> dict:
+                      enable_heavy: bool = False) -> dict:
     ctx = SpaceCtx(r, sigma)
     checks: list[dict] = []
     g = graphbuild.component(r, sigma)
@@ -81,7 +80,7 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
 
     # 5: stabilizer-group order (neighborhood automorphism group); the
     # generators are synthesized once and reused by check 10
-    stab_gens = autnr.synth_generators(ctx, g, threads=threads)
+    stab_gens = autnr.synth_generators(ctx, g)
     if case in _golden.NR_ORDERS and (case != (5, 2) or enable_heavy):
         order = autnr.closure_order(stab_gens, g,
                                     cross_check_full=(case == (3, 1)))
@@ -159,9 +158,7 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
                    "failing deliberately -- see the decision log")))
 
     # 10: homogeneity
-    sample_validate = None if len(g) <= 3000 else 200
-    gens_h = homog.full_generator_set(ctx, g, stab_gens=stab_gens,
-                                      validate_sample=sample_validate)
+    gens_h = homog.full_generator_set(ctx, g, stab_gens=stab_gens)
     exhaustive = len(g) <= 1000
     hreps = homog.check_H_property(ctx, g, gens_h, exhaustive=exhaustive,
                                    seed=seed)

@@ -173,7 +173,7 @@ def test_criterion_10_homogeneity():
         ok &= (wit is None) == (case == (3, 1))
     ctx = SpaceCtx(4, 1)
     g = gb.component(4, 1)
-    gens = homog.full_generator_set(ctx, g, validate_sample=200)
+    gens = homog.full_generator_set(ctx, g)
     reps = homog.check_H_property(ctx, g, gens, exhaustive=False, sample=500,
                                   seed=20240801)
     ok &= all(rep.ok and rep.sampled_checked >= 500 for rep in reps)
@@ -221,7 +221,7 @@ def test_criterion_13_diameters():
     for case in ((3, 1), (4, 2), (4, 1), (5, 2)):
         ctx = SpaceCtx(*case)
         g = gb.component(*case)
-        vperms = homog.lean_transitive_vperms(ctx, g)
+        vperms = homog.full_generator_set(ctx, g, stab_gens=[]).vperms()
         transitive = len(homog.vertex_orbit_of_base(g, vperms)) == len(g)
         assert transitive, f"vertex transitivity not certified for {case}"
         d = gb.diameter(g, assume_vertex_transitive=True)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilgraphs import _golden, autnr, gf2, graphbuild as gb, hrho, pencil
+from pencilgraphs import _golden, autnr, gf2, graphbuild as gb, homog, hrho, pencil
 from pencilgraphs.gf2 import SpaceCtx
 
 
@@ -162,6 +162,55 @@ def test_closure_matches_enumeration_generators(case):
     vperms = [a.vperm for a in gens if a.vperm is not None]
     for perms in (nperms, vperms):
         assert autnr.close_permutations(perms) == _enumerated_order(perms)
+
+
+@lru_cache(maxsize=None)
+def _group_gens(case):
+    ctx, g, gens = _gens(case)
+    return g, homog.full_generator_set(ctx, g, stab_gens=gens).vperms()
+
+
+def _literal_automorphism(g, vperm, rows) -> bool:
+    """The literal definition on the checked rows: vperm is a permutation
+    and keeps every pair (i, j) with i among the rows adjacent or not."""
+    n = len(g)
+    if sorted(vperm) != list(range(n)):
+        return False
+    return all(g.has_edge(i, j) == g.has_edge(vperm[i], vperm[j])
+               for i in rows for j in range(n))
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_is_automorphism_matches_literal_definition(case, data):
+    """The row test agrees with the all-pairs has_edge definition, on group
+    elements and on ones with two images swapped or merged, checking every
+    row or an evenly spaced sample of them."""
+    g, gens = _group_gens(case)
+    n = len(g)
+    vperm = list(range(n))
+    for k in data.draw(st.lists(st.integers(0, len(gens) - 1), max_size=6)):
+        vperm = [gens[k][x] for x in vperm]
+    change = data.draw(st.sampled_from(["none", "swap", "merge"]))
+    if change != "none":
+        x, y = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2, unique=True))
+        if change == "swap":
+            vperm[x], vperm[y] = vperm[y], vperm[x]
+        else:
+            vperm[x] = vperm[y]
+    sample = data.draw(st.none() | st.integers(1, n // 2))
+    with pytest.MonkeyPatch.context() as mp:
+        rows = range(n)
+        if sample is not None:
+            mp.setattr(autnr, "EXHAUSTIVE_ROWS", 0)
+            mp.setattr(autnr, "SAMPLE_ROWS", sample)
+            rows = range(0, n, n // sample)
+        got = autnr._is_automorphism(g, tuple(vperm))
+    assert got == _literal_automorphism(g, vperm, rows)
+    if change == "none":
+        assert got
 
 
 @pytest.mark.heavy

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -6,10 +7,10 @@ from pencilgraphs import autnr, decomp, gf2, graphbuild as gb, homog, hrho, penc
 from pencilgraphs.gf2 import SpaceCtx
 
 
-def _setup(case, sample=None):
+def _setup(case):
     ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    gens = homog.full_generator_set(ctx, g, validate_sample=sample)
+    gens = homog.full_generator_set(ctx, g)
     return ctx, g, gens
 
 
@@ -17,7 +18,7 @@ def test_pure_entry_permutation_action():
     ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
     psi = hrho.parse_perm(2, "1(23)")
-    vperm = homog.index_perm_vperm(ctx, g, psi)
+    vperm = g.vperm_of(lambda v: decomp.apply_index_perm(ctx, v, psi))
     image = g.vertices[vperm[0]]
     assert pencil.display(image) == "(1,23,67,45)"
 
@@ -63,17 +64,11 @@ def test_h_property_exhaustive(case):
 
 
 def test_h_property_sampled_41():
-    ctx, g, gens = _setup((4, 1), sample=200)
+    ctx, g, gens = _setup((4, 1))
     reports = homog.check_H_property(ctx, g, gens, exhaustive=False, sample=500)
     for rep in reports:
         assert rep.ok
         assert rep.sampled_checked >= 500
-
-
-def test_orbit_partition():
-    ctx, g, gens = _setup((3, 1))
-    part = homog.orbit_partition(range(len(g)), gens.vperms(), lambda x, p: p[x])
-    assert set(part.values()) == {0}
 
 
 def test_extend_identity_on_copy():
@@ -163,3 +158,70 @@ def test_seed_independence_of_verdict():
     a = homog.check_H_property(ctx, g, gens, exhaustive=False, sample=50, seed=1)
     b = homog.check_H_property(ctx, g, gens, exhaustive=False, sample=50, seed=99)
     assert [r.ok for r in a] == [r.ok for r in b] == [True, True]
+
+
+def _eager_copy_automorphisms(part_sets, a, b):
+    """The construction the lazy generator replaced: all maps of the other
+    parts are built, for each pair of maps of a's and b's parts, before the
+    first is yielded."""
+    parts = [sorted(p) for p in part_sets]
+    ia = next(i for i, p in enumerate(parts) if a in p)
+    ib = next(i for i, p in enumerate(parts) if b in p)
+    rest = [i for i in range(len(parts)) if i not in (ia, ib)]
+
+    def part_maps(src, dst, pinned=None):
+        src2 = [x for x in src if x != pinned]
+        dst2 = [x for x in dst if x != pinned]
+        for perm in permutations(dst2):
+            m = dict(zip(src2, perm))
+            if pinned is not None:
+                m[pinned] = pinned
+            yield m
+
+    for rest_order in permutations(rest):
+        for ma in part_maps(parts[ia], parts[ia], pinned=a):
+            for mb in part_maps(parts[ib], parts[ib], pinned=b):
+                stack = [dict()]
+                for src_i, dst_i in zip(rest, rest_order):
+                    new_stack = []
+                    for base in stack:
+                        for mm in part_maps(parts[src_i], parts[dst_i]):
+                            d = dict(base)
+                            d.update(mm)
+                            new_stack.append(d)
+                    stack = new_stack
+                for d in stack:
+                    full = dict(ma)
+                    full.update(mb)
+                    full.update(d)
+                    yield full
+
+
+@pytest.mark.parametrize("n_parts,size,ia,ib", [
+    (2, 3, 0, 1), (3, 2, 0, 1), (3, 3, 2, 0), (4, 2, 1, 3), (4, 3, 0, 1),
+    (5, 2, 3, 1), (3, 4, 0, 2),
+])
+def test_copy_automorphisms_match_eager_construction(n_parts, size, ia, ib):
+    # parts listed unsorted, with labels that are not contiguous per part
+    parts = [[n_parts * i + p for i in reversed(range(size))]
+             for p in range(n_parts)]
+    a, b = parts[ia][1], parts[ib][0]
+    got = [list(m.items())
+           for m in homog._copy_automorphisms_fixing_arc(parts, a, b)]
+    want = [list(m.items()) for m in _eager_copy_automorphisms(parts, a, b)]
+    assert got == want
+    assert got[0] == [(x, x) for x, _ in got[0]]
+
+
+def test_copy_automorphisms_first_map_is_cheap_at_7x4():
+    """Seven parts of four, the shape of a (5,2) Turan copy: the first map
+    comes without building the 24^5 maps of the other parts."""
+    parts = [list(range(4 * p, 4 * p + 4)) for p in range(7)]
+    tracemalloc.start()
+    try:
+        first = next(homog._copy_automorphisms_fixing_arc(parts, 0, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == {x: x for x in range(28)}
+    assert peak < 1 << 20
