@@ -19,10 +19,9 @@ validated against the built graph; only verified automorphisms are kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import prod
 
-from pencilgraphs import gf2
+from pencilgraphs import gf2, hrho
 from pencilgraphs.gf2 import SpaceCtx
 from pencilgraphs.graphbuild import PencilGraph
 from pencilgraphs.pencil import VTuple
@@ -36,60 +35,15 @@ class AutError(RuntimeError):
 # point maps
 
 
-def transvection_table(r: int, alpha: int, c: int) -> list[int]:
-    """Point table of x -> x ^ c for x outside alpha, identity on alpha."""
-    n = (1 << r) - 1
-    if not alpha >> c & 1:
-        raise AutError("transvection center must lie on its axis")
-    return [x if alpha >> x & 1 else x ^ c for x in range(n + 1)]
-
-
-def mask_mapper(r: int, table: list[int]):
-    """Chunked lookup tables mapping point-set masks through a point table."""
-    n = (1 << r) - 1
-    chunks = []
-    for lo in range(0, n + 1, 8):
-        tbl = []
-        for bits in range(256):
-            m = 0
-            b = bits
-            while b:
-                low = b & -b
-                b ^= low
-                p = lo + low.bit_length() - 1
-                if 1 <= p <= n:
-                    m |= 1 << table[p]
-                elif p != 0:
-                    m = -1
-                    break
-            tbl.append(m)
-        chunks.append(tbl)
-
-    def _map(mask: int) -> int:
-        out = 0
-        i = 0
-        while mask:
-            out |= chunks[i][mask & 255]
-            mask >>= 8
-            i += 1
-        return out
-
-    return _map
+# x -> x ^ c off the axis alpha, identity on it, as a bytes point table
+transvection_table = hrho.pQa
 
 
 def subsets_of_dim(mask: int, d: int) -> list[int]:
-    """All linear-dimension-d subspaces contained in the given subspace."""
-    pts = gf2.points_of(mask)
-    out = set()
-    if d == 0:
-        return [0]
-    from itertools import combinations
-
-    for pick in combinations(pts, d):
-        sp = gf2.span_mask(pick)
-        if sp.bit_count() == (1 << d) - 1 and sp & mask == sp:
-            out.add(sp)
-    return sorted(out)
+    """All linear-dimension-d subspaces contained in the given subspace,
+    sorted by mask value."""
+    r = (mask.bit_length() - 1).bit_length()  # least r with mask in P(r)
+    return sorted(m for m in gf2.subspace_masks(r, d) if m & mask == m)
 
 
 Factor = tuple[int, int, tuple[tuple[int, int], ...]]  # (theta, chi, pairs)
@@ -116,30 +70,17 @@ class AutoMap:
                 f"({gf2.mask_str(a)} {gf2.mask_str(b)})" for a, b in pairs
             )
             parts.append(f"[{gf2.mask_str(theta)}.{gf2.mask_str(chi)}{ptxt}]")
-        fixed = [i for i in range(1, len(self.psi)) if self.psi[i] == i]
-        cyc = ""
-        seen = set(fixed)
-        for i in range(1, len(self.psi)):
-            if i in seen:
-                continue
-            c = [i]
-            seen.add(i)
-            j = self.psi[i]
-            while j != i:
-                seen.add(j)
-                c.append(j)
-                j = self.psi[j]
-            cyc += "(" + " ".join(gf2.point_str(x) for x in c) + ")"
-        psi_txt = "".join(gf2.point_str(x) for x in fixed) + (cyc or "()")
-        return "".join(parts) + "." + psi_txt
+        psi = bytes(self.psi)
+        cyc = "".join("(" + " ".join(map(gf2.point_str, c)) + ")"
+                      for c in hrho.cycles(psi))
+        fixed = "".join(map(gf2.point_str, hrho.fixed_points(psi)))
+        return "".join(parts) + "." + fixed + (cyc or "()")
 
 
-def apply_point_map(ctx: SpaceCtx, mapper, psi, v: VTuple) -> VTuple:
-    a0 = mapper(v[0])
-    out = [0] * (ctx.m1 + 1)
-    out[0] = a0
+def apply_point_map(ctx: SpaceCtx, table, psi, v: VTuple) -> VTuple:
+    out = [gf2.map_mask(v[0], table)] + [0] * ctx.m1
     for i in range(1, ctx.m1 + 1):
-        out[psi[i]] = mapper(v[i])
+        out[psi[i]] = gf2.map_mask(v[i], table)
     return tuple(out)
 
 
@@ -169,12 +110,7 @@ def point_factors(ctx: SpaceCtx, table, alpha: int, thetas: list[int],
         pairs = []
         chi = None
         for b in gf2.coset_table(ctx.r, theta)[0]:
-            img = 0
-            rest = b
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                img |= 1 << table[low.bit_length() - 1]
+            img = gf2.map_mask(b, table)
             if img == b:
                 continue
             if within_span_of is not None and (b | img) & ~w:
@@ -240,8 +176,7 @@ def synth_point_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
                 continue  # it cannot fix the base
             table = transvection_table(ctx.r, alpha, c)
             psi = quotient_psi(ctx, table)
-            mapper = mask_mapper(ctx.r, table)
-            vperm = g.vperm_of(lambda v: apply_point_map(ctx, mapper, psi, v))
+            vperm = g.vperm_of(lambda v: apply_point_map(ctx, table, psi, v))
             if (vperm is None or vperm[0] != 0 or vperm in seen_vperms
                     or not _is_automorphism(g, vperm)):
                 continue
@@ -318,6 +253,7 @@ def synth_fiber_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
     for theta in subsets_of_dim(J, ctx.sigma - 1):
         chi = J & ~theta
         c = gf2.min_point(chi)
+        shift = [x ^ c for x in range(ctx.n + 1)]  # translation by c
         for alpha in gf2.hyperplane_masks(ctx.r):
             if alpha & J != J:
                 continue
@@ -325,12 +261,7 @@ def synth_fiber_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
             for b in gf2.coset_table(ctx.r, theta)[0]:
                 if b & alpha == b:
                     continue
-                b2 = 0
-                rest = b
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    b2 |= 1 << ((low.bit_length() - 1) ^ c)
+                b2 = gf2.map_mask(b, shift)
                 if b2 & alpha != b2 and b != b2:
                     block_map[b] = b2
             if not block_map:
@@ -518,8 +449,7 @@ def apply(ctx: SpaceCtx, a: AutoMap, v: VTuple) -> VTuple:
     """Apply a generator to a pencil (point kind: any vertex)."""
     if a.kind == "point":
         table = transvection_table(ctx.r, a.alpha, a.center)
-        mapper = mask_mapper(ctx.r, table)
-        return apply_point_map(ctx, mapper, a.psi, v)
+        return apply_point_map(ctx, table, a.psi, v)
     J = a.factors[0][0] | a.factors[0][1]
     w = fiber_apply(ctx, J, a.pi, dict(a.factors[0][2]), v)
     if w is None:

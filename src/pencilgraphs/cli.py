@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from pencilgraphs import (_golden, autnr, config as configmod, decomp, gf2,
-                          graphbuild, homog, hrho, pencil)
+                          graphbuild, homog, hrho)
 from pencilgraphs.gf2 import SpaceCtx
 
 
@@ -42,13 +42,14 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_rs=True):
+    def common(p, formats=("json",), needs_rs=True):
+        """Shared options; formats lists what the verb writes, default first."""
         if needs_rs:
             p.add_argument("-r", type=int, required=True)
             p.add_argument("-s", "--sigma", type=int, required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", default="json",
-                       choices=["json", "csv", "dot", "text"])
+        p.add_argument("--format", dest="fmt", default=formats[0],
+                       choices=formats)
         p.add_argument("--cap-vertices", type=int,
                        default=graphbuild.DEFAULT_CAP)
         p.add_argument("--seed", type=int, default=20240801)
@@ -57,26 +58,28 @@ def _parser() -> argparse.ArgumentParser:
                        help="accepted and ignored: every verb is serial")
 
     p = sub.add_parser("build", help="build a graph and export it")
-    common(p)
+    common(p, ("json", "dot", "text"))
     p.add_argument("--full", action="store_true",
                    help="build the full graph instead of the component")
-    for name, hlp in [
-        ("verify", "verify the double decomposition"),
-        ("aut", "synthesize stabilizer generators and their closure order"),
-        ("config", "incidence configuration, Menger and Levi checks"),
-        ("homog", "homogeneity checks and the non-extensible witness"),
-        ("report", "run the full acceptance battery for one case"),
+    for name, formats, hlp in [
+        ("verify", ("json", "text"), "verify the double decomposition"),
+        ("aut", ("json",),
+         "synthesize stabilizer generators and their closure order"),
+        ("config", ("json", "dot"),
+         "incidence configuration, Menger and Levi checks"),
+        ("homog", ("json",),
+         "homogeneity checks and the non-extensible witness"),
+        ("report", ("json",), "run the full acceptance battery for one case"),
     ]:
-        common(sub.add_parser(name, help=hlp))
-    for name, hlp in [
-        ("hrho", "auxiliary group: order, distance law, distinguished element"),
-        ("census", "cycle-type census of the auxiliary group"),
+        common(sub.add_parser(name, help=hlp), formats)
+    for name, formats, hlp in [
+        ("hrho", ("json",),
+         "auxiliary group: order, distance law, distinguished element"),
+        ("census", ("csv", "json"), "cycle-type census of the auxiliary group"),
     ]:
         p = sub.add_parser(name, help=hlp)
         p.add_argument("--rho", type=int, required=True)
-        common(p, needs_rs=False)
-        if name == "census":
-            p.set_defaults(fmt="csv")
+        common(p, formats, needs_rs=False)
     return ap
 
 
@@ -376,7 +379,12 @@ def main(argv=None) -> int:
     if hasattr(ns, "full"):
         kwargs.update(full=ns.full)
     cfg = RunConfig(**kwargs)
-    if cfg.command not in ("hrho", "census"):
+    if cfg.command in ("hrho", "census"):
+        if not 2 <= cfg.rho <= 5:
+            sys.stderr.write(f"invalid parameters: rho must be in 2..5, "
+                             f"got {cfg.rho}\n")
+            return 2
+    else:
         try:
             SpaceCtx(cfg.r, cfg.sigma)
         except Exception as e:

@@ -98,8 +98,11 @@ def levi_graph(cfg: IncidenceStructure) -> LeviGraph:
     return LeviGraph(nb, nw, adj)
 
 
-def _refine_colors(lv: LeviGraph, colors: list[int], rounds: int = 4):
-    for _ in range(rounds):
+REFINE_ROUNDS = 4  # colour-refinement passes before the duality search
+
+
+def _refine_colors(lv: LeviGraph, colors: list[int]):
+    for _ in range(REFINE_ROUNDS):
         sig = []
         for x in range(len(lv)):
             m = lv.adj[x]

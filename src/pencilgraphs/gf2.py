@@ -33,6 +33,16 @@ def points_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def map_mask(mask: int, table) -> int:
+    """Image of a point set under a point table: {table[p] : p in mask}."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def min_point(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 

@@ -12,13 +12,13 @@ semidirect-product order stays visible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations, product
 
-from pencilgraphs import autnr, decomp, gf2, graphbuild, hrho
+from pencilgraphs import autnr, decomp, gf2, hrho
 from pencilgraphs.gf2 import SpaceCtx
 from pencilgraphs.graphbuild import PencilGraph
-from pencilgraphs.pencil import VTuple, encode_tuple
+from pencilgraphs.pencil import encode_tuple
 
 
 class HomogError(RuntimeError):
@@ -34,7 +34,6 @@ class GeneratorSet:
     stabilizer: list[tuple[str, tuple[int, ...]]]
     entry_perms: list[tuple[str, tuple[int, ...]]]
     movers: list[tuple[str, tuple[int, ...]]]
-    notes: dict = field(default_factory=dict)
 
     def vperms(self) -> list[tuple[int, ...]]:
         return [p for _, p in self.stabilizer + self.entry_perms + self.movers]
@@ -88,8 +87,7 @@ def base_movers(ctx: SpaceCtx, g: PencilGraph,
     permutations, they reach every vertex of g."""
 
     def linear(table):
-        mapper = autnr.mask_mapper(ctx.r, table)
-        return g.vperm_of(lambda v: tuple(map(mapper, v)))
+        return g.vperm_of(lambda v: tuple(gf2.map_mask(m, table) for m in v))
 
     out = []
     # companion map of a primitive polynomial: cycles all points
@@ -225,7 +223,6 @@ def check_H_property(ctx: SpaceCtx, g: PencilGraph, gens: GeneratorSet,
             rng = random.Random(seed)
             checked = 0
             ok = equi
-            edges = None
             while ok and checked < sample:
                 i = rng.randrange(len(g.vertices))
                 nbrs = g.neighbors_of(i)

@@ -7,6 +7,7 @@ from pencilgraphs.gf2 import SpaceCtx
 
 
 from functools import lru_cache
+from itertools import combinations
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +99,53 @@ def test_psi_rule_matches_listed_psi():
         alpha = gf2.parse_mask(alpha_txt)
         table = autnr.transvection_table(ctx.r, alpha, c)
         assert autnr.quotient_psi(ctx, table) == _parse_psi(ctx, psi_txt)
+
+
+def _subsets_reference(mask, d):
+    """Every d-subset of the points of mask whose span is a d-dimensional
+    subspace inside mask, by mask value."""
+    if d == 0:
+        return [0]
+    out = set()
+    for pick in combinations(gf2.points_of(mask), d):
+        sp = gf2.span_mask(pick)
+        if sp.bit_count() == (1 << d) - 1 and sp & mask == sp:
+            out.add(sp)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_subsets_of_dim_matches_span_construction(r):
+    for e in range(r + 1):
+        for sub in gf2.subspace_masks(r, e):
+            for d in range(e + 1):
+                assert autnr.subsets_of_dim(sub, d) == _subsets_reference(sub, d)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7])
+def test_transvection_table_matches_literal_map(r):
+    n = (1 << r) - 1
+    for alpha in gf2.hyperplane_masks(r):
+        for c in gf2.points_of(alpha):
+            table = autnr.transvection_table(r, alpha, c)
+            assert [table[x] for x in range(1, n + 1)] == [
+                x if alpha >> x & 1 else x ^ c for x in range(1, n + 1)]
+
+
+def test_transvection_table_rejects_center_off_axis():
+    alpha = gf2.hyperplane_masks(3)[0]
+    c = next(x for x in range(1, 8) if not alpha >> x & 1)
+    with pytest.raises(hrho.HrhoError):
+        autnr.transvection_table(3, alpha, c)
+
+
+def test_display_formats_psi_cycles():
+    ctx, g, gens = _gens((3, 1))
+    a = gens[0]
+    for psi, want in [((0, 1, 2, 3), "123()"), ((0, 2, 3, 1), "(1 2 3)"),
+                      ((0, 1, 3, 2), "1(2 3)")]:
+        b = autnr.AutoMap(a.category, a.kind, a.pi, a.alpha, (), psi, a.nperm)
+        assert b.display() == "." + want
 
 
 def test_apply_example():

@@ -100,6 +100,44 @@ def test_invalid_parameters_exit_2(capsys):
     assert main(["build", "-r", "4", "-s", "3"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["hrho", "--rho", "0"],
+    ["hrho", "--rho", "1"],
+    ["hrho", "--rho", "6", "--enable-heavy"],
+    ["census", "--rho", "1"],
+], ids=["hrho-0", "hrho-1", "hrho-6-heavy", "census-1"])
+def test_rho_out_of_range_exit_2(capsys, args):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid parameters: ")
+
+
+@pytest.mark.parametrize("verb,args,formats", [
+    ("build", ["-r", "3", "-s", "1"], ["json", "dot", "text"]),
+    ("verify", ["-r", "3", "-s", "1"], ["json", "text"]),
+    ("aut", ["-r", "3", "-s", "1"], ["json"]),
+    ("config", ["-r", "3", "-s", "1"], ["json", "dot"]),
+    ("homog", ["-r", "3", "-s", "1"], ["json"]),
+    ("report", ["-r", "3", "-s", "1"], ["json"]),
+    ("hrho", ["--rho", "3"], ["json"]),
+    ("census", ["--rho", "3"], ["csv", "json"]),
+])
+def test_format_choices_per_verb(capsys, verb, args, formats):
+    """Each verb accepts exactly the formats it writes, the first being its
+    default; argparse rejects the rest with exit 2 before any work is done."""
+    assert cli._parser().parse_args([verb, *args]).fmt == formats[0]
+    for fmt in ["json", "csv", "dot", "text"]:
+        if fmt in formats:
+            ns = cli._parser().parse_args([verb, *args, "--format", fmt])
+            assert ns.fmt == fmt
+            continue
+        assert main([verb, *args, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice" in captured.err
+
+
 def test_heavy_guard(capsys):
     rc, out = run(capsys, "census", "--rho", "5")
     assert rc == 2
@@ -138,8 +176,12 @@ def test_report_passes_31(tmp_path):
      "1af6e1a14852128845141f247b84058f7cf494f98bda444b5c20233c1c5eee0f"),
     (["aut", "-r", "4", "-s", "2"],
      "5e25306f7d261320369057ce4df209543bf92523bd962184f89eb9b8ccaa2c3a"),
+    (["aut", "-r", "3", "-s", "1"],
+     "d33bfd2a6de35f2d3b7852c664589c40f847aa91a3f4e571147e4f76a98b08ed"),
+    (["aut", "-r", "4", "-s", "1"],
+     "5c188a2e38432c11d78fdf61fc20fc06c520107b060741f351fa6cf41c4aa908"),
 ], ids=["report-3-1", "report-4-2", "build-3-1", "verify-4-1", "homog-4-2",
-        "config-3-1", "aut-4-2"])
+        "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"

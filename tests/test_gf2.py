@@ -151,3 +151,16 @@ def test_point_labels():
     assert gf2.point_str(31) == "v"
     assert gf2.mask_str(gf2.mask_of([1, 6, 7, 8, 9, 14, 15])) == "16789ef"
     assert gf2.parse_mask("3478bcf") == gf2.mask_of([3, 4, 7, 8, 11, 12, 15])
+
+
+@given(st.integers(1, 8).flatmap(lambda r: st.tuples(
+    st.permutations(range(1, 1 << r)),
+    st.integers(0, (1 << (1 << r)) - 2))))
+@settings(max_examples=150, deadline=None)
+def test_map_mask_matches_pointwise_image(case):
+    perm, bits = case
+    table = [0] + list(perm)
+    mask = bits & ~1  # point sets never hold 0
+    want = gf2.mask_of(table[p] for p in gf2.points_of(mask))
+    assert gf2.map_mask(mask, table) == want
+    assert gf2.map_mask(mask, bytes(table)) == want
