@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from pencilgraphs import (_golden, autnr, config as configmod, decomp, gf2,
-                          graphbuild, homog, hrho)
+                          graphbuild, homog, hrho, hrho_heavy)
 from pencilgraphs.gf2 import SpaceCtx
 
 
@@ -191,9 +191,6 @@ def cmd_aut(cfg: RunConfig) -> int:
 
 def cmd_hrho(cfg: RunConfig) -> int:
     rho = cfg.rho
-    if rho >= 5 and not cfg.enable_heavy:
-        _emit(cfg, _json({"error": "rho >= 5 needs --enable-heavy"}))
-        return 2
     data: dict = {"rho": rho, "j_display": hrho.perm_display(hrho.j_rho(rho))}
     if rho <= 4:
         store = hrho.build_group(rho)
@@ -205,20 +202,11 @@ def cmd_hrho(cfg: RunConfig) -> int:
             coset_index=len(hrho.coset_partition(rho)) if rho >= 3 else None,
         )
     else:
-        cs = hrho_heavy_cosets(rho)
-        data.update(order=cs["order"], order_formula=hrho.group_order_formula(rho),
-                    coset_index=cs["index"])
+        order, index = hrho_heavy.order_by_cosets(rho)
+        data.update(order=order, order_formula=hrho.group_order_formula(rho),
+                    coset_index=index)
     _emit(cfg, _json(data))
     return 0
-
-
-def hrho_heavy_cosets(rho: int) -> dict:
-    """Order check by cosets, for the group too big to materialize."""
-    from pencilgraphs.hrho_heavy import coset_reps_heavy
-
-    reps = coset_reps_heavy(rho)
-    sub_order = hrho.group_order_formula(rho - 1)
-    return {"index": len(reps), "order": len(reps) * sub_order}
 
 
 def cmd_census(cfg: RunConfig) -> int:
@@ -230,9 +218,7 @@ def cmd_census(cfg: RunConfig) -> int:
         store = hrho.build_group(rho)
         census = hrho.table_census(store)
     else:
-        from pencilgraphs.hrho_heavy import census_heavy
-
-        census = census_heavy(rho)
+        census = hrho_heavy.census_heavy(rho)
     rows = sorted(
         ((hrho.super_type_str(st), d, cnt) for st, (d, cnt) in census.items()),
         key=lambda t: (t[1], t[0]),
@@ -309,9 +295,7 @@ def cmd_config(cfg: RunConfig) -> int:
 def cmd_homog(cfg: RunConfig) -> int:
     ctx, g = _graph_for(cfg)
     gens = homog.full_generator_set(ctx, g)
-    exhaustive = len(g) <= 1000
-    reports = homog.check_H_property(ctx, g, gens, exhaustive=exhaustive,
-                                     seed=cfg.seed)
+    reports = homog.check_H_property(ctx, g, gens)
     wit, tried = homog.non_uh_witness(ctx, g)
     vorb = homog.vertex_orbit_of_base(g, gens.vperms())
     data = {

@@ -265,15 +265,15 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph) -> DecompReport:
 
     # each edge in exactly one copy per family, and the copies intersect in
     # it; edge (x, y) is the slot of y in x's sorted adjacency row, a pair
-    # with no slot is a non-edge and is kept by pair in a dict.  The slot
+    # with no slot is a non-edge and is kept by pair in a set.  The slot
     # lookup is written out in both passes: a call per pair would cost about
     # a tenth of the check.
     adj, d = g.adj, g.degree
     edges = g.edge_count()
     clique_verts = list(cliques.values())
     clique_of = array("i", [-1]) * len(adj)  # slot -> last clique copy on it
-    stray_clique: dict[tuple[int, int], int] = {}  # non-edge -> copy
-    order = array("i")  # covered pairs in first-cover order; ~j is stray j
+    stray_clique: set[tuple[int, int]] = set()  # non-edges in a clique copy
+    clique_cover = 0
     bad = False
     for ci, verts in enumerate(clique_verts):
         for a, x in enumerate(verts):
@@ -286,7 +286,7 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph) -> DecompReport:
                         failures.append(f"edge {(x, y)} in two clique copies")
                         bad = True
                     else:
-                        order.append(k)
+                        clique_cover += 1
                     clique_of[k] = ci
                     continue
                 e = (x, y)
@@ -295,29 +295,32 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph) -> DecompReport:
                 if e in stray_clique:
                     failures.append(f"edge {e} in two clique copies")
                 else:
-                    order.append(~len(stray_clique))
-                stray_clique[e] = ci
+                    clique_cover += 1
+                stray_clique.add(e)
             if bad:
                 break
         if bad:
             break
-    if len(order) != edges:
+    if clique_cover != edges:
         failures.append(
-            f"clique copies cover {len(order)} pairs, "
+            f"clique copies cover {clique_cover} pairs, "
             f"expected {edges} edges"
         )
 
-    turan_keys = list(turans)
-    turan_of = array("i", [-1]) * len(adj)  # slot -> last Turan copy on it
-    stray_turan: dict[tuple[int, int], int] = {}  # non-edge across parts
+    # With no edge covered twice, a clique copy C and a Turan copy T meet in
+    # more than an edge exactly when T holds two edges of C: a clique copy
+    # met twice on one Turan copy's edges is the failure.
+    turan_seen = bytearray(len(adj))  # slot -> covered by a Turan copy
+    stray_turan: set[tuple[int, int]] = set()  # non-edges across parts
     same_pairs: set[int] = set()  # x * n + y for pairs inside a part
     turan_cover = 0
-    for ti, part_sets in enumerate(turans.values()):
+    for part_sets in turans.values():
         labels = {}
         for pi, ps in enumerate(part_sets):
             for x in ps:
                 labels[x] = pi
         verts = sorted(labels)
+        met: set[int] = set()  # clique copies on this copy's edges
         for a, x in enumerate(verts):
             lx = labels[x]
             lo = x * d
@@ -330,46 +333,38 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph) -> DecompReport:
                         failures.append(f"Turan copy edge inside a part {x},{y}")
                     p = x * n + y
                     if (p in same_pairs
-                            or (turan_of[k] >= 0 if edge
+                            or (turan_seen[k] if edge
                                 else (x, y) in stray_turan)):
                         failures.append(
                             f"two Turan copies share vertices {x},{y}"
                         )
                     same_pairs.add(p)
                 elif edge:
-                    if turan_of[k] >= 0:
+                    if turan_seen[k]:
                         failures.append(f"edge ({x},{y}) in two Turan copies")
                     else:
                         turan_cover += 1
-                    turan_of[k] = ti
+                    turan_seen[k] = 1
+                    ci = clique_of[k]
+                    if ci in met:
+                        inter = set(clique_verts[ci]).intersection(labels)
+                        failures.append(
+                            f"copy intersection at {(x, y)} is {sorted(inter)}"
+                        )
+                    elif ci >= 0:
+                        met.add(ci)
                 else:
                     failures.append(f"Turan copy non-edge across parts {x},{y}")
                     if (x, y) in stray_turan:
                         failures.append(f"edge ({x},{y}) in two Turan copies")
                     else:
                         turan_cover += 1
-                    stray_turan[(x, y)] = ti
+                    stray_turan.add((x, y))
     if turan_cover != edges:
         failures.append(
             f"Turan copies cover {turan_cover} edges, "
             f"expected {edges}"
         )
-
-    # the edge is the intersection of its two copies, sampled at every k-th
-    # covered pair in clique-copy order
-    strays = list(stray_clique)
-    for code in order[:: max(1, len(order) // 512)]:
-        if code >= 0:
-            e = (code // d, adj[code])
-            ci, ti = clique_of[code], turan_of[code]
-        else:
-            e = strays[~code]
-            ci, ti = stray_clique[e], stray_turan.get(e, -1)
-        if ti < 0:
-            continue
-        inter = set(clique_verts[ci]) & set(turan_keys[ti])
-        if inter != set(e):
-            failures.append(f"copy intersection at {e} is {sorted(inter)}")
 
     # maximality
     _check_maximality(g, cliques, turans, failures)

@@ -235,8 +235,9 @@ EXTENDED_HEX = "0123456789abcdefghijklmnopqrstuv"
 
 
 def point_str(p: int) -> str:
-    """Hexadecimal point label, continued g..v for 16..31."""
-    return EXTENDED_HEX[p]
+    """Hexadecimal point label, continued g..v for 16..31, then the decimal
+    number in braces: 40 is '{40}'."""
+    return EXTENDED_HEX[p] if p < 32 else f"{{{p}}}"
 
 
 def mask_str(mask: int) -> str:
@@ -244,7 +245,18 @@ def mask_str(mask: int) -> str:
 
 
 def parse_points(s: str) -> tuple[int, ...]:
-    return tuple(EXTENDED_HEX.index(c) for c in s)
+    """Inverse of the concatenated point_str labels."""
+    out = []
+    i = 0
+    while i < len(s):
+        if s[i] == "{":
+            j = s.index("}", i)
+            out.append(int(s[i + 1:j]))
+            i = j + 1
+        else:
+            out.append(EXTENDED_HEX.index(s[i]))
+            i += 1
+    return tuple(out)
 
 
 def parse_mask(s: str) -> int:

@@ -162,15 +162,14 @@ def vertex_orbit_of_base(g: PencilGraph, gens: list[tuple[int, ...]]) -> set[int
 @dataclass
 class HReport:
     family: str
-    exhaustive: bool
     orbit_size: int
     total: int
-    sampled_checked: int
     copies_equivariant: bool
     ok: bool
 
     def as_dict(self):
-        return self.__dict__.copy()
+        # every arc is checked; the two keys keep the artifact's layout
+        return dict(self.__dict__, exhaustive=True, sampled_checked=self.total)
 
 
 def _copies_equivariant(copy_sets: set[frozenset], vperms) -> bool:
@@ -182,14 +181,14 @@ def _copies_equivariant(copy_sets: set[frozenset], vperms) -> bool:
     return True
 
 
-def check_H_property(ctx: SpaceCtx, g: PencilGraph, gens: GeneratorSet,
-                     exhaustive: bool = True, sample: int = 500,
-                     seed: int = 20240801) -> list[HReport]:
+def check_H_property(ctx: SpaceCtx, g: PencilGraph, gens: GeneratorSet
+                     ) -> list[HReport]:
     """Single-orbit check on (copy, arc) triples for both families.
 
     An edge lies in exactly one copy of each family, so once the generators
     are verified to permute the copy family, the (copy, arc) orbit is the
-    arc orbit; the orbit runs on arcs directly.
+    arc orbit; the orbit runs on arcs directly, and the check passes when it
+    holds every arc.
     """
     stages = [
         [p for _, p in gens.stabilizer[:6]]
@@ -216,23 +215,8 @@ def check_H_property(ctx: SpaceCtx, g: PencilGraph, gens: GeneratorSet,
     out = []
     for family, copy_sets in families.items():
         equi = _copies_equivariant(copy_sets, used)
-        if exhaustive:
-            ok = equi and len(orb) == total
-            checked = total
-        else:
-            rng = random.Random(seed)
-            checked = 0
-            ok = equi
-            while ok and checked < sample:
-                i = rng.randrange(len(g.vertices))
-                nbrs = g.neighbors_of(i)
-                j = nbrs[rng.randrange(len(nbrs))]
-                if (i, j) not in orb:
-                    ok = False
-                    break
-                checked += 1
-        out.append(HReport(family, exhaustive, len(orb), total, checked,
-                           equi, ok))
+        out.append(HReport(family, len(orb), total, equi,
+                           equi and len(orb) == total))
     return out
 
 

@@ -88,7 +88,7 @@ def parse_perm(rho: int, text: str) -> bytes:
         ch = text[i]
         if ch == "(":
             j = text.index(")", i)
-            cyc = [gf2.EXTENDED_HEX.index(c) for c in text[i + 1 : j]]
+            cyc = gf2.parse_points(text[i + 1 : j])
             for k, x in enumerate(cyc):
                 img[x] = cyc[(k + 1) % len(cyc)]
             i = j + 1

@@ -72,6 +72,12 @@ def coset_reps_heavy(rho: int) -> list[bytes]:
     return out
 
 
+def order_by_cosets(rho: int) -> tuple[int, int]:
+    """(group order, coset index): the index times the order of K."""
+    index = len(coset_reps_heavy(rho))
+    return index * hrho.group_order_formula(rho - 1), index
+
+
 def census_heavy(rho: int):
     """Super-type census over all cosets, distances via the fixed-point law."""
     import numpy as np

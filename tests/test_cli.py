@@ -139,8 +139,14 @@ def test_format_choices_per_verb(capsys, verb, args, formats):
 
 
 def test_heavy_guard(capsys):
+    """The rho = 5 census needs --enable-heavy; the rho = 5 order does not."""
     rc, out = run(capsys, "census", "--rho", "5")
     assert rc == 2
+    rc, out = run(capsys, "hrho", "--rho", "5")
+    assert rc == 0
+    data = json.loads(out)
+    assert data["order"] == data["order_formula"] == _golden.GROUP_ORDERS[5]
+    assert data["coset_index"] == _golden.COSET_INDEX[5]
 
 
 def test_report_determinism_across_threads(tmp_path):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from pencilgraphs import _golden, decomp, gf2, graphbuild as gb, pencil
@@ -291,27 +293,28 @@ def test_verify_rejects_non_maximal_copies(case):
     assert "Turan copy extendable inside a part" in rep.failures
 
 
-def test_verify_samples_every_kth_clique_pair():
-    """The copy-intersection check visits every k-th covered pair in
-    clique-copy order, k = edges // 512.  Each probe edge's Turan copy gets
-    a third vertex of the probe's clique copy; only the sampled probe shows."""
+def test_verify_reports_every_copy_intersection():
+    """The copy-intersection check is exact: the first edge of the first,
+    middle and last clique copy each get a third vertex of their clique copy
+    added to a third part of their Turan copy, and all three are reported."""
     ctx, g, cliques, turans = _tampered((4, 2))
-    step = g.edge_count() // 512
-    pairs = [(verts, (a, b)) for verts in cliques.values()
-             for i, a in enumerate(verts) for b in verts[i + 1:]]
-    probes = [pairs[p] for p in (step - 1, step, step + 1)]
-    assert step > 1 and len({verts for verts, _ in probes}) == 1
-    want = {}
-    for verts, e in probes:
+    clique_list = list(cliques.values())
+    want, tkeys = [], set()
+    for verts in (clique_list[0], clique_list[len(clique_list) // 2],
+                  clique_list[-1]):
+        e = verts[:2]
         tkey = next(k for k, ps in turans.items()
                     if set(e) <= k and not any(set(e) <= p for p in ps))
+        tkeys.add(tkey)
         third = min(set(verts) - set(e))
-        turans[tkey | {third}] = turans.pop(tkey)
-        want[e] = f"copy intersection at {e} is {sorted(set(e) | {third})}"
+        parts = turans[tkey]
+        j = next(i for i, p in enumerate(parts) if not set(e) & p)
+        turans[tkey] = parts[:j] + [parts[j] | {third}] + parts[j + 1:]
+        tri = sorted(set(e) | {third})
+        want.append({f"copy intersection at {pair} is {tri}"
+                     for pair in combinations(tri, 2)})
+    assert len(tkeys) == 3
     rep = decomp.verify_decomposition(ctx, g)
-    unsampled, sampled, unsampled2 = want
     assert rep.ok is False
-    assert want[sampled] in rep.failures
-    for e in (unsampled, unsampled2):
-        assert not any(f.startswith(f"copy intersection at {e} ")
-                       for f in rep.failures)
+    for msgs in want:
+        assert msgs & set(rep.failures)

@@ -153,6 +153,23 @@ def test_point_labels():
     assert gf2.parse_mask("3478bcf") == gf2.mask_of([3, 4, 7, 8, 11, 12, 15])
 
 
+def test_point_labels_round_trip_r_le_8():
+    """Labels 0..31 stay single extended-hex symbols, and every point of
+    P(8) reads back from its label."""
+    assert gf2.point_str(32) == "{32}" and gf2.point_str(255) == "{255}"
+    for p in range(256):
+        assert gf2.parse_points(gf2.point_str(p)) == (p,)
+        assert len(gf2.point_str(p)) == 1 or p >= 32
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda r: st.integers(0, (1 << (1 << r)) - 2)))
+@settings(max_examples=150, deadline=None)
+def test_mask_labels_round_trip(bits):
+    mask = bits & ~1  # point sets never hold 0
+    assert gf2.parse_mask(gf2.mask_str(mask)) == mask
+
+
 @given(st.integers(1, 8).flatmap(lambda r: st.tuples(
     st.permutations(range(1, 1 << r)),
     st.integers(0, (1 << (1 << r)) - 2))))

@@ -108,13 +108,15 @@ def test_deterministic_rebuild():
 
 
 def _malformed_62():
-    """Two non-pencils at (6, 2): an initial entry {1, 2, 4} that is not a
-    subspace, and the base vertex with points 7 and 8 swapped between its
+    """Three non-pencils at (6, 2): initial entries {1, 2, 4} and
+    {1, 40, 50} that are not subspaces, the second naming points past 31 in
+    its error, and the base vertex with points 7 and 8 swapped between its
     first two entries."""
     ctx = SpaceCtx(6, 2)
     v = pencil.base_vertex_tuple(ctx)
     swap = 1 << 7 | 1 << 8
     return ctx, [(gf2.mask_of([1, 2, 4]),) + v[1:],
+                 (gf2.mask_of([1, 40, 50]),) + v[1:],
                  (v[0], v[1] ^ swap, v[2] ^ swap) + v[3:]]
 
 

@@ -1,9 +1,11 @@
+import json
 import tracemalloc
 from itertools import permutations
 
 import pytest
 
-from pencilgraphs import autnr, decomp, gf2, graphbuild as gb, homog, hrho, pencil
+from pencilgraphs import (autnr, cli, decomp, gf2, graphbuild as gb, homog,
+                          hrho, pencil)
 from pencilgraphs.gf2 import SpaceCtx
 
 
@@ -53,22 +55,30 @@ def test_combined_closure_order_31():
     assert full % len(g) == 0
 
 
-@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
 def test_h_property_exhaustive(case):
     ctx, g, gens = _setup(case)
-    reports = homog.check_H_property(ctx, g, gens, exhaustive=True)
+    reports = homog.check_H_property(ctx, g, gens)
     for rep in reports:
         assert rep.copies_equivariant
         assert rep.ok
         assert rep.orbit_size == rep.total == 2 * g.edge_count()
+        assert rep.as_dict()["exhaustive"] is True
+        assert rep.as_dict()["sampled_checked"] == rep.total
 
 
-def test_h_property_sampled_41():
-    ctx, g, gens = _setup((4, 1))
-    reports = homog.check_H_property(ctx, g, gens, exhaustive=False, sample=500)
+def test_h_property_fails_on_stabilizer_alone_41():
+    """The stabilizer fixes the base vertex, so its arc orbit is short of
+    the total and the check fails although every generator is valid."""
+    ctx = SpaceCtx(4, 1)
+    g = gb.component(4, 1)
+    stab = [(a.display(), a.vperm) for a in autnr.synth_generators(ctx, g)
+            if a.vperm is not None]
+    reports = homog.check_H_property(ctx, g, homog.GeneratorSet(stab, [], []))
     for rep in reports:
-        assert rep.ok
-        assert rep.sampled_checked >= 500
+        assert rep.copies_equivariant
+        assert rep.orbit_size < rep.total
+        assert rep.ok is False
 
 
 def test_extend_identity_on_copy():
@@ -153,11 +163,15 @@ def test_witness_partial_fixes_base_arc():
     assert wit.partial[v] == v and wit.partial[u] == u
 
 
-def test_seed_independence_of_verdict():
-    ctx, g, gens = _setup((4, 2))
-    a = homog.check_H_property(ctx, g, gens, exhaustive=False, sample=50, seed=1)
-    b = homog.check_H_property(ctx, g, gens, exhaustive=False, sample=50, seed=99)
-    assert [r.ok for r in a] == [r.ok for r in b] == [True, True]
+def test_seed_independence_of_verdict(capsys):
+    """The seed is echoed and changes nothing else in the homog artifact."""
+    outs = []
+    for seed in ("1", "99"):
+        assert cli.main(["homog", "-r", "4", "-s", "2", "--seed", seed]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data.pop("seed") == int(seed)
+        outs.append(data)
+    assert outs[0] == outs[1]
 
 
 def _eager_copy_automorphisms(part_sets, a, b):
