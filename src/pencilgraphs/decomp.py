@@ -27,6 +27,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from pencilgraphs import gf2, graphbuild, hrho, pencil
 from pencilgraphs.gf2 import SpaceCtx
@@ -81,17 +82,30 @@ def clique_copies_at(ctx: SpaceCtx, v: VTuple) -> list[CliqueCopyId]:
 
 
 def clique_vertices(ctx: SpaceCtx, cid: CliqueCopyId) -> list[VTuple]:
-    """The 2s pencils of a clique copy."""
-    sl = (cid.u0,) + cid.blocks
-    out = graphbuild.clique_copy_vertices(ctx, cid.hyperplane, sl)
-    if len(out) != 2 * ctx.s:
-        raise DecompError(f"copy {cid.display()} has {len(out)} vertices")
-    return out
+    """The 2s pencils of a clique copy.
+
+    Raises DecompError unless the hyperplane is one of P(r), U0 is a
+    (sigma-1)-subspace inside it, and the blocks are the U0-cosets inside
+    it, each exactly once.
+    """
+    h, u0, blocks = cid.hyperplane, cid.u0, cid.blocks
+    if h not in gf2.hyperplane_masks(ctx.r):
+        raise DecompError(f"copy {cid.display()}: not a hyperplane")
+    if (u0 & h != u0 or u0.bit_count() != (1 << (ctx.sigma - 1)) - 1
+            or not gf2.is_xor_closed(u0)):
+        raise DecompError(
+            f"copy {cid.display()}: U0 is not a (sigma-1)-subspace of it")
+    inside = {b for b in gf2.coset_table(ctx.r, u0)[0] if b & h == b}
+    if len(blocks) != len(inside) or set(blocks) != inside:
+        raise DecompError(f"copy {cid.display()}: blocks are not the cosets "
+                          "of U0 inside it, each exactly once")
+    return graphbuild.clique_copy_vertices(ctx, h, (u0,) + blocks)
 
 
 def apply_index_perm(ctx: SpaceCtx, v: VTuple, psi: bytes) -> VTuple:
     """Entry j of the result is entry psi[j] of v."""
-    return (v[0],) + tuple(v[psi[j]] for j in range(1, ctx.m1 + 1))
+    # m1 >= 3 entries, so itemgetter returns a tuple, never one item
+    return (v[0],) + itemgetter(*psi[1:ctx.m1 + 1])(v)
 
 
 def turan_copies_at(ctx: SpaceCtx, v: VTuple) -> list[TuranCopyId]:

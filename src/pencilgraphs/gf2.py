@@ -215,7 +215,12 @@ def coset_mask(base_mask: int, x: int) -> int:
 
 @lru_cache(maxsize=None)
 def coset_table(r: int, a0_mask: int):
-    """For one A0: (sorted coset masks, point -> containing-coset mask)."""
+    """For one A0: (coset masks, point -> containing-coset mask).
+
+    The masks come in order of their least points, not sorted as integers:
+    coset_table(4, 1 << 3)[0] starts (6, 144, 96).  The base vertex and the
+    block order of a clique copy are read off in this order.
+    """
     n = (1 << r) - 1
     masks = []
     lut = {}

@@ -3,6 +3,11 @@
 Two pencils are adjacent iff they have equal slices through some hyperplane
 not containing either initial entry; neighbor generation therefore walks the
 m0 maximal-clique copies incident to a vertex instead of scanning pairs.
+
+Within a copy, a pencil's entry i is the coset of its A0 that holds the least
+point of slice entry i.  Those least points do not depend on the block that
+extends U0 to A0, so they are found once per copy, and each of the 2s pencils
+is one itemgetter gather from its A0's point-to-coset table.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from pencilgraphs import gf2, pencil
 from pencilgraphs.gf2 import SpaceCtx
@@ -75,15 +81,15 @@ def clique_slices(ctx: SpaceCtx, v: VTuple) -> list[tuple[int, VTuple]]:
 def clique_copy_vertices(ctx: SpaceCtx, h: int, sl: VTuple) -> list[VTuple]:
     """All 2s pencils whose slice through hyperplane h equals sl."""
     u0 = sl[0]
+    # m1 >= 3 slice entries, so itemgetter returns a tuple, never one item
+    pick = itemgetter(*map(gf2.min_point, sl[1:]))
     out = []
     # U0 lies in h, so each coset of U0 is inside h or disjoint from it
     for blk in gf2.coset_table(ctx.r, u0)[0]:
         if blk & h:
             continue
         a0 = u0 | blk
-        _, lut = gf2.coset_table(ctx.r, a0)
-        out.append((a0,) + tuple(lut[(m & -m).bit_length() - 1]
-                                 for m in sl[1:]))
+        out.append((a0,) + pick(gf2.coset_table(ctx.r, a0)[1]))
     if len(out) != 2 * ctx.s:
         raise BuildError(f"{len(out)} pencils on a slice, expected {2 * ctx.s}")
     return out

@@ -318,3 +318,14 @@ def test_verify_reports_every_copy_intersection():
     assert rep.ok is False
     for msgs in want:
         assert msgs & set(rep.failures)
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4, 5])
+def test_apply_index_perm_matches_entrywise_form(rho):
+    ctx = SpaceCtx(rho + 1, 1)
+    v = pencil.base_vertex_tuple(ctx)
+    v = (v[0],) + v[:0:-1]  # entries reversed, so no map fixes v by accident
+    for i in range(1, ctx.m1 + 1):
+        for psi in decomp._pivot_maps(rho, i):
+            literal = (v[0],) + tuple(v[psi[j]] for j in range(1, ctx.m1 + 1))
+            assert decomp.apply_index_perm(ctx, v, psi) == literal

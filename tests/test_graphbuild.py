@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,42 @@ def _queries(ctx, v):
     ]
 
 
+def _copy_on(ctx, h, u0):
+    """The clique-copy id with hyperplane h, U0 and the U0-cosets inside h."""
+    return decomp.CliqueCopyId(h, u0, tuple(
+        b for b in gf2.coset_table(ctx.r, u0)[0] if b & h == b))
+
+
+def _malformed_copies():
+    """(ctx, clique-copy id) pairs, each a change of the first copy at the
+    base vertex.  At (6, 2): U0 the point 62 (inside h, but the blocks are
+    not its cosets) or the point 1 (outside h, with or without blocks); U0
+    the line {2, 4, 6}, with its own cosets inside h as blocks; blocks short, with one
+    added twice, with the last replaced by a repeat or by a zero block; and
+    h with a point added.  At (5, 3), U0 the points 2, 4, 8 of h, which
+    are not a line, with its own cosets; at (4, 1), U0 a point."""
+    out = []
+    ctx = SpaceCtx(6, 2)
+    cid = decomp.clique_copies_at(ctx, pencil.base_vertex_tuple(ctx))[0]
+    h, b = cid.hyperplane, cid.blocks
+    off_h = gf2.min_point(ctx.all_points_mask & ~h)
+    out += [(ctx, c) for c in [
+        replace(cid, u0=1 << 62), replace(cid, u0=1 << off_h),
+        replace(cid, u0=1 << off_h, blocks=()),
+        _copy_on(ctx, h, cid.u0 | b[0]),
+        replace(cid, blocks=b[:-1]), replace(cid, blocks=b + b[:1]),
+        replace(cid, blocks=b[:-1] + b[:1]),
+        replace(cid, blocks=b[:-1] + (0,)),
+        replace(cid, hyperplane=h | 1 << off_h)]]
+    ctx = SpaceCtx(5, 3)
+    h = decomp.clique_copies_at(ctx, pencil.base_vertex_tuple(ctx))[0].hyperplane
+    out.append((ctx, _copy_on(ctx, h, gf2.mask_of([2, 4, 8]))))
+    ctx = SpaceCtx(4, 1)
+    cid = decomp.clique_copies_at(ctx, pencil.base_vertex_tuple(ctx))[0]
+    out.append((ctx, replace(cid, u0=1 << gf2.min_point(cid.hyperplane))))
+    return out
+
+
 def test_neighbors_rejects_malformed_pencils():
     ctx, bad = _malformed_62()
     for v in bad:
@@ -141,8 +179,14 @@ def test_neighbors_rejects_malformed_pencils():
                 query()
 
 
+def test_clique_vertices_rejects_malformed_copies():
+    for ctx, cid in _malformed_copies():
+        with pytest.raises(decomp.DecompError):
+            decomp.clique_vertices(ctx, cid)
+
+
 def test_neighbors_rejects_malformed_pencils_under_O():
-    """The rejection is not an assert, so it survives python -O."""
+    """The rejections are not asserts, so they survive python -O."""
     code = (
         "from pencilgraphs import pencil\n"
         "from tests.test_graphbuild import _malformed_62, _queries\n"
@@ -154,6 +198,14 @@ def test_neighbors_rejects_malformed_pencils_under_O():
         "        except pencil.PencilError:\n"
         "            continue\n"
         "        raise SystemExit('accepted a malformed pencil')\n"
+        "from pencilgraphs import decomp\n"
+        "from tests.test_graphbuild import _malformed_copies\n"
+        "for ctx, cid in _malformed_copies():\n"
+        "    try:\n"
+        "        decomp.clique_vertices(ctx, cid)\n"
+        "    except decomp.DecompError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted a malformed clique copy')\n"
         "assert False, 'asserts must be off under -O'\n"
     )
     src = os.path.dirname(os.path.dirname(pencilgraphs.__file__))
@@ -199,3 +251,38 @@ def test_neighbors_match_literal_adjacency(r, sigma):
         assert v in gb.neighbors(ctx, nbrs[k % len(nbrs)])
 
     check()
+
+
+def _literal_copy_vertices(ctx, h, sl):
+    """Reference: one coset-table lookup per slice entry and block."""
+    u0 = sl[0]
+    out = []
+    for blk in gf2.coset_table(ctx.r, u0)[0]:
+        if blk & h:
+            continue
+        a0 = u0 | blk
+        lut = gf2.coset_table(ctx.r, a0)[1]
+        out.append((a0,) + tuple(lut[gf2.min_point(m)] for m in sl[1:]))
+    return out
+
+
+@pytest.mark.parametrize("r,sigma", [
+    (r, sigma) for r in range(3, 9) for sigma in range(1, r - 1)])
+def test_gathered_neighbors_match_literal_lookup(r, sigma):
+    """neighbors and clique_copy_vertices equal the per-entry lookup, in
+    the same order, on seeded random pencils."""
+    ctx = SpaceCtx(r, sigma)
+    rng = random.Random(r * 10 + sigma)
+    for _ in range(1 if r == 8 else 3):
+        a0 = 0
+        while a0.bit_count() != (1 << sigma) - 1:
+            a0 = gf2.span_mask(rng.sample(range(1, 1 << r), sigma))
+        masks = list(gf2.coset_table(r, a0)[0])
+        rng.shuffle(masks)
+        v = (a0,) + tuple(masks)
+        literal = []
+        for h, sl in gb.clique_slices(ctx, v):
+            ref = _literal_copy_vertices(ctx, h, sl)
+            assert gb.clique_copy_vertices(ctx, h, sl) == ref
+            literal += [w for w in ref if w != v]
+        assert gb.neighbors(ctx, v) == literal
