@@ -5,11 +5,11 @@ Usage:
 """
 
 import argparse
-import json
 import pathlib
 import sys
 import time
 
+from pencilgraphs.cli import _json
 from pencilgraphs.report import acceptance_report
 
 CASES = [(3, 1), (4, 2), (4, 1), (5, 2)]
@@ -28,7 +28,7 @@ def main() -> int:
         t0 = time.time()
         data = acceptance_report(r, sigma, enable_heavy=args.enable_heavy)
         path = out / f"report_r{r}_s{sigma}.json"
-        path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+        path.write_text(_json(data))
         status = "PASS" if data["all_pass"] else "FAIL"
         print(f"({r},{sigma}): {status}  [{time.time()-t0:.1f}s]  -> {path}")
         for c in data["checks"]:

@@ -100,8 +100,56 @@ def _emit(cfg: RunConfig, text: str) -> None:
         raise
 
 
+_scalar = json.JSONEncoder().encode
+
+
 def _json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+    """json.dumps(data, sort_keys=True, indent=1) + "\\n", byte for byte.
+
+    With an indent, json.dumps runs its pure-Python encoder; this writer
+    walks the containers itself and joins each list of plain ints at once.
+    """
+    out = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _scalar(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _scalar(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")
+
+
+def _write(o, nl: str, out: list) -> None:
+    """Append o's text to out; nl is the newline and indent of o's line."""
+    inner = nl + " "
+    sep = "," + inner
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        out.append("{")
+        for n, (k, v) in enumerate(sorted(o.items())):
+            out.append((sep if n else inner) + _key(k) + ": ")
+            _write(v, inner, out)
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+        elif set(map(type, o)) == {int}:
+            out.append("[" + inner + sep.join(map(int.__repr__, o)) + nl + "]")
+        else:
+            out.append("[")
+            for n, x in enumerate(o):
+                out.append(sep if n else inner)
+                _write(x, inner, out)
+            out.append(nl + "]")
+    else:
+        out.append(_scalar(o))
 
 
 def _graph_for(cfg: RunConfig):

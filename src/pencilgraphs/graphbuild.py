@@ -8,11 +8,17 @@ Within a copy, a pencil's entry i is the coset of its A0 that holds the least
 point of slice entry i.  Those least points do not depend on the block that
 extends U0 to A0, so they are found once per copy, and each of the 2s pencils
 is one itemgetter gather from its A0's point-to-coset table.
+
+The BFS build does not call neighbors(v) per vertex: it builds each clique
+copy once, when its first member is expanded, keeps the copy's vertex ids
+until all 2s members have been expanded, and takes each row as the union of
+the vertex's m0 copies minus the vertex itself.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -174,7 +180,16 @@ class PencilGraph:
 def _bfs_close(ctx: SpaceCtx, seeds: list[VTuple], cap: int,
                vertices: list[VTuple], index: dict[VTuple, int],
                adj_rows: list[array]) -> list[int]:
-    """Deterministic BFS closure; returns the new vertex indices."""
+    """Deterministic BFS closure; returns the new vertex indices.
+
+    A vertex's row is the union of its m0 clique copies minus itself.  The
+    first of a copy's 2s members to be expanded builds it and gives its new
+    members ids, in the copy-then-vertex order of neighbors(v); the copy then
+    stays open, keyed by (h,) + slice, until all 2s members are expanded.
+    Numbering and rows are those of a BFS that calls neighbors(v) per vertex.
+    """
+    size = 2 * ctx.s
+    open_copies: dict[tuple, list] = {}  # key -> [member ids, expansions]
     new_ids = []
     frontier = []
     for s in seeds:
@@ -188,24 +203,44 @@ def _bfs_close(ctx: SpaceCtx, seeds: list[VTuple], cap: int,
         frontier.sort(key=pencil.encode_tuple)
         next_frontier = []
         for v in frontier:
-            nbrs = neighbors(ctx, v)
-            row = array("i", bytes(4 * len(nbrs)))
-            for k, w in enumerate(nbrs):
-                j = index.get(w)
-                if j is None:
-                    if len(vertices) >= cap:
-                        raise BuildError(
-                            f"vertex cap {cap} exceeded; raise --cap-vertices"
-                        )
-                    j = len(vertices)
-                    index[w] = j
-                    vertices.append(w)
-                    adj_rows.append(None)
-                    new_ids.append(j)
-                    next_frontier.append(w)
-                row[k] = j
-            adj_rows[index[v]] = array("i", sorted(row))
+            i = index[v]
+            row = []
+            for h, sl in clique_slices(ctx, v):
+                key = (h,) + sl
+                copy = open_copies.get(key)
+                if copy is None:
+                    ids = []
+                    for w in clique_copy_vertices(ctx, h, sl):
+                        j = index.get(w)
+                        if j is None:
+                            if len(vertices) >= cap:
+                                raise BuildError(
+                                    f"vertex cap {cap} exceeded; raise --cap-vertices"
+                                )
+                            j = len(vertices)
+                            index[w] = j
+                            vertices.append(w)
+                            adj_rows.append(None)
+                            new_ids.append(j)
+                            next_frontier.append(w)
+                        ids.append(j)
+                    copy = open_copies[key] = [ids, 0]
+                copy[1] += 1
+                if copy[1] == size:
+                    del open_copies[key]
+                row += copy[0]
+            row.sort()
+            lo, hi = bisect_left(row, i), bisect_right(row, i)
+            if hi - lo != ctx.m0:
+                raise BuildError(f"vertex {i} occurs {hi - lo} times in its "
+                                 f"clique copies, expected {ctx.m0}")
+            del row[lo:hi]
+            adj_rows[i] = array("i", row)
         frontier = next_frontier
+    if open_copies:
+        raise BuildError(
+            f"{len(open_copies)} clique copies not closed by {size} expansions"
+        )
     return new_ids
 
 

@@ -120,16 +120,16 @@ def generators(rho: int) -> list[tuple[int, int, bytes]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _xor_table(n: int) -> bytes:
+    return bytes(x ^ n for x in range(256))
+
+
 def doubling(psi: bytes) -> bytes:
     """Embed a permutation of [1, 2^(rho-1)-1] into [1, 2^rho-1]."""
-    half = len(psi)  # = 2^(rho-1)
-    n = 2 * half - 1
-    img = bytearray(n + 1)
-    for x in range(1, half):
-        img[x] = psi[x]
-        img[n ^ x] = n ^ psi[x]
-    img[n] = n
-    return bytes(img)
+    # n ^ x = n - x, so image n ^ psi(x) sits at position n - x: psi read
+    # backwards, each byte xor n; psi[0] == 0 puts n at position n
+    return psi + psi[::-1].translate(_xor_table(2 * len(psi) - 1))
 
 
 def p_rho(rho: int) -> bytes:

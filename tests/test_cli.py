@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencilgraphs import _golden, cli
 from pencilgraphs.cli import main
@@ -207,3 +209,55 @@ def test_out_write_is_atomic(tmp_path):
     cli._emit(cfg, "new\n")
     assert out.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def _dumps(data):
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+_json_scalars = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(min_value=-2**80, max_value=2**80)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"),
+                                     float("-inf"), -0.0])
+    | st.text()
+    | st.sampled_from(['"quoted"', "{braces}", "[1, 2]", "é\u2603\U0001f600",
+                       "back\\slash\n\t", "\x00"])
+)
+_json_data = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(st.integers(), max_size=8)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=30)
+
+
+@given(_json_data)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(data):
+    assert cli._json(data) == _dumps(data)
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "-r", "3", "-s", "1"], ["build", "-r", "3", "-s", "1", "--full"],
+    ["verify", "-r", "3", "-s", "1"], ["aut", "-r", "3", "-s", "1"],
+    ["config", "-r", "3", "-s", "1"], ["homog", "-r", "3", "-s", "1"],
+    ["report", "-r", "3", "-s", "1"], ["hrho", "--rho", "3"],
+    ["census", "--rho", "3", "--format", "json"],
+], ids=lambda a: "-".join(a))
+def test_json_writer_matches_json_dumps_on_artifacts(monkeypatch, capsys, args):
+    """Every verb's JSON artifact at (3,1) reads as json.dumps writes it."""
+    seen = []
+    write = cli._json
+
+    def checked(data):
+        text = write(data)
+        seen.append(text == _dumps(data))
+        return text
+
+    monkeypatch.setattr(cli, "_json", checked)
+    assert main(args) == 0
+    capsys.readouterr()
+    assert seen == [True]

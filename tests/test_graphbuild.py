@@ -1,7 +1,9 @@
+import inspect
 import os
 import random
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -286,3 +288,75 @@ def test_gathered_neighbors_match_literal_lookup(r, sigma):
             assert gb.clique_copy_vertices(ctx, h, sl) == ref
             literal += [w for w in ref if w != v]
         assert gb.neighbors(ctx, v) == literal
+
+
+def _literal_bfs_close(ctx, seeds, cap, vertices, index, adj_rows):
+    """Reference: the BFS that calls neighbors(v) per vertex and looks up
+    each neighbour's id."""
+    new_ids = []
+    frontier = []
+    for s in seeds:
+        if s not in index:
+            index[s] = len(vertices)
+            vertices.append(s)
+            adj_rows.append(None)
+            new_ids.append(index[s])
+            frontier.append(s)
+    while frontier:
+        frontier.sort(key=encode_tuple)
+        next_frontier = []
+        for v in frontier:
+            row = []
+            for w in gb.neighbors(ctx, v):
+                j = index.get(w)
+                if j is None:
+                    j = len(vertices)
+                    index[w] = j
+                    vertices.append(w)
+                    adj_rows.append(None)
+                    new_ids.append(j)
+                    next_frontier.append(w)
+                row.append(j)
+            adj_rows[index[v]] = array("i", sorted(row))
+        frontier = next_frontier
+    return new_ids
+
+
+@pytest.mark.parametrize("r,sigma,full", [
+    (3, 1, False), (4, 2, False), (4, 1, False), (5, 3, False),
+    (3, 1, True), (4, 2, True)])
+def test_copy_once_bfs_matches_literal_bfs(monkeypatch, r, sigma, full):
+    """The copy-once BFS numbers the vertices and fills the rows exactly as
+    a BFS over neighbors(v) does."""
+    ctx = SpaceCtx(r, sigma)
+    build = gb.build_full if full else gb.build_component
+    g = build(ctx)
+    monkeypatch.setattr(gb, "_bfs_close", _literal_bfs_close)
+    ref = build(ctx)
+    assert g.vertices == ref.vertices
+    assert g.adj == ref.adj
+    assert g.component_id == ref.component_id
+    assert g.n_components == ref.n_components
+
+
+def test_bfs_rejects_copy_closed_early(monkeypatch):
+    """A mutant _bfs_close that closes a copy after 2s - 1 expansions leaves
+    copies open at the end, and the build says so instead of returning."""
+    src = inspect.getsource(gb._bfs_close)
+    assert src.count("size = 2 * ctx.s\n") == 1
+    ns = dict(vars(gb))
+    exec(compile(src.replace("size = 2 * ctx.s\n", "size = 2 * ctx.s - 1\n"),
+                 gb.__file__, "exec"), ns)
+    monkeypatch.setattr(gb, "_bfs_close", ns["_bfs_close"])
+    with pytest.raises(gb.BuildError, match="not closed"):
+        gb.build_component(SpaceCtx(3, 1))
+
+
+def test_bfs_rejects_row_with_vertex_twice_per_copy(monkeypatch):
+    """A copy builder that lists each member twice puts v 2 m0 = 8 times into
+    its concatenated row at (3,1), and the build rejects the row."""
+    real = gb.clique_copy_vertices
+    monkeypatch.setattr(gb, "clique_copy_vertices",
+                        lambda ctx, h, sl: real(ctx, h, sl) * 2)
+    with pytest.raises(gb.BuildError, match="occurs 8 times"):
+        gb.build_component(SpaceCtx(3, 1))
