@@ -422,7 +422,11 @@ def main(argv=None) -> int:
         except Exception as e:
             sys.stderr.write(f"invalid parameters: {e}\n")
             return 2
-    return _COMMANDS[cfg.command](cfg)
+    try:
+        return _COMMANDS[cfg.command](cfg)
+    except graphbuild.CapError as e:
+        sys.stderr.write(f"refused: {e}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,6 +32,10 @@ class BuildError(RuntimeError):
     pass
 
 
+class CapError(BuildError):
+    """A build refused because it would pass the vertex cap."""
+
+
 DEFAULT_CAP = 1 << 20
 
 
@@ -214,7 +218,7 @@ def _bfs_close(ctx: SpaceCtx, seeds: list[VTuple], cap: int,
                         j = index.get(w)
                         if j is None:
                             if len(vertices) >= cap:
-                                raise BuildError(
+                                raise CapError(
                                     f"vertex cap {cap} exceeded; raise --cap-vertices"
                                 )
                             j = len(vertices)
@@ -248,7 +252,7 @@ def build_component(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     """BFS closure of the base vertex under adjacency; vertex 0 is the base."""
     predicted = pencil.component_order(ctx)
     if predicted > cap:
-        raise BuildError(
+        raise CapError(
             f"predicted component order {predicted} exceeds cap {cap}"
         )
     vertices: list[VTuple] = []
@@ -265,7 +269,7 @@ def build_full(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     """All pencils over every A0, with per-component BFS; reports components."""
     total = pencil.total_pencil_count(ctx)
     if total > cap:
-        raise BuildError(f"full graph order {total} exceeds cap {cap}")
+        raise CapError(f"full graph order {total} exceeds cap {cap}")
     vertices: list[VTuple] = []
     index: dict[VTuple, int] = {}
     adj_rows: list[array] = []

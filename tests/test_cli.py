@@ -2,12 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilgraphs import _golden, cli
+from pencilgraphs import _golden, cli, graphbuild
 from pencilgraphs.cli import main
 
 
@@ -188,13 +191,55 @@ def test_report_passes_31(tmp_path):
      "d33bfd2a6de35f2d3b7852c664589c40f847aa91a3f4e571147e4f76a98b08ed"),
     (["aut", "-r", "4", "-s", "1"],
      "5c188a2e38432c11d78fdf61fc20fc06c520107b060741f351fa6cf41c4aa908"),
+    (["homog", "-r", "4", "-s", "1"],
+     "c01be42e1444fdfc47110406d6a31e0e5ba6ab0b5668d83af51ec8f87f1d6450"),
 ], ids=["report-3-1", "report-4-2", "build-3-1", "verify-4-1", "homog-4-2",
-        "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1"])
+        "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1", "homog-4-1"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"
     assert main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "-r", "4", "-s", "1", "--cap-vertices", "10"],
+    ["build", "-r", "4", "-s", "1", "--full", "--cap-vertices", "3000"],
+    ["verify", "-r", "9", "-s", "3"],
+], ids=["build-cap-10", "build-full-cap-3000", "verify-9-3"])
+def test_cap_refusal_exit_2(tmp_path, capsys, args):
+    """A build past the vertex cap is refused with one stderr line and exit
+    2, no traceback, and no --out file."""
+    out = tmp_path / "a.out"
+    assert main(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cap_refusal_from_the_command_line(tmp_path):
+    out = tmp_path / "a.out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pencilgraphs.cli", "build", "-r", "4", "-s",
+         "1", "--cap-vertices", "10", "--out", str(out)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "refused: predicted component order 2520 exceeds cap 10\n"
+    assert not out.exists()
+
+
+def test_internal_build_error_is_not_caught(monkeypatch):
+    """Only cap refusals exit 2; a broken invariant still raises."""
+    def broken(*args):
+        raise graphbuild.BuildError("vertex 0 occurs 3 times")
+
+    monkeypatch.setattr(graphbuild, "component", broken)
+    with pytest.raises(graphbuild.BuildError, match="occurs 3 times"):
+        main(["verify", "-r", "3", "-s", "1"])
 
 
 def test_out_write_is_atomic(tmp_path):

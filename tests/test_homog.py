@@ -1,7 +1,10 @@
 import json
 import tracemalloc
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import factorial
 
+import numpy as np
 import pytest
 
 from pencilgraphs import (autnr, cli, decomp, gf2, graphbuild as gb, homog,
@@ -36,7 +39,7 @@ def test_stabilizer_and_entry_perms_are_fiber_locked():
     """Without base movers the group cannot leave the initial-entry fiber."""
     ctx, g, gens = _setup((3, 1))
     partial = [p for _, p in gens.stabilizer + gens.entry_perms]
-    orb = homog.orbit(0, partial, lambda x, p: p[x])
+    orb = homog.vertex_orbit_of_base(g, partial)
     fiber = {i for i, v in enumerate(g.vertices) if v[0] == g.vertices[0][0]}
     assert orb == fiber
     assert len(orb) == 6
@@ -78,6 +81,90 @@ def test_h_property_fails_on_stabilizer_alone_41():
     for rep in reports:
         assert rep.copies_equivariant
         assert rep.orbit_size < rep.total
+        assert rep.ok is False
+
+
+@lru_cache(maxsize=None)
+def _cached_setup(case):
+    return _setup(case)
+
+
+def _arc_orbit_size(g, vperms) -> int:
+    """The literal reference: the orbit of the base arc among all 2|E| arcs
+    under the generators, arcs coded as a * n + b."""
+    n = len(g)
+    perms = np.array(vperms, dtype=np.int64)
+    v, u = homog.base_arc(g.ctx, g)
+    seen = np.zeros(n * n, dtype=bool)
+    frontier = np.array([v * n + u])
+    seen[frontier] = True
+    while frontier.size:
+        a, b = np.divmod(frontier, n)
+        new = []
+        for p in perms:
+            img = np.unique(p[a] * n + p[b])
+            img = img[~seen[img]]
+            seen[img] = True
+            new.append(img)
+        frontier = np.concatenate(new)
+    return int(np.count_nonzero(seen))
+
+
+def _subset(gens, families):
+    return homog.GeneratorSet(*(getattr(gens, f) if f in families else []
+                                for f in ("stabilizer", "entry_perms", "movers")))
+
+
+@pytest.mark.parametrize("case,stab_size,fiber_size", [
+    ((3, 1), 12, 72), ((4, 2), 36, 216), ((4, 1), 56, 9408),
+])
+def test_certificate_matches_arc_orbit(case, stab_size, fiber_size):
+    """The two-orbit certificate gives the arc orbit's size and verdict for
+    the full set, the stabilizer alone, and the stabilizer with the entry
+    permutations but no base movers."""
+    ctx, g, gens = _cached_setup(case)
+    total = 2 * g.edge_count()
+    for families, size in [
+        (("stabilizer", "entry_perms", "movers"), total),
+        (("stabilizer",), stab_size),
+        (("stabilizer", "entry_perms"), fiber_size),
+    ]:
+        subset = _subset(gens, families)
+        assert _arc_orbit_size(g, subset.vperms()) == size
+        for rep in homog.check_H_property(ctx, g, subset):
+            assert rep.copies_equivariant
+            assert (rep.orbit_size, rep.total) == (size, total)
+            assert rep.ok is (size == total)
+
+
+@pytest.mark.parametrize("case,cert,arcs", [((3, 1), 42, 42), ((4, 2), 210, 7560)])
+def test_certificate_without_stabilizer(case, cert, arcs):
+    """Entry permutations and base movers are transitive on the vertices but
+    give the neighbour orbit no generator that moves the base arc's head:
+    at (4,2) the certificate stays at 210 although the arc orbit is whole,
+    the documented one-sided limit."""
+    ctx, g, gens = _cached_setup(case)
+    subset = _subset(gens, ("entry_perms", "movers"))
+    assert _arc_orbit_size(g, subset.vperms()) == arcs
+    for rep in homog.check_H_property(ctx, g, subset):
+        assert rep.copies_equivariant
+        assert rep.orbit_size == cert
+        assert rep.ok is False
+
+
+def test_certificate_checks_equivariance():
+    """A transposition that is not an automorphism enlarges the vertex orbit
+    and so joins the certificate, whose equivariance check rejects it."""
+    ctx, g, gens = _cached_setup((3, 1))
+    far = next(x for x in range(1, len(g)) if not g.has_edge(0, x))
+    swap = list(range(len(g)))
+    swap[0], swap[far] = far, 0
+    assert not autnr._is_automorphism(g, swap)
+    bad = homog.GeneratorSet([("swap", tuple(swap))] + gens.stabilizer,
+                             gens.entry_perms, gens.movers)
+    for rep in homog.check_H_property(ctx, g, bad):
+        assert rep.orbit_size == rep.total
+        assert rep.copies_equivariant is False
         assert rep.ok is False
 
 
@@ -125,11 +212,62 @@ def test_extend_node_cap(monkeypatch):
         homog.extend_partial(g, partial)
 
 
-@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
-def test_clique_uh_spot_check_rho2(case):
+def _tuple_orbit(seed: tuple, gens) -> set[tuple]:
+    """Orbit of a vertex tuple under the generators, acting entrywise."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for p in gens:
+                img = tuple(p[x] for x in t)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("case,movers,size", [
+    ((3, 1), True, 42 * 24), ((4, 2), True, 630 * 24),
+    ((3, 1), False, 144), ((4, 2), False, 432),
+])
+def test_clique_copy_orbit_is_every_ordered_copy(case, movers, size):
+    """Claim (c) exactly over the clique copies at rho = 2: the ordered base
+    copy has ell0 * (2s)! images, so every bijection between two copies
+    extends to an automorphism.  Without the base movers it does not."""
+    ctx, g, gens = _cached_setup(case)
+    copies, _ = decomp.enumerate_clique_copies(ctx, g)
+    copy_sets = {frozenset(v) for v in copies.values()}
+    vperms = gens.vperms() if movers else [
+        p for _, p in gens.stabilizer + gens.entry_perms]
+    orb = _tuple_orbit(tuple(min(copies.values())), vperms)
+    assert all(frozenset(t) in copy_sets for t in orb)
+    assert len(orb) == size
+    assert (size == len(copies) * factorial(2 * ctx.s)) is movers
+
+
+@pytest.mark.parametrize("case,k4s", [((3, 1), 4), ((4, 2), 492)])
+def test_literal_k4_reading_of_claim_c(case, k4s):
+    """Read literally, claim (c) fails at (4,2): of the 492 K4s through the
+    base vertex only the m0 = 12 clique copies are maximal, and an
+    automorphism cannot map a maximal clique onto a K4 inside a larger
+    clique.  At (3,1) every K4 is a copy.  m0 = 2^r - 4, beside the
+    abstract's 2^(sigma+1), which agrees only at r = 3."""
     ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    assert homog.clique_uh_spot_check(ctx, g, pairs=2)
+    copies, _ = decomp.enumerate_clique_copies(ctx, g)
+    at_base = {frozenset(v) for v in copies.values() if 0 in v}
+    found = set()
+    for a, b, c in combinations(g.neighbors_of(0), 3):
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+            k4 = frozenset((0, a, b, c))
+            found.add(k4)
+            common = g.nbr_mask(0) & g.nbr_mask(a) & g.nbr_mask(b) & g.nbr_mask(c)
+            assert (common == 0) == (k4 in at_base)
+    assert len(found) == k4s
+    assert at_base <= found and len(at_base) == ctx.m0 == 2 ** ctx.r - 4
+    assert (ctx.m0 == 2 ** (ctx.sigma + 1)) == (ctx.r == 3)
 
 
 def test_witness_absent_for_31():
