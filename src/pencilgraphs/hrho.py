@@ -5,10 +5,17 @@ b[x] = image of x for x in 1..2^rho-1.  Composition is left to right:
 (p * q)(x) = q(p(x)), computed as one ``bytes.translate`` call with q (padded
 to 256 entries) as the table.  The generators are the involutions p(Q, a)
 that fix a hyperplane Q pointwise and map x to a^x off Q.
+
+Each p(Q, a) is GF(2)-linear, so the group they generate lies in GL(rho, 2).
+``build_group`` checks that of every generator, and then its BFS closure may
+stop as soon as it holds |GL(rho, 2)| = ``group_order_formula(rho)``
+elements: a subgroup of that order is the whole of GL(rho, 2).  This is the
+usual order bound of the orbit algorithm.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -437,9 +444,29 @@ class GroupStore:
 GROUP_CAP = 1 << 22
 
 
+def _check_linear(g: bytes) -> None:
+    """Raise unless g is a permutation fixing 0 and GF(2)-linear.
+
+    g[x] == g[lowest bit of x] ^ g[rest of x] for every x is additivity,
+    checked one bit at a time, and over GF(2) additivity is linearity.
+    """
+    if sorted(g) != list(range(len(g))) or g[0] != 0:
+        raise HrhoError("generator is not a permutation fixing 0")
+    for x in range(1, len(g)):
+        if g[x] != g[x & -x] ^ g[x & (x - 1)]:
+            raise HrhoError(f"generator is not linear at point {x}")
+
+
 @lru_cache(maxsize=None)
 def build_group(rho: int) -> GroupStore:
-    """BFS closure of the p(Q, a) generators; also yields Cayley distances."""
+    """BFS closure of the p(Q, a) generators; also yields Cayley distances.
+
+    Every generator is checked to be linear, so the closure lies in
+    GL(rho, 2), and the BFS stops the moment it holds |GL(rho, 2)| elements:
+    then it is all of GL(rho, 2), and expanding further finds nothing new.
+    Each distance is fixed when its element is first found, so stopping
+    early changes neither the elements, their order nor their distances.
+    """
     expected = group_order_formula(rho)
     if expected > GROUP_CAP:
         raise HrhoError(
@@ -447,6 +474,8 @@ def build_group(rho: int) -> GroupStore:
             "use the coset machinery for rho >= 5"
         )
     gens = generators(rho)
+    for _, _, g in gens:
+        _check_linear(g)
     tables = [translate_table(g) for _, _, g in gens]
     ident = identity(rho)
     elements = [ident]
@@ -454,7 +483,7 @@ def build_group(rho: int) -> GroupStore:
     distance = [0]
     frontier = [ident]
     depth = 0
-    while frontier:
+    while frontier and len(elements) < expected:
         depth += 1
         nxt = []
         for p in frontier:
@@ -464,6 +493,8 @@ def build_group(rho: int) -> GroupStore:
                     index[q] = len(elements)
                     elements.append(q)
                     nxt.append(q)
+            if len(elements) == expected:
+                break
         distance += [depth] * len(nxt)
         frontier = nxt
     if len(elements) != expected:
@@ -476,8 +507,9 @@ def build_group(rho: int) -> GroupStore:
 def check_distance_law(store: GroupStore) -> bool:
     """log2(1 + #fixed) + d == rho for every element."""
     rho = store.rho
+    ident = identity(rho)
     for p, d in zip(store.elements, store.distance):
-        f = sum(1 for x in range(1, len(p)) if p[x] == x)
+        f = sum(map(operator.eq, p, ident)) - 1  # every element fixes 0
         if (1 + f).bit_count() != 1 or (1 + f).bit_length() - 1 + d != rho:
             return False
     return True

@@ -14,6 +14,12 @@ left coset of K exactly when g^-1(n) = h^-1(n) and g^-1(L) = h^-1(L).  The
 label ``h.translate(_label_table(rho))`` marks each point x by whether h(x)
 is n, lies in L, or neither, so it encodes both preimages in one bytes object.
 
+The walk reads each label with one translate.  For every generator table t
+it precomposes ``lt = t.translate(label)``, the table of "apply the
+generator, then label", so the label of the product g * t is
+``g.translate(lt)``.  The product itself is still formed, as the new
+representative or for the membership check below.
+
 The argument is still checked as the walk runs: on every label hit the
 product rep^-1 * h is looked up in K, and a miss raises HrhoError, so a flaw
 in it fails loudly instead of miscounting.  The number of cosets found is
@@ -43,21 +49,23 @@ def coset_reps_heavy(rho: int) -> list[bytes]:
     """One representative per left coset of the doubled subgroup."""
     K = _k_set(rho)
     label = _label_table(rho)
+    pad = bytes(range(1 << rho, 256))  # h + pad == translate_table(h)
     tables = [hrho.translate_table(g) for _, _, g in hrho.generators(rho)]
+    steps = [(t, t.translate(label)) for t in tables]  # see module docstring
     ident = hrho.identity(rho)
     reps = {ident.translate(label): (ident, ident)}  # label -> (rep, rep^-1)
     frontier = [ident]
     while frontier:
         nxt = []
         for g in frontier:
-            for t in tables:
-                h = g.translate(t)
-                key = h.translate(label)
+            for t, lt in steps:
+                key = g.translate(lt)
                 hit = reps.get(key)
                 if hit is None:
+                    h = g.translate(t)
                     reps[key] = (h, hrho.inverse(h))
                     nxt.append(h)
-                elif hrho.compose(hit[1], h) not in K:
+                elif hit[1].translate(g.translate(t) + pad) not in K:
                     raise hrho.HrhoError(
                         "two elements share a coset label but lie in "
                         "different cosets of the doubled subgroup"
@@ -79,7 +87,13 @@ def order_by_cosets(rho: int) -> tuple[int, int]:
 
 
 def census_heavy(rho: int):
-    """Super-type census over all cosets, distances via the fixed-point law."""
+    """Super-type census over all cosets, distances via the fixed-point law.
+
+    Per coset, each element's row of per-point cycle lengths becomes a row
+    of how many points lie on cycles of each length (one ``np.bincount``).
+    Those rows take only a dozen or so distinct values per coset, and only
+    the distinct ones are turned into super-types in Python.
+    """
     import numpy as np
 
     K = hrho.build_group(rho - 1)
@@ -88,34 +102,36 @@ def census_heavy(rho: int):
     )
     reps = coset_reps_heavy(rho)
     n = (1 << rho) - 1
-    ident = np.arange(n + 1, dtype=np.uint8)
+    # Row i of a coset's elements lives at flat positions i*(n+1) .. i*(n+1)+n,
+    # so one flat gather applies every element to its own row of points, and
+    # cycle lengths land in bins of their own row.
+    offsets = np.arange(len(doubled))[:, None] * (n + 1)
+    start = np.arange(n + 1) + offsets
+    row_bytes = np.dtype((np.void, n + 1))
     census: dict[tuple, tuple[int, int]] = {}
     for r in reps:
         rarr = np.frombuffer(r, dtype=np.uint8)
         batch = rarr[doubled]  # apply doubled element, then the rep
+        step = (batch + offsets).ravel()
         lens = np.zeros_like(batch)
-        cur = batch.copy()
+        cur = step.reshape(batch.shape)
         for k in range(1, n + 1):
-            hit = (cur == ident) & (lens == 0)
-            lens[hit] = k
+            lens[(cur == start) & (lens == 0)] = k
             if lens[:, 1:].all():
                 break
-            cur = np.take_along_axis(batch, cur, axis=1)
-        lens = lens[:, 1:]
-        sigs, counts = np.unique(lens, axis=0, return_counts=True)
-        for sig, cnt in zip(sigs, counts):
-            st = []
-            fixed = 0
-            for ell in range(1, n + 1):
-                pts = int((sig == ell).sum())
-                if pts == 0:
-                    continue
-                if ell == 1:
-                    fixed = pts
-                    continue
-                st.append((ell, pts // ell))
+            cur = step[cur]
+        hist = np.bincount(
+            (lens[:, 1:] + offsets).ravel(), minlength=lens.size
+        ).reshape(len(lens), n + 1).astype(np.uint8)
+        _, first, counts = np.unique(
+            hist.view(row_bytes).ravel(), return_index=True, return_counts=True
+        )
+        for i, cnt in zip(first, counts):
+            row = hist[i].tolist()
+            st = [(ell, pts // ell) for ell, pts in enumerate(row)
+                  if ell > 1 and pts]
             key = tuple(st) if st else ((1, 1),)
-            d = rho - (1 + fixed).bit_length() + 1
+            d = rho - (1 + row[1]).bit_length() + 1
             if key in census:
                 d0, c0 = census[key]
                 if d0 != d:
@@ -124,4 +140,3 @@ def census_heavy(rho: int):
             else:
                 census[key] = (d, int(cnt))
     return census
-

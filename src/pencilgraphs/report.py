@@ -102,8 +102,8 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
                     for st, (d, c) in census.items()}
         checks.append(_check("aux_census", got_rows == _golden.TABLE1[rho],
                              _golden.TABLE1[rho], got_rows))
-        checks.append(_check("distance_law", hrho.check_distance_law(store),
-                             True, hrho.check_distance_law(store)))
+        law = hrho.check_distance_law(store)
+        checks.append(_check("distance_law", law, True, law))
         jd = hrho.perm_display(hrho.j_rho(rho))
         checks.append(_check("farthest_element",
                              jd == _golden.J_DISPLAYS[rho]

@@ -193,8 +193,15 @@ def test_report_passes_31(tmp_path):
      "5c188a2e38432c11d78fdf61fc20fc06c520107b060741f351fa6cf41c4aa908"),
     (["homog", "-r", "4", "-s", "1"],
      "c01be42e1444fdfc47110406d6a31e0e5ba6ab0b5668d83af51ec8f87f1d6450"),
+    (["census", "--rho", "4"],
+     "19c4c3654ab84a33d7b962e3042d0a3c1ff931db1e6a4d5256cad01acfa810f5"),
+    (["hrho", "--rho", "4"],
+     "fd4bb29e0beac8f6ece7398955b52c88128ad2173d17070b9f7a217975f8557c"),
+    (["hrho", "--rho", "5"],
+     "58f5222e1e5080224c2576475e36a791b6433616b99d1273fd26c0eb75890aba"),
 ], ids=["report-3-1", "report-4-2", "build-3-1", "verify-4-1", "homog-4-2",
-        "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1", "homog-4-1"])
+        "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1", "homog-4-1",
+        "census-4", "hrho-4", "hrho-5"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"

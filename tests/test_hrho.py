@@ -287,6 +287,76 @@ def test_compose_matches_literal_definition(n, data):
     assert hrho.compose(p, q) == bytes(q[x] for x in p)
 
 
+def _full_bfs(rho):
+    """The literal closure: expand every element by every generator."""
+    gens = [g for _, _, g in hrho.generators(rho)]
+    ident = hrho.identity(rho)
+    elements, distance, seen = [ident], [0], {ident}
+    frontier, depth = [ident], 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = hrho.compose(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        elements += nxt
+        distance += [depth] * len(nxt)
+        frontier = nxt
+    return elements, distance
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4])
+def test_build_group_equals_full_bfs(rho):
+    """Stopping at |GL(rho, 2)| elements changes no element, order or
+    distance against the closure that expands everything."""
+    s = hrho.build_group(rho)
+    assert (s.elements, s.distance) == _full_bfs(rho)
+
+
+def test_build_group_rejects_nonlinear_generator(monkeypatch):
+    """Swapping 3 and 4 is a permutation of the points but not linear.  The
+    closure with it is larger than GL(3, 2), so an early stop at 168 elements
+    would be wrong; the generator check must refuse it first."""
+    swap = bytearray(hrho.identity(3))
+    swap[3], swap[4] = 4, 3
+    gens = hrho.generators(3) + [(0, 0, bytes(swap))]
+    monkeypatch.setattr(hrho, "generators", lambda rho: gens)
+    with pytest.raises(hrho.HrhoError, match="not linear"):
+        hrho.build_group.__wrapped__(3)
+
+
+def test_build_group_rejects_non_permutation(monkeypatch):
+    bad = bytes([0, 1, 1, 3, 4, 5, 6, 7])
+    gens = hrho.generators(3) + [(0, 0, bad)]
+    monkeypatch.setattr(hrho, "generators", lambda rho: gens)
+    with pytest.raises(hrho.HrhoError, match="not a permutation"):
+        hrho.build_group.__wrapped__(3)
+
+
+def _with_distance(store, i, d):
+    distance = list(store.distance)
+    distance[i] = d
+    return hrho.GroupStore(store.rho, store.elements, store.index, distance)
+
+
+@pytest.mark.parametrize("rho", [3, 4])
+def test_distance_law_sees_one_wrong_distance(rho):
+    store = hrho.build_group(rho)
+    j = store.index[hrho.j_rho(rho)]
+    assert not hrho.check_distance_law(_with_distance(store, j, rho - 1))
+    assert not hrho.check_distance_law(_with_distance(store, 0, 1))
+
+
+def test_table_census_rejects_two_distances_per_type():
+    store = hrho.build_group(3)
+    j = store.index[hrho.j_rho(3)]
+    with pytest.raises(hrho.HrhoError, match="not constant"):
+        hrho.table_census(_with_distance(store, j, 2))
+
+
 def test_build_group_pinned():
     """Elements, their order and their Cayley distances, as first computed."""
     s = hrho.build_group(4)
@@ -323,3 +393,20 @@ def test_coset_reps_heavy_checks_membership(monkeypatch):
     monkeypatch.setattr(hrho_heavy, "_k_set", lambda rho: stab)
     with pytest.raises(hrho.HrhoError):
         hrho_heavy.coset_reps_heavy(3)
+
+
+@pytest.mark.parametrize("rho", [3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_precomposed_label_table(rho, data):
+    """The label of g * t read through the precomposed table t.translate(label)
+    equals the label of the product."""
+    label = hrho_heavy._label_table(rho)
+    g = bytes(data.draw(st.permutations(range(1 << rho))))
+    t = hrho.translate_table(bytes(data.draw(st.permutations(range(1 << rho)))))
+    assert g.translate(t.translate(label)) == g.translate(t).translate(label)
+
+
+@pytest.mark.parametrize("rho", [3, 4])
+def test_census_heavy_matches_table_census(rho):
+    assert hrho_heavy.census_heavy(rho) == hrho.table_census(hrho.build_group(rho))
