@@ -4,6 +4,9 @@ Every edge lies in exactly one copy of each family; a clique copy is a
 hyperplane slice shared by its 2s vertices, and a Turan copy is anchored by
 any of its vertices via the pivot-orbit construction of its parts.
 
+The clique copies are not searched for here: the build makes each one once
+and keeps it on the graph, and the check reads them from there.
+
 Each Turan copy is found once.  A copy spans a (sigma+1)-subspace W: its t
 parts are labelled by the t sigma-subspaces of W, so the vertex set fixes W.
 A vertex x lies in at most one copy of a given W, the one anchored at
@@ -200,22 +203,13 @@ class DecompReport:
 
 
 def enumerate_clique_copies(ctx: SpaceCtx, g: PencilGraph):
-    """copy id -> sorted vertex-index tuple, discovered from every vertex."""
-    cached = getattr(g, "_clique_copy_cache", None)
-    if cached is not None:
-        return cached
-    copies: dict[tuple, tuple[int, ...]] = {}
+    """The clique copies kept by the build, (h,) + slice -> sorted vertex
+    ids in closing order, plus per-vertex incidence counted from members."""
     incidence = [0] * len(g.vertices)
-    for vi, v in enumerate(g.vertices):
-        for h, sl in graphbuild.clique_slices(ctx, v):
-            key = (h,) + sl
-            incidence[vi] += 1
-            if key not in copies:
-                verts = graphbuild.clique_copy_vertices(ctx, h, sl)
-                idx = tuple(sorted(g.index[w] for w in verts))
-                copies[key] = idx
-    g._clique_copy_cache = (copies, incidence)
-    return copies, incidence
+    for ids in g.clique_copies.values():
+        for x in ids:
+            incidence[x] += 1
+    return g.clique_copies, incidence
 
 
 def enumerate_turan_copies(ctx: SpaceCtx, g: PencilGraph):

@@ -84,8 +84,10 @@ class SpaceCtx:
     sigma: int
 
     def __post_init__(self):
-        if self.r < 3:
-            raise Gf2Error(f"r must be >= 3, got {self.r}")
+        # points are bytes in the frontier keys, and homog has primitive
+        # polynomials up to r = 8, the paper's largest r
+        if not 3 <= self.r <= 8:
+            raise Gf2Error(f"r must be in 3..8, got {self.r}")
         if not 0 < self.sigma <= self.r - 2:
             raise Gf2Error(f"sigma must be in (0, r-1), got {self.sigma}")
 

@@ -9,10 +9,15 @@ point of slice entry i.  Those least points do not depend on the block that
 extends U0 to A0, so they are found once per copy, and each of the 2s pencils
 is one itemgetter gather from its A0's point-to-coset table.
 
-The BFS build does not call neighbors(v) per vertex: it builds each clique
-copy once, when its first member is expanded, keeps the copy's vertex ids
-until all 2s members have been expanded, and takes each row as the union of
-the vertex's m0 copies minus the vertex itself.
+The component BFS does not call neighbors(v) per vertex: it builds each
+clique copy once, when its first member is expanded, takes each row as the
+union of the vertex's m0 copies minus the vertex itself, and keeps every
+copy, with its member ids, on the graph for decomp.
+
+Each component is one GL(r,2)-orbit, and relabelling the entry positions of
+every pencil commutes with GL(r,2) and preserves adjacency, so the full graph
+is (2^rho - 1)!/|GL(rho,2)| relabelled copies of the base component; it is
+built that way, with no BFS of its own.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 from operator import itemgetter
 
 from pencilgraphs import gf2, pencil
@@ -129,6 +135,8 @@ class PencilGraph:
     adj: array  # flat, stride = degree
     degree: int
     is_component: bool
+    # key (h,) + slice -> sorted ids of the copy's 2s members
+    clique_copies: dict[tuple, tuple[int, ...]] = field(repr=False)
     component_id: array | None = None
     n_components: int = 1
     _nbr_masks: list[int] | None = field(default=None, repr=False)
@@ -181,28 +189,29 @@ class PencilGraph:
         return pencil.display(self.vertices[i])
 
 
-def _bfs_close(ctx: SpaceCtx, seeds: list[VTuple], cap: int,
-               vertices: list[VTuple], index: dict[VTuple, int],
-               adj_rows: list[array]) -> list[int]:
-    """Deterministic BFS closure; returns the new vertex indices.
+def build_component(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
+    """Deterministic BFS closure of the base vertex; vertex 0 is the base.
 
     A vertex's row is the union of its m0 clique copies minus itself.  The
     first of a copy's 2s members to be expanded builds it and gives its new
     members ids, in the copy-then-vertex order of neighbors(v); the copy then
-    stays open, keyed by (h,) + slice, until all 2s members are expanded.
-    Numbering and rows are those of a BFS that calls neighbors(v) per vertex.
+    stays open, keyed by (h,) + slice, until all 2s members are expanded, and
+    is kept, with its sorted ids, in clique_copies.  Numbering and rows are
+    those of a BFS that calls neighbors(v) per vertex.
     """
+    predicted = pencil.component_order(ctx)
+    if predicted > cap:
+        raise CapError(
+            f"predicted component order {predicted} exceeds cap {cap}"
+        )
     size = 2 * ctx.s
+    base = pencil.base_vertex_tuple(ctx)
+    vertices = [base]
+    index = {base: 0}
+    adj_rows: list[array | None] = [None]
     open_copies: dict[tuple, list] = {}  # key -> [member ids, expansions]
-    new_ids = []
-    frontier = []
-    for s in seeds:
-        if s not in index:
-            index[s] = len(vertices)
-            vertices.append(s)
-            adj_rows.append(None)
-            new_ids.append(index[s])
-            frontier.append(s)
+    copies: dict[tuple, tuple[int, ...]] = {}
+    frontier = [base]
     while frontier:
         frontier.sort(key=pencil.encode_tuple)
         next_frontier = []
@@ -225,13 +234,13 @@ def _bfs_close(ctx: SpaceCtx, seeds: list[VTuple], cap: int,
                             index[w] = j
                             vertices.append(w)
                             adj_rows.append(None)
-                            new_ids.append(j)
                             next_frontier.append(w)
                         ids.append(j)
                     copy = open_copies[key] = [ids, 0]
                 copy[1] += 1
                 if copy[1] == size:
                     del open_copies[key]
+                    copies[key] = tuple(sorted(copy[0]))
                 row += copy[0]
             row.sort()
             lo, hi = bisect_left(row, i), bisect_right(row, i)
@@ -245,52 +254,55 @@ def _bfs_close(ctx: SpaceCtx, seeds: list[VTuple], cap: int,
         raise BuildError(
             f"{len(open_copies)} clique copies not closed by {size} expansions"
         )
-    return new_ids
-
-
-def build_component(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
-    """BFS closure of the base vertex under adjacency; vertex 0 is the base."""
-    predicted = pencil.component_order(ctx)
-    if predicted > cap:
-        raise CapError(
-            f"predicted component order {predicted} exceeds cap {cap}"
-        )
-    vertices: list[VTuple] = []
-    index: dict[VTuple, int] = {}
-    adj_rows: list[array] = []
-    _bfs_close(ctx, [pencil.base_vertex_tuple(ctx)], cap, vertices, index, adj_rows)
     flat = array("i")
     for row in adj_rows:
         flat.extend(row)
-    return PencilGraph(ctx, vertices, index, flat, ctx.degree, True)
+    return PencilGraph(ctx, vertices, index, flat, ctx.degree, True, copies)
 
 
 def build_full(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
-    """All pencils over every A0, with per-component BFS; reports components."""
+    """All pencils: the base component relabelled by entry permutations.
+
+    Relabelling the entry positions of every pencil by one permutation pi
+    preserves adjacency, so pi maps the base component onto a component.
+    The permutations are walked in itertools order, and each pi that sends
+    the base vertex to a new pencil appends one copy: the base vertices
+    relabelled, in base order, with the base rows, clique copies and ids
+    shifted by the copy's offset.
+    """
     total = pencil.total_pencil_count(ctx)
     if total > cap:
         raise CapError(f"full graph order {total} exceeds cap {cap}")
+    base = component(ctx.r, ctx.sigma, cap)
+    n = len(base)
+    v0 = base.vertices[0]
     vertices: list[VTuple] = []
     index: dict[VTuple, int] = {}
-    adj_rows: list[array] = []
-    comp_of: dict[int, int] = {}
-    n_comp = 0
-    for a0 in gf2.subspace_masks(ctx.r, ctx.sigma):
-        for seed in pencil.tuples_through(ctx, a0):
-            if seed in index:
-                continue
-            new_ids = _bfs_close(ctx, [seed], cap, vertices, index, adj_rows)
-            for i in new_ids:
-                comp_of[i] = n_comp
-            n_comp += 1
-    if len(vertices) != total:
-        raise BuildError(f"full graph has {len(vertices)} pencils, expected {total}")
-    flat = array("i")
-    for row in adj_rows:
-        flat.extend(row)
-    comp = array("i", (comp_of[i] for i in range(len(vertices))))
-    return PencilGraph(ctx, vertices, index, flat, ctx.degree, False,
-                       component_id=comp, n_components=n_comp)
+    adj = array("i")
+    comp = array("i")
+    copies: dict[tuple, tuple[int, ...]] = {}
+    # 2s >= 4 members and m1 >= 3 entries, so each itemgetter below returns
+    # a tuple, never one item; a copy's ids are gathered from the same int
+    # objects as the index values
+    members = [(key, itemgetter(*ids))
+               for key, ids in base.clique_copies.items()]
+    for perm in permutations(range(1, ctx.m1 + 1)):
+        pick = itemgetter(*perm)
+        if (v0[0],) + pick(v0) in index:
+            continue
+        off = len(vertices)
+        ids = list(range(off, off + n))
+        vertices += [(v[0],) + pick(v) for v in base.vertices]
+        index.update(zip(vertices[off:], ids))
+        adj.extend(map(off.__add__, base.adj))
+        comp.extend(array("i", [off // n]) * n)
+        for key, gather in members:
+            copies[key[:2] + pick(key[1:])] = gather(ids)
+    if not len(vertices) == len(index) == total:
+        raise BuildError(f"relabelled copies hold {len(vertices)} pencils, "
+                         f"{len(index)} distinct, expected {total}")
+    return PencilGraph(ctx, vertices, index, adj, ctx.degree, False, copies,
+                       component_id=comp, n_components=len(vertices) // n)
 
 
 def component_sizes(g: PencilGraph) -> list[int]:

@@ -6,9 +6,6 @@ These are the graph vertices, each a plain tuple of bitmasks
 
 from __future__ import annotations
 
-from itertools import permutations
-from typing import Iterator
-
 from pencilgraphs import gf2
 from pencilgraphs.gf2 import SpaceCtx
 
@@ -42,12 +39,6 @@ def base_vertex_tuple(ctx: SpaceCtx) -> VTuple:
     a0 = (1 << (1 << ctx.sigma)) - 2
     masks, _ = gf2.coset_table(ctx.r, a0)
     return (a0,) + tuple(masks)
-
-
-def tuples_through(ctx: SpaceCtx, a0_mask: int) -> Iterator[VTuple]:
-    masks, _ = gf2.coset_table(ctx.r, a0_mask)
-    for perm in permutations(masks):
-        yield (a0_mask,) + perm
 
 
 _KEY_CACHE: dict[int, bytes] = {}

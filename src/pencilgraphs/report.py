@@ -53,17 +53,16 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
                              got == {"v": ev, "u": eu, "U": eU},
                              {"v": ev, "u": eu, "U": eU}, got))
 
-    # 3: decomposition
-    if "ell0" in data:
-        rep = decomp.verify_decomposition(ctx, g)
-        ok = (rep.ok and rep.ell0 == data["ell0"] and rep.ell1 == data["ell1"]
-              and rep.m0 == data["m0"] and rep.m1 == data["m1"])
-        checks.append(_check(
-            "decomposition", ok,
-            {k: data[k] for k in ("ell0", "ell1", "m0", "m1")},
-            {"ell0": rep.ell0, "ell1": rep.ell1, "m0": rep.m0,
-             "m1": rep.m1, "ok": rep.ok, "failures": rep.failures},
-            notes=rep.count_note))
+    # 3: decomposition; closed-form counts where no golden row exists
+    n = pencil.component_order(ctx)
+    exp = {"ell0": data.get("ell0", ((1 << sigma) - 1) * n),
+           "ell1": data.get("ell1", ctx.m1 * n // (ctx.s * ctx.t)),
+           "m0": data.get("m0", ctx.m0), "m1": data.get("m1", ctx.m1)}
+    rep = decomp.verify_decomposition(ctx, g)
+    got = {"ell0": rep.ell0, "ell1": rep.ell1, "m0": rep.m0, "m1": rep.m1}
+    checks.append(_check(
+        "decomposition", rep.ok and got == exp, exp,
+        dict(got, ok=rep.ok, failures=rep.failures), notes=rep.count_note))
 
     # 4: copy lists at the base vertex
     if case in _golden.CLIQUE_COPIES_AT_BASE:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilgraphs import _golden, cli, graphbuild
+from pencilgraphs import _golden, cli, graphbuild, report
 from pencilgraphs.cli import main
 
 
@@ -172,6 +172,21 @@ def test_report_passes_31(tmp_path):
     assert data["failed_checks"] == []
 
 
+def test_report_decomposition_without_golden_row(monkeypatch):
+    """With no golden row the decomposition check expects the closed forms
+    ell0 = (2^sigma - 1) n and ell1 = m1 n / (s t), and the (3,1) entry
+    reads as with the golden row: 42 and 21."""
+    def decomposition():
+        return next(c for c in report.acceptance_report(3, 1)["checks"]
+                    if c["check"] == "decomposition")
+
+    golden = decomposition()
+    monkeypatch.delitem(_golden.CASE_DATA, (3, 1))
+    assert decomposition() == golden
+    assert golden["status"] == "PASS"
+    assert (golden["expected"]["ell0"], golden["expected"]["ell1"]) == (42, 21)
+
+
 @pytest.mark.parametrize("args,sha256", [
     (["report", "-r", "3", "-s", "1"],
      "488d8f3f4e86ea521ec75ae1968dce431bf577400027f2c8661528c982618200"),
@@ -212,8 +227,8 @@ def test_artifact_digests_pinned(tmp_path, args, sha256):
 @pytest.mark.parametrize("args", [
     ["build", "-r", "4", "-s", "1", "--cap-vertices", "10"],
     ["build", "-r", "4", "-s", "1", "--full", "--cap-vertices", "3000"],
-    ["verify", "-r", "9", "-s", "3"],
-], ids=["build-cap-10", "build-full-cap-3000", "verify-9-3"])
+    ["verify", "-r", "8", "-s", "3"],
+], ids=["build-cap-10", "build-full-cap-3000", "verify-8-3"])
 def test_cap_refusal_exit_2(tmp_path, capsys, args):
     """A build past the vertex cap is refused with one stderr line and exit
     2, no traceback, and no --out file."""
@@ -223,6 +238,18 @@ def test_cap_refusal_exit_2(tmp_path, capsys, args):
     assert captured.out == ""
     assert captured.err.startswith("refused: ")
     assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_r_past_8_is_invalid(tmp_path, capsys):
+    """r = 9 passes the vertex cap at sigma = 7 (260,610 vertices), but
+    points past 255 do not fit the build's byte keys: the parameters are
+    refused before any build, with exit 2 and one stderr line."""
+    out = tmp_path / "a.out"
+    assert main(["build", "-r", "9", "-s", "7", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid parameters: r must be in 3..8, got 9\n"
     assert list(tmp_path.iterdir()) == []
 
 

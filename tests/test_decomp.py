@@ -158,10 +158,11 @@ def test_edge_double_cover_arithmetic():
 
 
 def _tampered(case):
-    """A freshly built graph whose copy caches are filled and safe to edit.
+    """A freshly built graph whose kept clique copies and Turan copy cache
+    are safe to edit.
 
     The lru-cached ``graphbuild.component`` is not used, so editing the
-    caches cannot leak into other tests.
+    copies cannot leak into other tests.
     """
     ctx = SpaceCtx(*case)
     g = gb.build_component(ctx)
@@ -270,14 +271,35 @@ def test_verify_rejects_turan_parts_swapped(case):
 
 
 @pytest.mark.parametrize("case", [(3, 1), (4, 2)])
-def test_verify_rejects_wrong_incidence(case):
+def test_verify_rejects_wrong_incidence(monkeypatch, case):
     ctx, g, _, _ = _tampered(case)
-    g._clique_copy_cache[1][0] += 1
+    real = decomp.enumerate_clique_copies
+
+    def bumped(ctx, g):
+        copies, incidence = real(ctx, g)
+        incidence[0] += 1
+        return copies, incidence
+
+    monkeypatch.setattr(decomp, "enumerate_clique_copies", bumped)
     g._turan_copy_cache[1][-1] -= 1
     rep = decomp.verify_decomposition(ctx, g)
     assert rep.ok is False
     assert "clique incidence not m0 at every vertex" in rep.failures
     assert "Turan incidence not m1 at every vertex" in rep.failures
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+def test_clique_incidence_is_counted_from_members(case):
+    """A kept copy that loses a member lowers that vertex's incidence."""
+    ctx, g, cliques, _ = _tampered(case)
+    key = next(iter(cliques))
+    x = cliques[key][0]
+    cliques[key] = cliques[key][1:]
+    incidence = decomp.enumerate_clique_copies(ctx, g)[1]
+    assert incidence[x] == ctx.m0 - 1
+    assert incidence.count(ctx.m0) == len(g) - 1
+    rep = decomp.verify_decomposition(ctx, g)
+    assert "clique incidence not m0 at every vertex" in rep.failures
 
 
 @pytest.mark.parametrize("case", [(3, 1), (4, 2)])

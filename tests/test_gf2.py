@@ -15,7 +15,7 @@ def test_ctx_derived_values():
     assert ctx.m1 * (1 << ctx.sigma) + (1 << ctx.sigma) - 1 == ctx.n
 
 
-@pytest.mark.parametrize("r,sigma", [(2, 1), (3, 0), (3, 3), (4, 3)])
+@pytest.mark.parametrize("r,sigma", [(2, 1), (3, 0), (3, 3), (4, 3), (9, 7)])
 def test_ctx_rejects_bad_parameters(r, sigma):
     with pytest.raises(gf2.Gf2Error):
         SpaceCtx(r, sigma)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import os
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from array import array
 from dataclasses import replace
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -290,18 +292,14 @@ def test_gathered_neighbors_match_literal_lookup(r, sigma):
         assert gb.neighbors(ctx, v) == literal
 
 
-def _literal_bfs_close(ctx, seeds, cap, vertices, index, adj_rows):
-    """Reference: the BFS that calls neighbors(v) per vertex and looks up
-    each neighbour's id."""
-    new_ids = []
-    frontier = []
-    for s in seeds:
-        if s not in index:
-            index[s] = len(vertices)
-            vertices.append(s)
-            adj_rows.append(None)
-            new_ids.append(index[s])
-            frontier.append(s)
+def _literal_bfs(ctx, seed, vertices, index, adj_rows):
+    """Reference: the BFS from seed that calls neighbors(v) per vertex and
+    looks up each neighbour's id; returns the new vertex ids."""
+    index[seed] = len(vertices)
+    vertices.append(seed)
+    adj_rows.append(None)
+    new_ids = [index[seed]]
+    frontier = [seed]
     while frontier:
         frontier.sort(key=encode_tuple)
         next_frontier = []
@@ -322,34 +320,122 @@ def _literal_bfs_close(ctx, seeds, cap, vertices, index, adj_rows):
     return new_ids
 
 
+def _literal_build(ctx, full):
+    """Reference: (vertices, flat rows, component ids, component count) of
+    the component, or of the full graph by one literal BFS per component,
+    seeded at each pencil in A0-then-ordering order."""
+    vertices, index, adj_rows = [], {}, []
+    if not full:
+        _literal_bfs(ctx, pencil.base_vertex_tuple(ctx), vertices, index,
+                     adj_rows)
+        return vertices, array("i", chain(*adj_rows)), None, 1
+    comp_of, n_comp = {}, 0
+    for a0 in gf2.subspace_masks(ctx.r, ctx.sigma):
+        for perm in permutations(gf2.coset_table(ctx.r, a0)[0]):
+            seed = (a0,) + perm
+            if seed not in index:
+                for i in _literal_bfs(ctx, seed, vertices, index, adj_rows):
+                    comp_of[i] = n_comp
+                n_comp += 1
+    comp = array("i", (comp_of[i] for i in range(len(vertices))))
+    return vertices, array("i", chain(*adj_rows)), comp, n_comp
+
+
 @pytest.mark.parametrize("r,sigma,full", [
     (3, 1, False), (4, 2, False), (4, 1, False), (5, 3, False),
     (3, 1, True), (4, 2, True)])
-def test_copy_once_bfs_matches_literal_bfs(monkeypatch, r, sigma, full):
+def test_copy_once_bfs_matches_literal_bfs(r, sigma, full):
     """The copy-once BFS numbers the vertices and fills the rows exactly as
-    a BFS over neighbors(v) does."""
+    a BFS over neighbors(v) does, and the relabelled full graph equals a
+    literal BFS per component."""
     ctx = SpaceCtx(r, sigma)
-    build = gb.build_full if full else gb.build_component
-    g = build(ctx)
-    monkeypatch.setattr(gb, "_bfs_close", _literal_bfs_close)
-    ref = build(ctx)
-    assert g.vertices == ref.vertices
-    assert g.adj == ref.adj
-    assert g.component_id == ref.component_id
-    assert g.n_components == ref.n_components
+    g = (gb.build_full if full else gb.build_component)(ctx)
+    vertices, adj, comp, n_comp = _literal_build(ctx, full)
+    assert g.vertices == vertices
+    assert g.adj == adj
+    assert g.component_id == comp
+    assert g.n_components == n_comp
 
 
-def test_bfs_rejects_copy_closed_early(monkeypatch):
-    """A mutant _bfs_close that closes a copy after 2s - 1 expansions leaves
-    copies open at the end, and the build says so instead of returning."""
-    src = inspect.getsource(gb._bfs_close)
-    assert src.count("size = 2 * ctx.s\n") == 1
+def _graph_digest(g):
+    h = hashlib.sha256()
+    for v in g.vertices:
+        h.update(encode_tuple(v))
+    h.update(",".join(map(str, g.adj)).encode())
+    h.update(",".join(map(str, g.component_id)).encode())
+    return h.hexdigest()
+
+
+def test_full_graph_41_digest_pinned():
+    """The (4,1) full graph, 30 relabelled copies of the base component, is
+    numbered as by the per-component BFS it replaced: vertices, rows and
+    component ids are pinned to that build's digest."""
+    g = gb.full_graph(4, 1)
+    assert (len(g), g.n_components) == (75600, 30)
+    assert _graph_digest(g) == (
+        "586aa4b8217329bba92630a7876885b639248fc2f8f90d0e57866b12ef94b96f")
+
+
+def _rediscovered_copies(ctx, g, ids):
+    """Reference: each clique copy through the vertices ids, found from
+    every one of its vertices there."""
+    copies = {}
+    for i in ids:
+        for h, sl in gb.clique_slices(ctx, g.vertices[i]):
+            members = tuple(sorted(
+                g.index[w] for w in gb.clique_copy_vertices(ctx, h, sl)))
+            assert copies.setdefault((h,) + sl, members) == members
+    return copies
+
+
+@pytest.mark.parametrize("r,sigma", [(3, 1), (4, 2), (4, 1), (5, 3)])
+def test_kept_clique_copies_match_rediscovery(r, sigma):
+    """The copies the build keeps are those found again from every vertex."""
+    ctx = SpaceCtx(r, sigma)
+    g = gb.component(r, sigma)
+    assert g.clique_copies == _rediscovered_copies(ctx, g, range(len(g)))
+    assert len(g.clique_copies) == ((1 << sigma) - 1) * len(g)
+
+
+def test_relabelled_clique_copies_match_rediscovery():
+    """In the (4,1) full graph, the copies relabelled into the last of the
+    30 components are those found again from its vertices."""
+    ctx = SpaceCtx(4, 1)
+    g = gb.full_graph(4, 1)
+    n = len(g) // g.n_components
+    last = range(len(g) - n, len(g))
+    kept = {k: ids for k, ids in g.clique_copies.items() if ids[0] in last}
+    assert kept == _rediscovered_copies(ctx, g, last)
+    assert len(g.clique_copies) == len(g)
+
+
+def _mutant(fn, old, new):
+    """fn recompiled in the graphbuild namespace with old replaced by new."""
+    src = inspect.getsource(fn)
+    assert src.count(old) == 1
     ns = dict(vars(gb))
-    exec(compile(src.replace("size = 2 * ctx.s\n", "size = 2 * ctx.s - 1\n"),
-                 gb.__file__, "exec"), ns)
-    monkeypatch.setattr(gb, "_bfs_close", ns["_bfs_close"])
+    exec(compile(src.replace(old, new), gb.__file__, "exec"), ns)
+    return ns[fn.__name__]
+
+
+def test_bfs_rejects_copy_closed_early():
+    """A mutant BFS that closes a copy after 2s - 1 expansions leaves
+    copies open at the end, and the build says so instead of returning."""
+    build = _mutant(gb.build_component, "size = 2 * ctx.s\n",
+                    "size = 2 * ctx.s - 1\n")
     with pytest.raises(gb.BuildError, match="not closed"):
-        gb.build_component(SpaceCtx(3, 1))
+        build(SpaceCtx(3, 1))
+
+
+@pytest.mark.parametrize("r,sigma", [(3, 1), (4, 2)])
+def test_full_build_rejects_overlapping_copies(r, sigma):
+    """A mutant build_full that relabels the base component under every
+    entry permutation, indexed base vertex or not, overlaps its copies, and
+    the count check refuses it."""
+    build = _mutant(gb.build_full, "in index:\n            continue\n",
+                    "in ():\n            continue\n")
+    with pytest.raises(gb.BuildError, match="distinct, expected"):
+        build(SpaceCtx(r, sigma))
 
 
 def test_bfs_rejects_row_with_vertex_twice_per_copy(monkeypatch):

@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -15,16 +15,24 @@ def test_base_vertex(r, sigma, display):
     assert pencil.display(pencil.base_vertex_tuple(SpaceCtx(r, sigma))) == display
 
 
+def _through(ctx, a0):
+    """The pencils with initial entry a0: each ordering of its cosets."""
+    return ((a0,) + p for p in permutations(gf2.coset_table(ctx.r, a0)[0]))
+
+
 def test_pencils_through_counts_and_order():
     ctx = SpaceCtx(3, 1)
-    ps = list(pencil.tuples_through(ctx, gf2.mask_of([1])))
+    ps = list(_through(ctx, gf2.mask_of([1])))
     assert len(ps) == 6
+    assert ps[0] == pencil.base_vertex_tuple(ctx)
     assert pencil.display(ps[0]) == "(1,23,45,67)"
     ctx = SpaceCtx(4, 2)
-    assert len(list(pencil.tuples_through(ctx, gf2.mask_of([1, 2, 3])))) == 6
+    assert len(list(_through(ctx, gf2.mask_of([1, 2, 3])))) == 6
     ctx = SpaceCtx(4, 1)
-    gen = pencil.tuples_through(ctx, gf2.mask_of([1]))
-    assert sum(1 for _ in gen) == 5040
+    ps = list(_through(ctx, gf2.mask_of([1])))
+    for p in ps:
+        pencil.validate(ctx, p)
+    assert len(set(ps)) == 5040
 
 
 def test_encode_orders_and_roundtrip():
@@ -35,7 +43,7 @@ def test_encode_orders_and_roundtrip():
 
     keys = []
     for a0 in gf2.subspace_masks(ctx.r, 1):
-        for p in pencil.tuples_through(ctx, a0):
+        for p in _through(ctx, a0):
             k = pencil.encode_tuple(p)
             assert pencil.decode(ctx, k) == p
             keys.append(k)
@@ -76,7 +84,7 @@ def test_total_and_component_counts():
 
 def test_entries_cover_everything():
     ctx = SpaceCtx(4, 2)
-    for p in islice(pencil.tuples_through(ctx, gf2.mask_of([1, 2, 3])), 6):
+    for p in islice(_through(ctx, gf2.mask_of([1, 2, 3])), 6):
         cover = p[0]
         for e in p[1:]:
             assert cover & e == 0
