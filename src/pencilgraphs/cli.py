@@ -260,7 +260,7 @@ def cmd_hrho(cfg: RunConfig) -> int:
 def cmd_census(cfg: RunConfig) -> int:
     rho = cfg.rho
     if rho >= 5 and not cfg.enable_heavy:
-        _emit(cfg, _json({"error": "rho = 5 census needs --enable-heavy"}))
+        sys.stderr.write("refused: the rho = 5 census needs --enable-heavy\n")
         return 2
     if rho <= 4:
         store = hrho.build_group(rho)

@@ -14,21 +14,20 @@ left coset of K exactly when g^-1(n) = h^-1(n) and g^-1(L) = h^-1(L).  The
 label ``h.translate(_label_table(rho))`` marks each point x by whether h(x)
 is n, lies in L, or neither, so it encodes both preimages in one bytes object.
 
-The walk reads each label with one translate.  For every generator table t
-it precomposes ``lt = t.translate(label)``, the table of "apply the
-generator, then label", so the label of the product g * t is
-``g.translate(lt)``.  The product itself is still formed, as the new
-representative or for the membership check below.
-
-The argument is still checked as the walk runs: on every label hit the
-product rep^-1 * h is looked up in K, and a miss raises HrhoError, so a flaw
-in it fails loudly instead of miscounting.  The number of cosets found is
-checked against ``hrho.coset_index_formula``.
+The walk reads the label of a product g * t as ``g.translate(lt)``, with
+``lt = t.translate(label)`` precomposed per generator table t, and forms the
+product only for a new label.  Before the walk, the argument is certified
+once, and a failed check raises HrhoError: (i) every generator is linear, so
+a label is a hyperplane and a point off it, at most ``coset_index_formula``
+of them; (ii) every doubled rho - 1 generator is a rho generator fixing the
+label table, so K lies in H and in the stabilizer of (n, L); (iii)
+``len(build_group(rho - 1))`` times that index is |GL(rho, 2)|, so K is the
+stabilizer.  Equal labels then mean one coset of K in all of GL(rho, 2), and
+the walk stops the moment it holds every label, as ``hrho.build_group``
+stops at |GL(rho, 2)|; it raises if it ends with fewer.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from pencilgraphs import hrho
 
@@ -40,50 +39,45 @@ def _label_table(rho: int) -> bytes:
     return bytes(1 if 0 < y < half else 2 if y == n else 0 for y in range(256))
 
 
-@lru_cache(maxsize=1)
-def _k_set(rho: int) -> frozenset[bytes]:
-    return hrho.doubled_subgroup(rho)
-
-
 def coset_reps_heavy(rho: int) -> list[bytes]:
     """One representative per left coset of the doubled subgroup."""
-    K = _k_set(rho)
     label = _label_table(rho)
-    pad = bytes(range(1 << rho, 256))  # h + pad == translate_table(h)
-    tables = [hrho.translate_table(g) for _, _, g in hrho.generators(rho)]
+    gens = [g for _, _, g in hrho.generators(rho)]
+    for g in gens:
+        hrho._check_linear(g)
+    sub = hrho.build_group(rho - 1)
+    gen_set = set(gens)
+    for _, _, g in sub.generators:
+        d = hrho.doubling(g)
+        if d not in gen_set or d.translate(label) != label[:len(d)]:
+            raise hrho.HrhoError(
+                "a doubled generator is not a generator fixing the coset label"
+            )
+    expected = hrho.coset_index_formula(rho)
+    if len(sub) * expected != hrho.group_order_formula(rho):
+        raise hrho.HrhoError(
+            "the doubled subgroup is not the stabilizer of the coset label"
+        )
+    tables = [hrho.translate_table(g) for g in gens]
     steps = [(t, t.translate(label)) for t in tables]  # see module docstring
     ident = hrho.identity(rho)
-    reps = {ident.translate(label): (ident, ident)}  # label -> (rep, rep^-1)
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for t, lt in steps:
-                key = g.translate(lt)
-                hit = reps.get(key)
-                if hit is None:
-                    h = g.translate(t)
-                    reps[key] = (h, hrho.inverse(h))
-                    nxt.append(h)
-                elif hit[1].translate(g.translate(t) + pad) not in K:
-                    raise hrho.HrhoError(
-                        "two elements share a coset label but lie in "
-                        "different cosets of the doubled subgroup"
-                    )
-        frontier = nxt
-    out = [rep for rep, _ in reps.values()]
-    expected = hrho.coset_index_formula(rho)
-    if len(out) != expected:
-        raise hrho.HrhoError(
-            f"found {len(out)} cosets, expected {expected}"
-        )
-    return out
+    seen = {ident.translate(label)}
+    reps = [ident]  # grows while iterated: a breadth-first queue
+    for g in reps:
+        for t, lt in steps:
+            key = g.translate(lt)
+            if key not in seen:
+                seen.add(key)
+                reps.append(g.translate(t))
+                if len(reps) == expected:
+                    return reps
+    raise hrho.HrhoError(f"found {len(reps)} cosets, expected {expected}")
 
 
 def order_by_cosets(rho: int) -> tuple[int, int]:
-    """(group order, coset index): the index times the order of K."""
+    """(group order, coset index): the index times the certified order of K."""
     index = len(coset_reps_heavy(rho))
-    return index * hrho.group_order_formula(rho - 1), index
+    return index * len(hrho.build_group(rho - 1)), index
 
 
 def census_heavy(rho: int):

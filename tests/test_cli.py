@@ -143,10 +143,19 @@ def test_format_choices_per_verb(capsys, verb, args, formats):
         assert "invalid choice" in captured.err
 
 
-def test_heavy_guard(capsys):
-    """The rho = 5 census needs --enable-heavy; the rho = 5 order does not."""
-    rc, out = run(capsys, "census", "--rho", "5")
-    assert rc == 2
+def test_heavy_guard(capsys, tmp_path):
+    """The rho = 5 census needs --enable-heavy and is refused without it, like
+    a capped build: exit 2, a message on stderr, nothing on stdout and an
+    existing --out left untouched.  The rho = 5 order needs no flag."""
+    rc = main(["census", "--rho", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "--enable-heavy" in captured.err
+    dest = tmp_path / "x.csv"
+    dest.write_text("keep me\n")
+    assert main(["census", "--rho", "5", "--out", str(dest)]) == 2
+    assert dest.read_text() == "keep me\n"
+    assert list(tmp_path.iterdir()) == [dest]
     rc, out = run(capsys, "hrho", "--rho", "5")
     assert rc == 0
     data = json.loads(out)

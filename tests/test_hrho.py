@@ -384,14 +384,89 @@ def test_coset_reps_heavy_one_per_exact_coset(rho):
     assert hit == list(range(len(cosets)))
 
 
-def test_coset_reps_heavy_checks_membership(monkeypatch):
-    """With K replaced by a proper subgroup, some label hit lands outside it;
-    the walk must raise instead of counting a new coset."""
-    K = hrho.doubled_subgroup(3)
-    stab = frozenset(k for k in K if k[1] == 1)
-    assert hrho.identity(3) in stab and len(stab) < len(K)
-    monkeypatch.setattr(hrho_heavy, "_k_set", lambda rho: stab)
-    with pytest.raises(hrho.HrhoError):
+def _coset_walk_to_end(rho):
+    """The coset walk with no certificate and no early stop: every label the
+    generators reach, each with the first element found to carry it."""
+    label = hrho_heavy._label_table(rho)
+    tables = [hrho.translate_table(g) for _, _, g in hrho.generators(rho)]
+    ident = hrho.identity(rho)
+    reps = {ident.translate(label): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for t in tables:
+                h = g.translate(t)
+                key = h.translate(label)
+                if key not in reps:
+                    reps[key] = h
+                    nxt.append(h)
+        frontier = nxt
+    return list(reps.values())
+
+
+@pytest.mark.parametrize("rho", [3, 4, 5])
+def test_coset_walk_stop_loses_nothing(rho):
+    """Walked to the end, the generators reach exactly the certified number
+    of labels, with the representatives the stopped walk returns, in order."""
+    reps = _coset_walk_to_end(rho)
+    assert len(reps) == hrho.coset_index_formula(rho)
+    assert reps == hrho_heavy.coset_reps_heavy(rho)
+
+
+def _generators_with(monkeypatch, rho, edit):
+    real = hrho.generators
+
+    def patched(r):
+        gens = real(r)
+        return edit(gens) if r == rho else gens
+
+    monkeypatch.setattr(hrho, "generators", patched)
+
+
+def test_coset_certificate_rejects_nonlinear_generator(monkeypatch):
+    """A non-linear generator would let the walk reach 28 labels that are
+    not cosets; the certificate refuses it before the walk."""
+    bad = hrho.parse_perm(3, "(12)")
+    _generators_with(monkeypatch, 3, lambda gens: gens + [(0, 0, bad)])
+    with pytest.raises(hrho.HrhoError, match="not linear"):
+        hrho_heavy.coset_reps_heavy(3)
+
+
+def test_coset_certificate_rejects_missing_doubled_generator(monkeypatch):
+    """The rest still generate GL(3, 2), but K is no longer shown to lie in
+    the walked group, so the certificate refuses."""
+    doubled = {hrho.doubling(g) for _, _, g in hrho.generators(2)}
+    _generators_with(monkeypatch, 3, lambda gens: [
+        x for x in gens if x[2] != min(doubled)
+    ])
+    with pytest.raises(hrho.HrhoError, match="doubled generator"):
+        hrho_heavy.coset_reps_heavy(3)
+
+
+def test_coset_certificate_rejects_label_not_fixed_by_k(monkeypatch):
+    """Point 1 as n and {2, 4, 6} as L is still a point off a hyperplane, so
+    the walk would reach 28 labels, but they are cosets of another subgroup."""
+    table = bytes([0, 2, 1, 0, 1, 0, 1, 0]) + bytes(248)
+    monkeypatch.setattr(hrho_heavy, "_label_table", lambda rho: table)
+    with pytest.raises(hrho.HrhoError, match="doubled generator"):
+        hrho_heavy.coset_reps_heavy(3)
+
+
+def test_coset_certificate_rejects_wrong_index(monkeypatch):
+    """With the index taken as 7, the walk would stop at 7 labels; the order
+    check refuses, since 7 * |GL(2, 2)| is not |GL(3, 2)|."""
+    monkeypatch.setattr(hrho, "coset_index_formula", lambda rho: 7)
+    with pytest.raises(hrho.HrhoError, match="stabilizer"):
+        hrho_heavy.coset_reps_heavy(3)
+
+
+def test_coset_walk_rejects_coarse_label(monkeypatch):
+    """A label that marks only L passes the certificate, but the walk ends at
+    7 labels instead of 28 and must raise rather than count 7 cosets."""
+    table = bytes(1 if 0 < y < 4 else 0 for y in range(256))
+    monkeypatch.setattr(hrho_heavy, "_label_table", lambda rho: table)
+    with pytest.raises(hrho.HrhoError, match="found 7 cosets, expected 28"):
         hrho_heavy.coset_reps_heavy(3)
 
 
