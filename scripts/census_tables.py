@@ -3,8 +3,9 @@
 Usage:
     python scripts/census_tables.py [--max-rho 4] [--heavy]
 
-With --heavy the rho = 5 table (9,999,360 elements) is computed through the
-coset machinery; expect a few minutes.
+Each table is summed over the conjugacy classes of GL(rho, 2)
+(``hrho.class_census``); the rho = 5 table (9,999,360 elements) is printed
+only with --heavy, as ``census --rho 5`` needs --enable-heavy.
 """
 
 import argparse
@@ -37,12 +38,8 @@ def main() -> int:
     args = ap.parse_args()
 
     ok = True
-    for rho in range(2, min(args.max_rho, 4) + 1):
-        ok &= print_table(rho, hrho.table_census(hrho.build_group(rho)))
-    if args.heavy and args.max_rho >= 5:
-        from pencilgraphs.hrho_heavy import census_heavy
-
-        ok &= print_table(5, census_heavy(5))
+    for rho in range(2, min(args.max_rho, 5 if args.heavy else 4) + 1):
+        ok &= print_table(rho, hrho.class_census(rho))
     return 0 if ok else 1
 
 

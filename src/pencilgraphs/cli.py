@@ -262,13 +262,9 @@ def cmd_census(cfg: RunConfig) -> int:
     if rho >= 5 and not cfg.enable_heavy:
         sys.stderr.write("refused: the rho = 5 census needs --enable-heavy\n")
         return 2
-    if rho <= 4:
-        store = hrho.build_group(rho)
-        census = hrho.table_census(store)
-    else:
-        census = hrho_heavy.census_heavy(rho)
     rows = sorted(
-        ((hrho.super_type_str(st), d, cnt) for st, (d, cnt) in census.items()),
+        ((hrho.super_type_str(st), d, cnt)
+         for st, (d, cnt) in hrho.class_census(rho).items()),
         key=lambda t: (t[1], t[0]),
     )
     golden = _golden.TABLE1.get(rho)

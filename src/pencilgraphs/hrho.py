@@ -43,13 +43,6 @@ def compose(p: bytes, q: bytes) -> bytes:
     return p.translate(q + _PAD[len(q):])  # translate_table(q), inlined
 
 
-def inverse(p: bytes) -> bytes:
-    out = bytearray(len(p))
-    for x, y in enumerate(p):
-        out[y] = x
-    return bytes(out)
-
-
 def fixed_points(p: bytes) -> tuple[int, ...]:
     return tuple(x for x in range(1, len(p)) if p[x] == x)
 
@@ -535,12 +528,145 @@ def table_census(store: GroupStore) -> dict[tuple, tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# census by conjugacy class
+#
+# H is all of GL(rho, 2) (see build_group and the coset certificate), and a
+# super-type is a cycle type, constant on a conjugacy class; by the distance
+# law so is the distance.  So the census is a sum over the classes, each
+# adding |GL| / |C(g)| elements.  A class is its primary rational canonical
+# form: a partition lambda_phi for each monic irreducible phi != x, with
+# sum deg(phi) |lambda_phi| = rho.  Its centralizer has order
+# prod c_lambda(2^deg(phi)), c_lambda(Q) = Q^(sum lambda'_i^2)
+# prod_i prod_(k <= m_i) (1 - Q^-k), m_i the multiplicity of the part i
+# (Macdonald, Symmetric Functions and Hall Polynomials, ch. IV; Fulman,
+# "Random matrix theory over finite fields", Bull. AMS 39 (2002)).
+# Polynomials over GF(2) are bit masks, bit i the coefficient of x^i.
+
+
+def _pmul(a: int, b: int) -> int:
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
+def _irreducibles(rho: int) -> list[int]:
+    """Monic irreducibles of degree 1..rho other than x, by degree."""
+    polys = range(2, 2 << rho)  # degree 1..rho
+    reducible = {_pmul(a, b) for a in polys for b in polys
+                 if a.bit_length() + b.bit_length() <= rho + 2}
+    return [f for f in range(3, 2 << rho, 2) if f not in reducible]
+
+
+def _partitions(m: int, top: int):
+    """Non-increasing tuples of parts <= top summing to m."""
+    if m == 0:
+        yield ()
+    for k in range(min(m, top), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
+
+
+def _class_forms(rho: int, irr: list[int]):
+    """Each class as [(phi, lambda), ..] with sum deg(phi) |lambda| == rho."""
+    if not irr:
+        if rho == 0:
+            yield []
+        return
+    phi, d = irr[0], irr[0].bit_length() - 1
+    for m in range(rho // d + 1):
+        for lam in _partitions(m, m):
+            for rest in _class_forms(rho - d * m, irr[1:]):
+                yield ([(phi, lam)] if m else []) + rest
+
+
+def _centralizer_order(form) -> tuple[int, int]:
+    """|C(g)| as num / den, each 1 - Q^-k written as (Q^k - 1) / Q^k."""
+    num = den = 1
+    for phi, lam in form:
+        q = 1 << (phi.bit_length() - 1)
+        conj = [sum(1 for p in lam if p > i) for i in range(lam[0])]
+        num *= q ** sum(v * v for v in conj)
+        for part in set(lam):
+            for k in range(1, lam.count(part) + 1):
+                num *= q**k - 1
+                den *= q**k
+    return num, den
+
+
+def _class_rep(rho: int, form) -> bytes:
+    """Block diagonal of the companion matrices of each phi^k, on the points."""
+    col: list[int] = []  # image of each basis bit
+    for phi, lam in form:
+        for k in lam:
+            f = 1
+            for _ in range(k):
+                f = _pmul(f, phi)
+            d, off = f.bit_length() - 1, len(col)
+            col += [1 << (off + i + 1) for i in range(d - 1)]
+            col.append((f ^ 1 << d) << off)
+    img = [0]
+    for x in range(1, 1 << rho):
+        img.append(img[x & (x - 1)] ^ col[(x & -x).bit_length() - 1])
+    return bytes(img)
+
+
+def conjugacy_classes(rho: int) -> list[tuple[bytes, int]]:
+    """(representative, class size) for every class of GL(rho, 2).
+
+    Raises unless every centralizer order is an integer dividing |GL| and
+    the class sizes sum to |GL|.
+    """
+    order = group_order_formula(rho)
+    out = []
+    for form in _class_forms(rho, _irreducibles(rho)):
+        num, den = _centralizer_order(form)
+        c, rem = divmod(num, den)
+        if rem or order % c:
+            raise HrhoError(
+                f"centralizer order {num}/{den} does not divide {order}"
+            )
+        out.append((_class_rep(rho, form), order // c))
+    if sum(size for _, size in out) != order:
+        raise HrhoError(f"class sizes do not sum to {order}")
+    return out
+
+
+def class_census(rho: int) -> dict[tuple, tuple[int, int]]:
+    """super_type -> (distance, count) over the classes of GL(rho, 2), the
+    distance by the law d = rho - log2(1 + #fixed); the same dict as
+    ``table_census(build_group(rho))``, without the group."""
+    out: dict[tuple, tuple[int, int]] = {}
+    for g, size in conjugacy_classes(rho):
+        ones = 1 + len(fixed_points(g))
+        if ones.bit_count() != 1:
+            raise HrhoError(f"1 + #fixed = {ones} is not a power of two")
+        st = super_type(g)  # fixes #fixed, so the distance too
+        out[st] = (rho + 1 - ones.bit_length(), out.get(st, (0, 0))[1] + size)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # cosets of the doubled subgroup
+#
+# Every p(Q, a) is GF(2)-linear, so H lies in GL(rho, 2).  Let n be the top
+# point and L the hyperplane of the points below 2^(rho-1).  The stabilizer
+# of the pair (n, L) in GL(rho, 2) acts as any element of GL(L) = GL(rho-1, 2)
+# on L and fixes n: that is the doubled GL(rho-1, 2), K.  By orbit-stabilizer,
+# g and h lie in one left coset g*K exactly when g^-1(n) = h^-1(n) and
+# g^-1(L) = h^-1(L).  The label ``h.translate(_label_table(rho))`` marks each
+# point x by whether h(x) is n, lies in L, or neither, so it encodes both
+# preimages in one bytes object: each coset has an exact label, not a hash.
 
 
-def doubled_subgroup(rho: int) -> frozenset[bytes]:
-    sub = build_group(rho - 1)
-    return frozenset(doubling(p) for p in sub.elements)
+def _label_table(rho: int) -> bytes:
+    """Translate table: 1 on the points of L, 2 on the top point, else 0."""
+    n = (1 << rho) - 1
+    half = 1 << (rho - 1)
+    return bytes(1 if 0 < y < half else 2 if y == n else 0 for y in range(256))
 
 
 def coset_index_formula(rho: int) -> int:
@@ -549,26 +675,46 @@ def coset_index_formula(rho: int) -> int:
     return 1 + 2 * (half - 1) + quarter * (half - 1) * 3 + (quarter - 1) * (half - 1)
 
 
+def certified_coset_label(rho: int) -> tuple[bytes, list[bytes]]:
+    """The label table and the rho generators, once the labels are certified.
+
+    Raises HrhoError unless (i) every generator is linear, so a label is a
+    hyperplane and a point off it, at most ``coset_index_formula`` of them;
+    (ii) every doubled rho - 1 generator is a rho generator fixing the label
+    table, so K lies in H and in the stabilizer of (n, L); (iii)
+    ``len(build_group(rho - 1))`` times that index is |GL(rho, 2)|, so K is
+    the stabilizer.  Equal labels then mean one coset of K in GL(rho, 2).
+    """
+    label = _label_table(rho)
+    gens = [g for _, _, g in generators(rho)]
+    for g in gens:
+        _check_linear(g)
+    sub = build_group(rho - 1)
+    gen_set = set(gens)
+    for _, _, g in sub.generators:
+        d = doubling(g)
+        if d not in gen_set or d.translate(label) != label[:len(d)]:
+            raise HrhoError(
+                "a doubled generator is not a generator fixing the coset label"
+            )
+    if len(sub) * coset_index_formula(rho) != group_order_formula(rho):
+        raise HrhoError(
+            "the doubled subgroup is not the stabilizer of the coset label"
+        )
+    return label, gens
+
+
 def coset_partition(rho: int) -> list[list[int]]:
-    """Left cosets g*K of the doubled subgroup; lists of element indices."""
-    store = build_group(rho)
-    K = doubled_subgroup(rho)
-    k_set = set(K)
-    assigned = [-1] * len(store.elements)
-    cosets: list[list[int]] = []
-    for i, g in enumerate(store.elements):
-        if assigned[i] >= 0:
-            continue
-        cid = len(cosets)
-        members = []
-        for k in K:
-            j = store.index[compose(g, k)]
-            if assigned[j] >= 0:
-                raise HrhoError(f"element {j} lies in two cosets")
-            assigned[j] = cid
-            members.append(j)
-        cosets.append(sorted(members))
-    return cosets
+    """Left cosets g*K of the doubled subgroup as sorted lists of element
+    indices, in order of their least member: the group grouped by label."""
+    label, _ = certified_coset_label(rho)
+    cosets: dict[bytes, list[int]] = {}
+    for i, g in enumerate(build_group(rho).elements):
+        cosets.setdefault(g.translate(label), []).append(i)
+    expected = coset_index_formula(rho)
+    if len(cosets) != expected:
+        raise HrhoError(f"found {len(cosets)} cosets, expected {expected}")
+    return list(cosets.values())
 
 
 def category_reps(rho: int) -> dict[str, list[bytes]]:
@@ -593,16 +739,14 @@ def category_reps(rho: int) -> dict[str, list[bytes]]:
 
 def verify_category_cosets(rho: int) -> dict[str, int]:
     """Check a/b/c reps lie in pairwise distinct cosets g*K of the doubled
-    subgroup; return counts.  g and h share a coset exactly when
-    compose(inverse(g), h) lies in K."""
-    K = doubled_subgroup(rho)
+    subgroup, that is, carry distinct certified labels; return counts."""
+    label, _ = certified_coset_label(rho)
     reps = category_reps(rho)
-    flat = [(cat, g) for cat, lst in reps.items() for g in lst]
-    for i, (cat_i, g) in enumerate(flat):
-        inv = inverse(g)
-        for cat_j, h in flat[i + 1:]:
-            if compose(inv, h) in K:
-                raise HrhoError(
-                    f"coset collision between {cat_i} and {cat_j}"
-                )
+    seen: dict[bytes, str] = {}
+    for cat, lst in reps.items():
+        for g in lst:
+            key = g.translate(label)
+            if key in seen:
+                raise HrhoError(f"coset collision between {seen[key]} and {cat}")
+            seen[key] = cat
     return {cat: len(lst) for cat, lst in reps.items()}

@@ -4,7 +4,7 @@ import pytest
 def pytest_addoption(parser):
     parser.addoption(
         "--heavy", action="store_true", default=False,
-        help="run the flag-gated heavy checks (rho=5 census, big closures)",
+        help="run the flag-gated heavy checks (big closures, duality searches)",
     )
 
 

@@ -223,9 +223,11 @@ def test_report_decomposition_without_golden_row(monkeypatch):
      "fd4bb29e0beac8f6ece7398955b52c88128ad2173d17070b9f7a217975f8557c"),
     (["hrho", "--rho", "5"],
      "58f5222e1e5080224c2576475e36a791b6433616b99d1273fd26c0eb75890aba"),
+    (["census", "--rho", "5", "--enable-heavy"],
+     "a15316d7253ba58baf43c816b1c311f49f334767520d24a78793d3aa865c6b18"),
 ], ids=["report-3-1", "report-4-2", "build-3-1", "verify-4-1", "homog-4-2",
         "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1", "homog-4-1",
-        "census-4", "hrho-4", "hrho-5"])
+        "census-4", "hrho-4", "hrho-5", "census-5"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"
@@ -273,6 +275,25 @@ def test_cap_refusal_from_the_command_line(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == "refused: predicted component order 2520 exceeds cap 10\n"
     assert not out.exists()
+
+
+def test_heavy_paths_do_not_import_numpy(tmp_path):
+    """The rho = 5 census and order and a report run without numpy, whose
+    import alone would add about 14 MB to the peak RSS."""
+    runs = [["census", "--rho", "5", "--enable-heavy"],
+            ["hrho", "--rho", "5", "--enable-heavy"],
+            ["report", "-r", "4", "-s", "2"]]
+    code = ("import sys\n"
+            "from pencilgraphs.cli import main\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            "    assert main(args + ['--out', f'{i}.out']) == 0, args\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["0.out", "1.out",
+                                                          "2.out"]
 
 
 def test_internal_build_error_is_not_caught(monkeypatch):

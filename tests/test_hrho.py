@@ -193,6 +193,13 @@ def test_coset_partition(rho, index):
     assert len(cosets) == index == hrho.coset_index_formula(rho)
     sub_order = hrho.group_order_formula(rho - 1)
     assert all(len(c) == sub_order for c in cosets)
+    # each group is literally g*K for its least member g, in that order
+    store = hrho.build_group(rho)
+    K = [hrho.doubling(p) for p in hrho.build_group(rho - 1).elements]
+    for c in cosets:
+        g = store.elements[c[0]]
+        assert sorted(store.index[hrho.compose(g, k)] for k in K) == c
+    assert sorted(c[0] for c in cosets) == [c[0] for c in cosets]
 
 
 @pytest.mark.parametrize("rho", [3, 4])
@@ -208,7 +215,7 @@ def test_category_reps_distinct_cosets(rho):
 def test_category_cosets_collision(monkeypatch):
     """A representative moved by an element of K is reported as a collision."""
     reps = hrho.category_reps(3)
-    k = min(hrho.doubled_subgroup(3) - {hrho.identity(3)})
+    k = min(hrho.doubling(p) for p in hrho.build_group(2).elements[1:])
     reps["c"].insert(0, hrho.compose(reps["b_beta"][-1], k))
     monkeypatch.setattr(hrho, "category_reps", lambda rho: reps)
     with pytest.raises(hrho.HrhoError, match="coset collision between b_beta and c"):
@@ -270,7 +277,6 @@ def test_compose_associativity_sample(i, j):
     a, b = gens[i], gens[j]
     c = gens[(i * 7 + j) % len(gens)]
     assert hrho.compose(hrho.compose(a, b), c) == hrho.compose(a, hrho.compose(b, c))
-    assert hrho.compose(a, hrho.inverse(a)) == hrho.identity(4)
 
 
 def test_j5_type_components():
@@ -387,7 +393,7 @@ def test_coset_reps_heavy_one_per_exact_coset(rho):
 def _coset_walk_to_end(rho):
     """The coset walk with no certificate and no early stop: every label the
     generators reach, each with the first element found to carry it."""
-    label = hrho_heavy._label_table(rho)
+    label = hrho._label_table(rho)
     tables = [hrho.translate_table(g) for _, _, g in hrho.generators(rho)]
     ident = hrho.identity(rho)
     reps = {ident.translate(label): ident}
@@ -448,7 +454,7 @@ def test_coset_certificate_rejects_label_not_fixed_by_k(monkeypatch):
     """Point 1 as n and {2, 4, 6} as L is still a point off a hyperplane, so
     the walk would reach 28 labels, but they are cosets of another subgroup."""
     table = bytes([0, 2, 1, 0, 1, 0, 1, 0]) + bytes(248)
-    monkeypatch.setattr(hrho_heavy, "_label_table", lambda rho: table)
+    monkeypatch.setattr(hrho, "_label_table", lambda rho: table)
     with pytest.raises(hrho.HrhoError, match="doubled generator"):
         hrho_heavy.coset_reps_heavy(3)
 
@@ -465,7 +471,7 @@ def test_coset_walk_rejects_coarse_label(monkeypatch):
     """A label that marks only L passes the certificate, but the walk ends at
     7 labels instead of 28 and must raise rather than count 7 cosets."""
     table = bytes(1 if 0 < y < 4 else 0 for y in range(256))
-    monkeypatch.setattr(hrho_heavy, "_label_table", lambda rho: table)
+    monkeypatch.setattr(hrho, "_label_table", lambda rho: table)
     with pytest.raises(hrho.HrhoError, match="found 7 cosets, expected 28"):
         hrho_heavy.coset_reps_heavy(3)
 
@@ -476,12 +482,69 @@ def test_coset_walk_rejects_coarse_label(monkeypatch):
 def test_precomposed_label_table(rho, data):
     """The label of g * t read through the precomposed table t.translate(label)
     equals the label of the product."""
-    label = hrho_heavy._label_table(rho)
+    label = hrho._label_table(rho)
     g = bytes(data.draw(st.permutations(range(1 << rho))))
     t = hrho.translate_table(bytes(data.draw(st.permutations(range(1 << rho)))))
     assert g.translate(t.translate(label)) == g.translate(t).translate(label)
 
 
-@pytest.mark.parametrize("rho", [3, 4])
-def test_census_heavy_matches_table_census(rho):
-    assert hrho_heavy.census_heavy(rho) == hrho.table_census(hrho.build_group(rho))
+def test_coset_partition_refuses_uncertified_label(monkeypatch):
+    """The grouping by label runs the same certificate as the coset walk: a
+    label not fixed by K is refused, and a coarse one that marks only L
+    would group 168 elements into 7 sets and is refused too."""
+    table = bytes([0, 2, 1, 0, 1, 0, 1, 0]) + bytes(248)
+    monkeypatch.setattr(hrho, "_label_table", lambda rho: table)
+    with pytest.raises(hrho.HrhoError, match="doubled generator"):
+        hrho.coset_partition(3)
+    table = bytes(1 if 0 < y < 4 else 0 for y in range(256))
+    monkeypatch.setattr(hrho, "_label_table", lambda rho: table)
+    with pytest.raises(hrho.HrhoError, match="found 7 cosets, expected 28"):
+        hrho.coset_partition(3)
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4, 5])
+def test_class_census_matches_table_census(rho):
+    """The census summed over conjugacy classes equals the literal census of
+    the closed group at rho <= 4, and the golden Table 1 at rho = 5."""
+    got = hrho.class_census(rho)
+    if rho <= 4:
+        assert got == hrho.table_census(hrho.build_group(rho))
+    else:
+        assert {hrho.super_type_str(st): dc
+                for st, dc in got.items()} == _golden.TABLE1[5]
+
+
+@pytest.mark.parametrize("rho,n_classes", [(2, 3), (3, 6), (4, 14), (5, 27)])
+def test_conjugacy_class_count(rho, n_classes):
+    classes = hrho.conjugacy_classes(rho)
+    assert len(classes) == n_classes
+    assert sum(size for _, size in classes) == hrho.group_order_formula(rho)
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4])
+def test_class_sizes_by_centralizer_count(rho):
+    """Each class size is |G| over the number of group elements that commute
+    with its representative, counted in the closed group."""
+    store = hrho.build_group(rho)
+    for g, size in hrho.conjugacy_classes(rho):
+        assert g in store.index
+        central = sum(hrho.compose(g, h) == hrho.compose(h, g)
+                      for h in store.elements)
+        assert size * central == len(store)
+
+
+def test_conjugacy_classes_refuse_missing_irreducible(monkeypatch):
+    """Without one irreducible the class sizes no longer sum to |GL(4, 2)|."""
+    real = hrho._irreducibles
+    monkeypatch.setattr(hrho, "_irreducibles", lambda rho: real(rho)[:-1])
+    with pytest.raises(hrho.HrhoError, match="do not sum to 20160"):
+        hrho.conjugacy_classes(4)
+
+
+def test_class_census_refuses_nonlinear_representative(monkeypatch):
+    """A representative whose 1 + #fixed is not a power of two breaks the
+    distance law and is refused rather than given a distance."""
+    monkeypatch.setattr(hrho, "conjugacy_classes",
+                        lambda rho: [(hrho.parse_perm(3, "(12)"), 168)])
+    with pytest.raises(hrho.HrhoError, match="not a power of two"):
+        hrho.class_census(3)
