@@ -14,6 +14,10 @@ the open neighborhood of the base vertex.  Its generators come in two kinds:
 
 Candidate parameters are enumerated more broadly than strictly necessary and
 validated against the built graph; only verified automorphisms are kept.
+A point-kind candidate is mapped over the whole graph at once by
+PencilGraph.linear_vperm, a gather over the graph's label rows; mapping each
+vertex through apply_point_map with vperm_of gives the same permutation and
+is kept as the literal reference.  Fiber maps act on the neighborhood only.
 """
 
 from __future__ import annotations
@@ -176,7 +180,7 @@ def synth_point_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
                 continue  # it cannot fix the base
             table = transvection_table(ctx.r, alpha, c)
             psi = quotient_psi(ctx, table)
-            vperm = g.vperm_of(lambda v: apply_point_map(ctx, table, psi, v))
+            vperm = g.linear_vperm(table, psi)
             if (vperm is None or vperm[0] != 0 or vperm in seen_vperms
                     or not _is_automorphism(g, vperm)):
                 continue

@@ -87,11 +87,19 @@ def clique_copies_at(ctx: SpaceCtx, v: VTuple) -> list[CliqueCopyId]:
 def clique_vertices(ctx: SpaceCtx, cid: CliqueCopyId) -> list[VTuple]:
     """The 2s pencils of a clique copy.
 
-    Raises DecompError unless the hyperplane is one of P(r), U0 is a
-    (sigma-1)-subspace inside it, and the blocks are the U0-cosets inside
-    it, each exactly once.
+    Raises DecompError unless the fields are plain int point masks, the
+    hyperplane is one of P(r), U0 is a (sigma-1)-subspace inside it, and
+    the blocks, a tuple, are the U0-cosets inside it, each exactly once.
     """
     h, u0, blocks = cid.hyperplane, cid.u0, cid.blocks
+    if not isinstance(blocks, tuple):
+        raise DecompError(f"copy {cid!r}: blocks are not a tuple")
+    # plain ints in range, checked before display() walks their bits
+    fields = (h, u0) + blocks
+    if (set(map(type, fields)) != {int} or min(fields) < 0
+            or max(fields) > ctx.all_points_mask):
+        raise DecompError(f"copy {cid!r}: fields are not point masks "
+                          f"of P({ctx.r})")
     if h not in gf2.hyperplane_masks(ctx.r):
         raise DecompError(f"copy {cid.display()}: not a hyperplane")
     if (u0 & h != u0 or u0.bit_count() != (1 << (ctx.sigma - 1)) - 1
@@ -124,11 +132,11 @@ def turan_part(ctx: SpaceCtx, v: VTuple, i: int) -> list[VTuple]:
     """The s vertices sharing v's part: the orbit under pivot-i index maps.
 
     Raises PencilError unless v is a well-formed pencil of ctx, and
-    DecompError unless i is an entry index 1..m1.
+    DecompError unless i is an entry index 1..m1, a plain int.
     """
     pencil.validate(ctx, v)
-    if not 1 <= i <= ctx.m1:
-        raise DecompError(f"entry index {i} outside 1..{ctx.m1}")
+    if type(i) is not int or not 1 <= i <= ctx.m1:
+        raise DecompError(f"entry index {i!r} is not an int in 1..{ctx.m1}")
     return _turan_part(ctx, v, i)
 
 

@@ -25,6 +25,8 @@ def mask_of(points) -> int:
 
 
 def points_of(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise Gf2Error(f"negative point mask {mask}")
     out = []
     while mask:
         low = mask & -mask

@@ -18,6 +18,15 @@ Each component is one GL(r,2)-orbit, and relabelling the entry positions of
 every pencil commutes with GL(r,2) and preserves adjacency, so the full graph
 is (2^rho - 1)!/|GL(rho,2)| relabelled copies of the base component; it is
 built that way, with no BFS of its own.
+
+A built graph also keeps a private, lazily built label-row index for
+linear_vperm.  A pencil's A0 and its m1 cosets partition the points, so
+vertex i is one row of 2^r bytes whose byte x is the entry position that
+holds point x (0 for A0).  A point table T with an entry permutation psi
+sends row L to psi[L[T^-1]]: over the n rows stored as one bytes object,
+that is 2^r strided column copies and one translate, and each image row
+finds its vertex id with one dict lookup.  The rows are derived; the mask
+tuple stays the only public form of a pencil.
 """
 
 from __future__ import annotations
@@ -40,6 +49,10 @@ class BuildError(RuntimeError):
 
 class CapError(BuildError):
     """A build refused because it would pass the vertex cap."""
+
+
+class MapError(ValueError):
+    """A point table or entry permutation that linear_vperm cannot apply."""
 
 
 DEFAULT_CAP = 1 << 20
@@ -140,6 +153,9 @@ class PencilGraph:
     component_id: array | None = None
     n_components: int = 1
     _nbr_masks: list[int] | None = field(default=None, repr=False)
+    # (label rows, row -> vertex id), built by the first linear_vperm
+    _label_rows: tuple[bytes, dict[bytes, int]] | None = field(
+        default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -184,6 +200,56 @@ class PencilGraph:
                 return None
             out.append(j)
         return tuple(out)
+
+    def _split(self, buf: bytes):
+        """buf cut into rows of 2^r bytes, one per vertex, in vertex order."""
+        w = 1 << self.ctx.r
+        return map(buf.__getitem__, map(slice, range(0, len(buf), w),
+                                        range(w, len(buf) + w, w)))
+
+    def _label_index(self) -> tuple[bytes, dict[bytes, int]]:
+        """The label rows, one bytes of n * 2^r, and row -> vertex id."""
+        if self._label_rows is None:
+            w = 1 << self.ctx.r
+            rows = bytearray(len(self.vertices) * w)
+            for off, v in zip(range(0, len(rows), w), self.vertices):
+                for k, m in enumerate(v):
+                    for x in gf2.points_of(m):
+                        rows[off + x] = k
+            rows = bytes(rows)
+            self._label_rows = rows, dict(zip(self._split(rows),
+                                              range(len(self.vertices))))
+        return self._label_rows
+
+    def linear_vperm(self, table, psi) -> tuple[int, ...] | None:
+        """The vertex permutation of "apply the point table to every entry,
+        then send entry k to position psi[k]", or None when an image is not
+        a vertex of the graph.
+
+        Equals vperm_of(lambda v: autnr.apply_point_map(ctx, table, psi, v)).
+        psi[0] is not read.  Raises MapError unless table is a permutation of
+        0..2^r-1 that fixes 0 and psi[1:] is a permutation of 1..m1.
+        """
+        w, m1 = 1 << self.ctx.r, self.ctx.m1
+        try:
+            t, p = bytes(table), bytes(psi)
+        except (TypeError, ValueError):
+            raise MapError("point table and entry permutation must be "
+                           "sequences of small ints") from None
+        if len(t) != w or t[0] != 0 or sorted(t) != list(range(w)):
+            raise MapError(f"point table is not a permutation of 0..{w - 1} "
+                           "fixing 0")
+        if len(p) != m1 + 1 or sorted(p[1:]) != list(range(1, m1 + 1)):
+            raise MapError(f"entry permutation is not a permutation of "
+                           f"1..{m1}")
+        rows, ids = self._label_index()
+        # image row = psi[row[T^-1]]: column T[x] of the image is column x
+        img = bytearray(len(rows))
+        for x, y in enumerate(t):
+            img[y::w] = rows[x::w]
+        img = bytes(img).translate(bytes(1) + p[1:] + bytes(255 - m1))
+        vperm = tuple(map(ids.get, self._split(img)))
+        return None if None in vperm else vperm
 
     def vertex_display(self, i: int) -> str:
         return pencil.display(self.vertices[i])

@@ -56,8 +56,12 @@ def full_generator_set(ctx: SpaceCtx, g: PencilGraph,
         (a.display(), a.vperm) for a in stab_gens if a.vperm is not None
     ]
     entry = []
+    identity = range(1 << ctx.r)
     for q, a, psi in hrho.generators(ctx.rho):
-        vperm = g.vperm_of(lambda v: decomp.apply_index_perm(ctx, v, psi))
+        # apply_index_perm reads entry psi[j] into position j, so entry k
+        # moves to position psi^-1[k], and the argsort of psi is psi^-1
+        inv = sorted(range(len(psi)), key=psi.__getitem__)
+        vperm = g.linear_vperm(identity, inv)
         if vperm is None or not autnr._is_automorphism(g, vperm):
             raise HomogError(
                 f"entry permutation p({gf2.mask_str(q)},{a}) is not an automorphism"
@@ -93,7 +97,7 @@ def base_movers(ctx: SpaceCtx, g: PencilGraph,
     permutations, they reach every vertex of g."""
 
     def linear(table):
-        return g.vperm_of(lambda v: tuple(gf2.map_mask(m, table) for m in v))
+        return g.linear_vperm(table, range(ctx.m1 + 1))
 
     out = []
     # companion map of a primitive polynomial: cycles all points

@@ -27,6 +27,10 @@ def validate(ctx: SpaceCtx, v: VTuple) -> None:
     """Raise unless v is a well-formed (r, sigma)-ordered pencil."""
     if not isinstance(v, tuple) or not v:
         raise PencilError("a pencil is a nonempty tuple of point masks")
+    # plain ints, not bools or floats, in range before any bit is walked
+    if (set(map(type, v)) != {int} or min(v) < 0
+            or max(v) > ctx.all_points_mask):
+        raise PencilError(f"entries are not point masks of P({ctx.r}): {v!r}")
     a0 = v[0]
     if a0.bit_count() != (1 << ctx.sigma) - 1 or not gf2.is_xor_closed(a0):
         raise PencilError(f"bad initial entry {gf2.mask_str(a0)}")

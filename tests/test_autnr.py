@@ -1,8 +1,12 @@
+import hashlib
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilgraphs import _golden, autnr, gf2, graphbuild as gb, homog, hrho, pencil
+from pencilgraphs import (_golden, autnr, decomp, gf2, graphbuild as gb, homog,
+                          hrho, pencil)
 from pencilgraphs.gf2 import SpaceCtx
 
 
@@ -261,9 +265,79 @@ def test_is_automorphism_matches_literal_definition(case, data):
         assert got
 
 
+def _transposed(psi):
+    """psi with the images of entries 1 and 2 swapped."""
+    p = list(psi)
+    p[1], p[2] = p[2], p[1]
+    return tuple(p)
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1), (5, 3)])
+def test_linear_vperm_matches_literal_map(case, monkeypatch):
+    """The label-row gather equals vperm_of over the literal point map, or
+    is None with it.
+
+    Every transvection is tried, with its quotient psi where it permutes the
+    base cosets (the synthesis candidates) and the identity psi elsewhere;
+    then one quotient psi with a transposition, which must change the
+    answer, so a gather that mixed up two entries fails here.  The entry
+    permutations of hrho.generators, and their products in pairs (which are
+    not involutions), are checked against decomp.apply_index_perm, and
+    homog.base_movers gives the same movers with the literal map.
+    """
+    ctx = SpaceCtx(*case)
+    g = gb.component(*case)
+    ident = tuple(range(ctx.m1 + 1))
+
+    def literal(table, psi):
+        return g.vperm_of(lambda v: autnr.apply_point_map(ctx, table, psi, v))
+
+    fixing = None
+    for alpha in gf2.hyperplane_masks(ctx.r):
+        for c in gf2.points_of(alpha):
+            table = autnr.transvection_table(ctx.r, alpha, c)
+            try:
+                psi = autnr.quotient_psi(ctx, table)
+                fixing = fixing or (table, psi)
+            except autnr.AutError:
+                psi = ident
+            assert g.linear_vperm(table, psi) == literal(table, psi)
+    table, psi = fixing
+    got = g.linear_vperm(table, _transposed(psi))
+    assert got == literal(table, _transposed(psi))
+    assert got != g.linear_vperm(table, psi)
+
+    gens = [psi for _, _, psi in hrho.generators(ctx.rho)]
+    entry = []
+    for psi in gens + [bytes(p[x] for x in q) for p, q in zip(gens, gens[1:])]:
+        inv = sorted(range(len(psi)), key=psi.__getitem__)
+        entry.append(g.linear_vperm(range(1 << ctx.r), inv))
+        assert entry[-1] == g.vperm_of(
+            lambda v: decomp.apply_index_perm(ctx, v, psi))
+    del entry[len(gens):]
+    movers = homog.base_movers(ctx, g, entry)
+    monkeypatch.setattr(g, "linear_vperm", literal)
+    assert homog.base_movers(ctx, g, entry) == movers
+
+
+# the (5,2) point-kind generators as synthesized by mapping every vertex
+# through autnr.apply_point_map, one per line of this file, and the sha256
+# of their vperms, each written as comma-separated ids followed by ";"
+POINT_KIND_52 = os.path.join(os.path.dirname(__file__), "point_kind_52.txt")
+POINT_KIND_52_VPERMS = (
+    "390eb2328c12b2a5b912a0fdd78b4685ca10051431416b5168c4747773311903")
+
+
 @pytest.mark.heavy
 def test_closure_order_52():
     ctx = SpaceCtx(5, 2)
     g = gb.component(5, 2)
     gens = autnr.synth_generators(ctx, g)
+    point = [a for a in gens if a.kind == "point"]
+    with open(POINT_KIND_52) as f:
+        assert [a.display() for a in point] == f.read().splitlines()
+    h = hashlib.sha256()
+    for a in point:
+        h.update(",".join(map(str, a.vperm)).encode() + b";")
+    assert h.hexdigest() == POINT_KIND_52_VPERMS
     assert autnr.closure_order(gens, g) == 516096

@@ -181,3 +181,13 @@ def test_map_mask_matches_pointwise_image(case):
     want = gf2.mask_of(table[p] for p in gf2.points_of(mask))
     assert gf2.map_mask(mask, table) == want
     assert gf2.map_mask(mask, bytes(table)) == want
+
+
+def test_points_of_rejects_negative_mask():
+    """A negative int has infinitely many set bits, so the bit walk would
+    never end."""
+    for mask in (-1, -2, -(1 << 40)):
+        with pytest.raises(gf2.Gf2Error):
+            gf2.points_of(mask)
+    assert gf2.points_of(0) == ()
+

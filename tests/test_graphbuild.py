@@ -114,16 +114,23 @@ def test_deterministic_rebuild():
 
 
 def _malformed_62():
-    """Three non-pencils at (6, 2): initial entries {1, 2, 4} and
-    {1, 40, 50} that are not subspaces, the second naming points past 31 in
-    its error, and the base vertex with points 7 and 8 swapped between its
-    first two entries."""
+    """Non-pencils at (6, 2): initial entries {1, 2, 4} and {1, 40, 50}
+    that are not subspaces, the second naming points past 31 in its error;
+    the base vertex with points 7 and 8 swapped between its first two
+    entries; and the base vertex with entries that are not point masks: a
+    negative initial entry (-2) or last entry, an entry with point 0 or
+    point 64, float entries (equal to the masks), a bool, and the cosets
+    nested in one tuple."""
     ctx = SpaceCtx(6, 2)
     v = pencil.base_vertex_tuple(ctx)
     swap = 1 << 7 | 1 << 8
     return ctx, [(gf2.mask_of([1, 2, 4]),) + v[1:],
                  (gf2.mask_of([1, 40, 50]),) + v[1:],
-                 (v[0], v[1] ^ swap, v[2] ^ swap) + v[3:]]
+                 (v[0], v[1] ^ swap, v[2] ^ swap) + v[3:],
+                 (-2,) + v[1:], v[:-1] + (-v[-1],),
+                 (v[0] | 1,) + v[1:], v[:-1] + (v[-1] | 1 << 64,),
+                 (float(v[0]),) + v[1:], tuple(map(float, v)),
+                 (True,) + v[1:], (v[0], v[1:])]
 
 
 def _queries(ctx, v):
@@ -152,7 +159,10 @@ def _malformed_copies():
     the line {2, 4, 6}, with its own cosets inside h as blocks; blocks short, with one
     added twice, with the last replaced by a repeat or by a zero block; and
     h with a point added.  At (5, 3), U0 the points 2, 4, 8 of h, which
-    are not a line, with its own cosets; at (4, 1), U0 a point."""
+    are not a line, with its own cosets; at (4, 1), U0 a point.  Then fields
+    that are not point masks: at (4, 1), U0 negative (-2), a float (equal
+    to a mask) or a bool, h negative or a float, a negative block, the
+    blocks as a list, and the blocks nested in one tuple."""
     out = []
     ctx = SpaceCtx(6, 2)
     cid = decomp.clique_copies_at(ctx, pencil.base_vertex_tuple(ctx))[0]
@@ -172,6 +182,12 @@ def _malformed_copies():
     ctx = SpaceCtx(4, 1)
     cid = decomp.clique_copies_at(ctx, pencil.base_vertex_tuple(ctx))[0]
     out.append((ctx, replace(cid, u0=1 << gf2.min_point(cid.hyperplane))))
+    h, b = cid.hyperplane, cid.blocks
+    out += [(ctx, c) for c in [
+        replace(cid, u0=-2), replace(cid, u0=float(cid.u0)),
+        replace(cid, u0=False), replace(cid, hyperplane=-h),
+        replace(cid, hyperplane=float(h)), replace(cid, blocks=(-b[0],) + b[1:]),
+        replace(cid, blocks=list(b)), replace(cid, blocks=(b,))]]
     return out
 
 
@@ -220,11 +236,56 @@ def test_neighbors_rejects_malformed_pencils_under_O():
     assert res.returncode == 0, res.stderr + res.stdout
 
 
+def _bad_maps(ctx):
+    """(point table, entry permutation) pairs that linear_vperm refuses at
+    ctx: tables short, moving 0, repeating a point, naming point 2^r or
+    256, or of floats; entry permutations short, repeating an entry, naming
+    entry m1 + 1, or a string."""
+    w, ident = 1 << ctx.r, list(range(ctx.m1 + 1))
+    return [(range(w - 1), ident), ([1, 0] + list(range(2, w)), ident),
+            ([0] + [1] * (w - 1), ident), (list(range(w - 1)) + [w], ident),
+            (list(range(w - 1)) + [256], ident), (list(map(float, range(w))), ident),
+            (range(w), ident[:-1]), (range(w), [0, 1, 1] + ident[3:]),
+            (range(w), ident[:-1] + [ctx.m1 + 1]), (range(w), "0123")]
+
+
+def test_linear_vperm_rejects_bad_maps():
+    ctx = SpaceCtx(3, 1)
+    g = gb.component(3, 1)
+    assert g.linear_vperm(range(8), range(4)) == tuple(range(len(g)))
+    for table, psi in _bad_maps(ctx):
+        with pytest.raises(gb.MapError):
+            g.linear_vperm(table, psi)
+
+
+def test_linear_vperm_rejects_bad_maps_under_O():
+    """The refusals are raises, not asserts, so they survive python -O."""
+    code = (
+        "from pencilgraphs import graphbuild as gb\n"
+        "from pencilgraphs.gf2 import SpaceCtx\n"
+        "from tests.test_graphbuild import _bad_maps\n"
+        "g = gb.component(3, 1)\n"
+        "for table, psi in _bad_maps(SpaceCtx(3, 1)):\n"
+        "    try:\n"
+        "        g.linear_vperm(table, psi)\n"
+        "    except gb.MapError:\n"
+        "        continue\n"
+        "    raise SystemExit('applied a bad point map')\n"
+        "assert False, 'asserts must be off under -O'\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilgraphs.__file__))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
+    res = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr + res.stdout
+
+
 def test_turan_part_rejects_bad_entry_index():
     ctx = SpaceCtx(6, 2)
     v = pencil.base_vertex_tuple(ctx)
     assert len(decomp.turan_part(ctx, v, ctx.m1)) == ctx.s
-    for i in (0, ctx.m1 + 1):
+    for i in (0, ctx.m1 + 1, 1.0, True, "1"):
         with pytest.raises(decomp.DecompError):
             decomp.turan_part(ctx, v, i)
 
