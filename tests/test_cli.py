@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilgraphs import _golden, cli, graphbuild, report
+from pencilgraphs import _golden, cli, gf2, graphbuild, report
 from pencilgraphs.cli import main
 
 
@@ -203,6 +204,8 @@ def test_report_decomposition_without_golden_row(monkeypatch):
      "aef431767ac0dded6ec252b2fa170f1e2ef032569d9670219a0bfa437b646f1d"),
     (["build", "-r", "3", "-s", "1"],
      "c789610679736af2da8def7f9965cdee7afa7d4e92103fea7f277934e3ffb053"),
+    (["build", "-r", "4", "-s", "1"],
+     "c6a7099c43fbaadb3c878383a27dd750438a71a0fccc7fb28c81dbb3f03cbebf"),
     (["verify", "-r", "4", "-s", "1"],
      "3ee049d80546ae6748991b4940857f206ca7fe474dd4d3c5060680f3db03b8ed"),
     (["homog", "-r", "4", "-s", "2"],
@@ -225,8 +228,8 @@ def test_report_decomposition_without_golden_row(monkeypatch):
      "58f5222e1e5080224c2576475e36a791b6433616b99d1273fd26c0eb75890aba"),
     (["census", "--rho", "5", "--enable-heavy"],
      "a15316d7253ba58baf43c816b1c311f49f334767520d24a78793d3aa865c6b18"),
-], ids=["report-3-1", "report-4-2", "build-3-1", "verify-4-1", "homog-4-2",
-        "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1", "homog-4-1",
+], ids=["report-3-1", "report-4-2", "build-3-1", "build-4-1", "verify-4-1",
+        "homog-4-2", "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1", "homog-4-1",
         "census-4", "hrho-4", "hrho-5", "census-5"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
@@ -338,6 +341,7 @@ _json_data = st.recursive(
     lambda inner: (st.lists(inner, max_size=5)
                    | st.lists(st.integers(), max_size=8)
                    | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(st.integers()).map(tuple)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=5)
                    | st.dictionaries(st.integers(), inner, max_size=3)),
     max_leaves=30)
@@ -349,6 +353,57 @@ def test_json_writer_matches_json_dumps(data):
     assert cli._json(data) == _dumps(data)
 
 
+def test_json_writer_memo_is_per_indent():
+    """One tuple object at two depths is written at each depth's indent."""
+    t = (1, 2, 3)
+    for data in ({"a": t, "b": [t, [t]], "c": {"d": t}},
+                 [t, (t, [t, t])], [[t], t]):
+        assert cli._json(data) == _dumps(data)
+
+
+def test_json_writer_list_of_tuples_and_lists():
+    """Tuples equal to a memoised (1, 1) but holding a bool or a float are
+    not read from the memo."""
+    data = [(1, 1), (1, 2), [1, 2], (1, 2), [], (), ([],), [(3,), [4]],
+            (True, 1), (1, True), (1.0, 1), (1, 1.0), (1, 2), (1, 1)]
+    assert cli._json(data) == _dumps(data)
+    assert cli._json({"x": data, "y": [data]}) == _dumps(
+        {"x": data, "y": [data]})
+
+
+@pytest.mark.parametrize("items", [[], [7], [1, 2], [(1, 2), [3], {"k": ()}],
+                                   [[]], ["s", None, 1.5, True]],
+                         ids=repr)
+def test_json_writer_iterator_writes_as_list(items):
+    """An iterator value, empty or not, at the top or nested, is written
+    as the equal list."""
+    assert cli._json(iter(items)) == _dumps(items)
+    assert cli._json({"a": iter(items), "b": 1}) == _dumps(
+        {"a": items, "b": 1})
+    assert cli._json([map(lambda x: x, items), items]) == _dumps(
+        [items, items])
+    nested = [iter([iter(items)]), (x for x in ())]
+    assert cli._json(nested) == _dumps([[items], []])
+
+
+def _seed_build_doc(r, sigma, full):
+    """The build document as the writer's list-based caller made it."""
+    g = graphbuild.full_graph(r, sigma) if full else graphbuild.component(
+        r, sigma)
+    return {
+        "r": r,
+        "sigma": sigma,
+        "vertices": [
+            {"A0": list(gf2.points_of(v[0])),
+             "entries": [list(gf2.points_of(m)) for m in v[1:]]}
+            for v in g.vertices
+        ],
+        "adjacency": [list(g.neighbors_of(i)) for i in range(len(g))],
+        "display": [g.vertex_display(i) for i in range(len(g))],
+        "components": graphbuild.component_sizes(g),
+    }
+
+
 @pytest.mark.parametrize("args", [
     ["build", "-r", "3", "-s", "1"], ["build", "-r", "3", "-s", "1", "--full"],
     ["verify", "-r", "3", "-s", "1"], ["aut", "-r", "3", "-s", "1"],
@@ -357,7 +412,16 @@ def test_json_writer_matches_json_dumps(data):
     ["census", "--rho", "3", "--format", "json"],
 ], ids=lambda a: "-".join(a))
 def test_json_writer_matches_json_dumps_on_artifacts(monkeypatch, capsys, args):
-    """Every verb's JSON artifact at (3,1) reads as json.dumps writes it."""
+    """Every verb's JSON artifact at (3,1) reads as json.dumps writes it.
+
+    build hands the writer iterators, which json.dumps cannot encode, so its
+    artifact is compared with json.dumps of the document built from lists.
+    """
+    if args[0] == "build":
+        assert main(args) == 0
+        assert capsys.readouterr().out == _dumps(
+            _seed_build_doc(3, 1, "--full" in args))
+        return
     seen = []
     write = cli._json
 
@@ -370,3 +434,69 @@ def test_json_writer_matches_json_dumps_on_artifacts(monkeypatch, capsys, args):
     assert main(args) == 0
     capsys.readouterr()
     assert seen == [True]
+
+
+def test_out_is_atomic_when_the_export_fails_midway(tmp_path, monkeypatch):
+    """A build whose adjacency rows fail partway through the document
+    leaves an existing --out file untouched and no temporary file."""
+    g = graphbuild.component(3, 1)
+
+    class FailingRows:
+        def __init__(self):
+            self.reads = 0
+
+        def __len__(self):
+            return len(g.adj)
+
+        def __getitem__(self, k):
+            self.reads += 1
+            if self.reads > len(g) // 2:
+                raise RuntimeError("row source failed")
+            return g.adj[k]
+
+    rows = FailingRows()
+    broken = dataclasses.replace(g, adj=rows)
+    monkeypatch.setattr(graphbuild, "component", lambda *a: broken)
+    out = tmp_path / "g.json"
+    out.write_text("previous\n")
+    with pytest.raises(RuntimeError, match="row source failed"):
+        main(["build", "-r", "3", "-s", "1", "--out", str(out)])
+    assert rows.reads == len(g) // 2 + 1
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+def _export_in_subprocess(tmp_path, args):
+    """(sha256 of the artifact, peak RSS in MB) of one build in a fresh
+    process."""
+    code = ("import resource\n"
+            "from pencilgraphs.cli import main\n"
+            f"assert main({args + ['--out', 'g.json']!r}) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((tmp_path / "g.json").read_bytes()).hexdigest()
+    return digest, int(proc.stdout) / 1024
+
+
+def test_build_full_41_export_pinned(tmp_path):
+    """The 64 MB export of the (4,1) full graph is byte-identical to the
+    reference and peaks under 250 MB (it peaked at 512 MB when the
+    document was held as per-vertex lists and one list of pieces)."""
+    digest, peak_mb = _export_in_subprocess(
+        tmp_path, ["build", "-r", "4", "-s", "1", "--full"])
+    assert digest == (
+        "32817619013992d79215eb0e815a3f5b4087b42fa9ad31f94d1e1f9814abb679")
+    assert peak_mb < 250
+
+
+@pytest.mark.heavy
+def test_build_52_export_pinned(tmp_path):
+    """The (5,2) component export: byte-identical, peak under 300 MB."""
+    digest, peak_mb = _export_in_subprocess(
+        tmp_path, ["build", "-r", "5", "-s", "2"])
+    assert digest == (
+        "25bf5abde6858f10290f09bfd5ed19ed21268a0d3b09055374c68a6f38a0ca31")
+    assert peak_mb < 300

@@ -507,3 +507,38 @@ def test_bfs_rejects_row_with_vertex_twice_per_copy(monkeypatch):
                         lambda ctx, h, sl: real(ctx, h, sl) * 2)
     with pytest.raises(gb.BuildError, match="occurs 8 times"):
         gb.build_component(SpaceCtx(3, 1))
+
+
+def test_one_report_builds_the_component_once(tmp_path):
+    """report reads component(r, s) and full_graph(r, s), whose build reads
+    component(r, s, cap): one BFS and one cached graph however cap is
+    passed.  A fresh process, so no earlier test has built (4,2)."""
+    code = (
+        "from pencilgraphs import cli, graphbuild as gb\n"
+        "calls = []\n"
+        "real = gb.build_component\n"
+        "gb.build_component = lambda *a: calls.append(a) or real(*a)\n"
+        "assert cli.main(['report', '-r', '4', '-s', '2', '--out', 'r.json']) == 0\n"
+        "assert len(calls) == 1, calls\n"
+        "g = gb.component(4, 2)\n"
+        "assert g is gb.component(4, 2, gb.DEFAULT_CAP)\n"
+        "assert g is gb.component(4, 2, cap=gb.DEFAULT_CAP)\n"
+        "assert gb.full_graph(4, 2) is gb.full_graph(4, 2, gb.DEFAULT_CAP)\n"
+        "assert len(calls) == 1, calls\n"
+    )
+    src = os.path.dirname(os.path.dirname(pencilgraphs.__file__))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr + res.stdout
+
+
+@pytest.mark.parametrize("builder", [gb.component, gb.full_graph])
+def test_lower_cap_refused_after_a_cached_build(builder):
+    """A cached build at the default cap does not let a lower cap through."""
+    g = builder(3, 1)
+    with pytest.raises(gb.CapError):
+        builder(3, 1, len(g) - 1)
+    with pytest.raises(gb.CapError):
+        builder(3, 1, cap=len(g) - 1)
+    assert builder(3, 1) is g
