@@ -323,19 +323,12 @@ def cmd_config(cfg: RunConfig) -> int:
     ctx, g = _graph_for(cfg)
     c = configmod.build_config(ctx, g)
     if cfg.fmt == "dot":
-        lv = configmod.levi_graph(c)
+        nb = c.n_points
         buf = ["graph L {"]
-        for x in range(len(lv)):
-            color = "black" if x < lv.n_black else "white"
-            buf.append(f'  {x} [color={color}];')
-        for x in range(len(lv)):
-            m = lv.adj[x]
-            while m:
-                low = m & -m
-                m ^= low
-                y = low.bit_length() - 1
-                if x < y:
-                    buf.append(f"  {x} -- {y};")
+        buf += [f'  {x} [color={"black" if x < nb else "white"}];'
+                for x in range(nb + len(c.lines))]
+        buf += [f"  {p} -- {nb + li};"
+                for p, lns in enumerate(c.through) for li in lns]
         buf.append("}")
         _emit(cfg, "\n".join(buf) + "\n")
         return 0
@@ -352,7 +345,7 @@ def cmd_config(cfg: RunConfig) -> int:
     }
     m, cc, n, d = c.params
     if m == n and cc == d:
-        if len(g) > 1000 and not cfg.enable_heavy:
+        if len(g) > configmod.SELF_DUAL_VERTEX_CAP and not cfg.enable_heavy:
             data["self_dual"] = "skipped (needs --enable-heavy)"
         else:
             dual = configmod.self_duality_map(c)
@@ -394,8 +387,7 @@ def cmd_homog(cfg: RunConfig) -> int:
     }
     _emit(cfg, _json(data))
     ok = all(rep.ok for rep in reports)
-    expect_witness = (ctx.r, ctx.sigma) != (3, 1)
-    ok = ok and ((wit is not None) == expect_witness)
+    ok = ok and ((wit is not None) == homog.witness_expected(ctx))
     return 0 if ok else 1
 
 

@@ -1,14 +1,22 @@
 """Incidence configurations from the clique copies: Menger and Levi graphs.
 
-Points are the graph vertices, lines the maximal-clique copies.  The Menger
-graph must reproduce the source graph edge for edge; for sigma = 1 the
-configuration is square and a color-swapping Levi automorphism (a duality)
-is searched for directly.
+Points are the graph vertices, lines the maximal-clique copies.  Every check
+reads one incidence form: the sorted ``lines``, and ``through``, the
+ascending indices of the lines through each point.  A point's Menger row,
+the union of its lines minus the point, is compared with its adjacency row
+one point at a time, so no edge set is built.  The lines are the BFS's own
+clique copies, whose unions the BFS took as the rows: the Menger check
+re-reads the build.  The graph's independent tie to the paper's edge rule
+is ``graphbuild.adjacent`` (see "Check the graph against the literal edge
+rule" in ROADMAP.md).  For sigma = 1 the configuration is square; a duality
+is searched for on the bitmask ``LeviGraph``, built for that search only,
+and the dual Menger check compares the rows of the dual lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from pencilgraphs import decomp, homog
 from pencilgraphs.gf2 import SpaceCtx
@@ -31,17 +39,20 @@ class IncidenceStructure:
         return (self.n_points, self.lines_per_point,
                 len(self.lines), self.points_per_line)
 
+    @cached_property
+    def through(self) -> list[list[int]]:
+        """The ascending indices of the lines through each point."""
+        out: list[list[int]] = [[] for _ in range(self.n_points)]
+        for li, ln in enumerate(self.lines):
+            for p in ln:
+                out[p].append(li)
+        return out
+
     def check_balance(self) -> bool:
         m, c, n, d = self.params
-        if c * m != d * n:
-            return False
-        count = [0] * self.n_points
-        for ln in self.lines:
-            if len(ln) != d:
-                return False
-            for p in ln:
-                count[p] += 1
-        return all(x == c for x in count)
+        return (c * m == d * n
+                and all(len(ln) == d for ln in self.lines)
+                and all(len(lns) == c for lns in self.through))
 
 
 def build_config(ctx: SpaceCtx, g: PencilGraph) -> IncidenceStructure:
@@ -53,18 +64,24 @@ def build_config(ctx: SpaceCtx, g: PencilGraph) -> IncidenceStructure:
     return IncidenceStructure(len(g.vertices), lines, c, 2 * ctx.s)
 
 
-def menger_edges(cfg: IncidenceStructure) -> set[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for ln in cfg.lines:
-        for i in range(len(ln)):
-            for j in range(i + 1, len(ln)):
-                out.add((ln[i], ln[j]))
-    return out
+def _rows_match(g: PencilGraph, lines, through) -> bool:
+    """Each vertex x's row of g is the union of the lines through x
+    (``lines[k] for k in through[x]``), minus x."""
+    if len(through) != len(g):
+        return False
+    for x, lns in enumerate(through):
+        row: set[int] = set()
+        for k in lns:
+            row.update(lines[k])
+        row.discard(x)
+        nbrs = g.neighbors_of(x)
+        if len(nbrs) != len(row) or row != set(nbrs):
+            return False
+    return True
 
 
 def menger_equals_graph(cfg: IncidenceStructure, g: PencilGraph) -> bool:
-    edges = {(i, j) for i, j in g.edges()}
-    return menger_edges(cfg) == edges
+    return _rows_match(g, cfg.lines, cfg.through)
 
 
 @dataclass
@@ -77,9 +94,6 @@ class LeviGraph:
 
     def __len__(self) -> int:
         return self.n_black + self.n_white
-
-    def color(self, x: int) -> int:
-        return 0 if x < self.n_black else 1
 
     def degree(self, x: int) -> int:
         return self.adj[x].bit_count()
@@ -101,18 +115,14 @@ def levi_graph(cfg: IncidenceStructure) -> LeviGraph:
 REFINE_ROUNDS = 4  # colour-refinement passes before the duality search
 
 
-def _refine_colors(lv: LeviGraph, colors: list[int]):
+def _refine_colors(cfg: IncidenceStructure, colors: list[int]):
+    nb = cfg.n_points
     for _ in range(REFINE_ROUNDS):
-        sig = []
-        for x in range(len(lv)):
-            m = lv.adj[x]
-            nb = []
-            while m:
-                low = m & -m
-                m ^= low
-                nb.append(colors[low.bit_length() - 1])
-            nb.sort()
-            sig.append((colors[x], tuple(nb)))
+        line_colors = colors[nb:]
+        sig = [(colors[p], tuple(sorted(line_colors[li] for li in lns)))
+               for p, lns in enumerate(cfg.through)]
+        sig += [(line_colors[li], tuple(sorted(colors[p] for p in ln)))
+                for li, ln in enumerate(cfg.lines)]
         relab = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [relab[s] for s in sig]
         if new == colors:
@@ -122,6 +132,7 @@ def _refine_colors(lv: LeviGraph, colors: list[int]):
 
 
 DUALITY_NODE_CAP = 5_000_000
+SELF_DUAL_VERTEX_CAP = 1000  # larger graphs search only under --enable-heavy
 
 
 def self_duality_map(cfg: IncidenceStructure):
@@ -137,7 +148,7 @@ def self_duality_map(cfg: IncidenceStructure):
     lv = levi_graph(cfg)
     size = len(lv)
     # swap-color refinement: colors must be color-blind, so start uniform
-    colors = _refine_colors(lv, [0] * size)
+    colors = _refine_colors(cfg, [0] * size)
     classes: dict[int, int] = {}
     for x in range(size):
         classes.setdefault(colors[x], 0)
@@ -158,22 +169,14 @@ def self_duality_map(cfg: IncidenceStructure):
 
 def dual_menger_isomorphic(cfg: IncidenceStructure, g: PencilGraph,
                            duality: list[int]) -> bool:
-    """The duality relabeling carries the dual Menger graph onto g."""
+    """The duality relabeling carries the dual Menger graph, lines joined
+    through a common point, onto g.  Line li is relabelled as the point
+    duality[nb + li]; a duality not one-to-one onto the points gives False.
+    """
     nb = cfg.n_points
-    # dual Menger: vertices = lines, edges = lines sharing a point
-    point_lines: list[list[int]] = [[] for _ in range(nb)]
-    for li, ln in enumerate(cfg.lines):
-        for p in ln:
-            point_lines[p].append(li)
-    dual_edges = set()
-    for lns in point_lines:
-        for i in range(len(lns)):
-            for j in range(i + 1, len(lns)):
-                a, b = lns[i], lns[j]
-                dual_edges.add((min(a, b), max(a, b)))
-    # map line li to the point duality[nb + li]
-    mapped = set()
-    for a, b in dual_edges:
-        x, y = duality[nb + a], duality[nb + b]
-        mapped.add((min(x, y), max(x, y)))
-    return mapped == {(i, j) for i, j in g.edges()}
+    image = duality[nb:]
+    if sorted(image) != list(range(nb)):
+        return False
+    line_at = sorted(range(nb), key=image.__getitem__)  # inverse of image
+    dual_lines = [[image[li] for li in lns] for lns in cfg.through]
+    return _rows_match(g, dual_lines, [cfg.lines[li] for li in line_at])

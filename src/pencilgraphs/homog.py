@@ -404,6 +404,12 @@ def base_arc(ctx: SpaceCtx, g: PencilGraph) -> tuple[int, int]:
     return 0, u
 
 
+def witness_expected(ctx: SpaceCtx) -> bool:
+    """Whether :func:`non_uh_witness` must find a witness: at every case but
+    (3,1), whose graph C_3^1 is {K4, K_{2,2,2}}-ultrahomogeneous."""
+    return (ctx.r, ctx.sigma) != (3, 1)
+
+
 def non_uh_witness(ctx: SpaceCtx, g: PencilGraph):
     """First non-extensible arc-fixing automorphism of the least Turan copy.
 

@@ -8,7 +8,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 from pencilgraphs import (_golden, autnr, config as configmod, decomp, gf2,
-                          graphbuild, homog, hrho, hrho_heavy, pencil)
+                          graphbuild, homog, hrho, pencil)
 from pencilgraphs.gf2 import SpaceCtx
 
 
@@ -91,45 +91,34 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
 
     # 6..9: auxiliary group for this rho
     rho = ctx.rho
-    if rho <= 4:
-        store = hrho.build_group(rho)
-        checks.append(_check("aux_group_order",
-                             len(store) == _golden.GROUP_ORDERS[rho],
-                             _golden.GROUP_ORDERS[rho], len(store)))
-        got_rows = {hrho.super_type_str(st): (d, c)
-                    for st, (d, c) in hrho.class_census(rho).items()}
-        checks.append(_check("aux_census", got_rows == _golden.TABLE1[rho],
-                             _golden.TABLE1[rho], got_rows))
-        law = hrho.check_distance_law(store)
-        checks.append(_check("distance_law", law, True, law))
-        jd = hrho.perm_display(hrho.j_rho(rho))
-        checks.append(_check("farthest_element",
-                             jd == _golden.J_DISPLAYS[rho]
-                             and store.distance[store.index[hrho.j_rho(rho)]] == rho,
-                             _golden.J_DISPLAYS[rho], jd))
-        if rho >= 3:
-            cosets = hrho.coset_partition(rho)
-            cats = hrho.verify_category_cosets(rho)
-            n_abc = sum(cats.values())
-            half = 1 << (rho - 1)
-            quarter = 1 << (rho - 2)
-            expected_abc = 1 + 2 * (half - 1) + quarter * (half - 1)
-            checks.append(_check(
-                "coset_structure",
-                len(cosets) == _golden.COSET_INDEX[rho]
-                and n_abc == expected_abc,
-                {"index": _golden.COSET_INDEX[rho], "abc_reps": expected_abc},
-                {"index": len(cosets), "abc_reps": n_abc}))
-    elif enable_heavy and rho == 5:
-        order, _ = hrho_heavy.order_by_cosets(rho)
-        checks.append(_check("aux_group_order_heavy",
-                             order == _golden.GROUP_ORDERS[rho],
-                             _golden.GROUP_ORDERS[rho], order))
-        got_rows = {hrho.super_type_str(st): (d, c)
-                    for st, (d, c) in hrho.class_census(rho).items()}
-        checks.append(_check("aux_census_heavy",
-                             got_rows == _golden.TABLE1[rho],
-                             _golden.TABLE1[rho], got_rows))
+    store = hrho.build_group(rho)
+    checks.append(_check("aux_group_order",
+                         len(store) == _golden.GROUP_ORDERS[rho],
+                         _golden.GROUP_ORDERS[rho], len(store)))
+    got_rows = {hrho.super_type_str(st): (d, c)
+                for st, (d, c) in hrho.class_census(rho).items()}
+    checks.append(_check("aux_census", got_rows == _golden.TABLE1[rho],
+                         _golden.TABLE1[rho], got_rows))
+    law = hrho.check_distance_law(store)
+    checks.append(_check("distance_law", law, True, law))
+    jd = hrho.perm_display(hrho.j_rho(rho))
+    checks.append(_check("farthest_element",
+                         jd == _golden.J_DISPLAYS[rho]
+                         and store.distance[store.index[hrho.j_rho(rho)]] == rho,
+                         _golden.J_DISPLAYS[rho], jd))
+    if rho >= 3:
+        cosets = hrho.coset_partition(rho)
+        cats = hrho.verify_category_cosets(rho)
+        n_abc = sum(cats.values())
+        half = 1 << (rho - 1)
+        quarter = 1 << (rho - 2)
+        expected_abc = 1 + 2 * (half - 1) + quarter * (half - 1)
+        checks.append(_check(
+            "coset_structure",
+            len(cosets) == _golden.COSET_INDEX[rho]
+            and n_abc == expected_abc,
+            {"index": _golden.COSET_INDEX[rho], "abc_reps": expected_abc},
+            {"index": len(cosets), "abc_reps": n_abc}))
 
     # 8 continued: type golden vectors (global, cheap)
     types_ok = (
@@ -154,7 +143,7 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
     gens_h = homog.full_generator_set(ctx, g, stab_gens=stab_gens)
     hreps = homog.check_H_property(ctx, g, gens_h)
     wit, tried = homog.non_uh_witness(ctx, g)
-    expect_wit = case != (3, 1)
+    expect_wit = homog.witness_expected(ctx)
     checks.append(_check(
         "h_property", all(rep.ok for rep in hreps),
         True, [rep.as_dict() for rep in hreps]))
@@ -191,7 +180,8 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
         exp_params is None or tuple(cfgI.params) == exp_params
     )
     m, c_, n_, d_ = cfgI.params
-    if m == n_ and c_ == d_ and (len(g) <= 1000 or enable_heavy):
+    if m == n_ and c_ == d_ and (len(g) <= configmod.SELF_DUAL_VERTEX_CAP
+                                or enable_heavy):
         dual = configmod.self_duality_map(cfgI)
         entry["self_dual"] = dual is not None
         ok = ok and dual is not None
@@ -210,10 +200,9 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
     entry = {"diameter": diam, "bound": bound,
              "vertex_transitive": transitive}
     ok = diam <= bound
-    if ctx.rho <= 4:
-        hdiam = hrho.cayley_diameter(hrho.build_group(ctx.rho))
-        entry["aux_diameter"] = hdiam
-        ok = ok and diam <= 2 * hdiam
+    hdiam = hrho.cayley_diameter(hrho.build_group(ctx.rho))
+    entry["aux_diameter"] = hdiam
+    ok = ok and diam <= 2 * hdiam
     checks.append(_check("diameter", ok, {"bound": bound}, entry))
 
     return {

@@ -212,6 +212,8 @@ def test_report_decomposition_without_golden_row(monkeypatch):
      "d15f704315166d825258ca661464efba06b3721452768d58169fff2bb397500e"),
     (["config", "-r", "3", "-s", "1"],
      "1af6e1a14852128845141f247b84058f7cf494f98bda444b5c20233c1c5eee0f"),
+    (["config", "-r", "3", "-s", "1", "--format", "dot"],
+     "e907f99a7878fb77ab03727bcbe5307b2451f948f9ccdd93eeff6cc466b66001"),
     (["aut", "-r", "4", "-s", "2"],
      "5e25306f7d261320369057ce4df209543bf92523bd962184f89eb9b8ccaa2c3a"),
     (["aut", "-r", "3", "-s", "1"],
@@ -229,8 +231,8 @@ def test_report_decomposition_without_golden_row(monkeypatch):
     (["census", "--rho", "5", "--enable-heavy"],
      "a15316d7253ba58baf43c816b1c311f49f334767520d24a78793d3aa865c6b18"),
 ], ids=["report-3-1", "report-4-2", "build-3-1", "build-4-1", "verify-4-1",
-        "homog-4-2", "config-3-1", "aut-4-2", "aut-3-1", "aut-4-1", "homog-4-1",
-        "census-4", "hrho-4", "hrho-5", "census-5"])
+        "homog-4-2", "config-3-1", "config-3-1-dot", "aut-4-2", "aut-3-1",
+        "aut-4-1", "homog-4-1", "census-4", "hrho-4", "hrho-5", "census-5"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"
