@@ -228,7 +228,7 @@ def fiber_apply(ctx: SpaceCtx, J: int, theta: int, block_map: dict[int, int],
         rest = m
         ok = True
         while rest:
-            b = block_of.get(gf2.min_point(rest), 0)
+            b = block_of[gf2.min_point(rest)]
             if not b or b & m != b:
                 ok = False
                 break

@@ -100,7 +100,7 @@ def clique_vertices(ctx: SpaceCtx, cid: CliqueCopyId) -> list[VTuple]:
             or max(fields) > ctx.all_points_mask):
         raise DecompError(f"copy {cid!r}: fields are not point masks "
                           f"of P({ctx.r})")
-    if h not in gf2.hyperplane_masks(ctx.r):
+    if h not in gf2.hyperplane_set(ctx.r):
         raise DecompError(f"copy {cid.display()}: not a hyperplane")
     if (u0 & h != u0 or u0.bit_count() != (1 << (ctx.sigma - 1)) - 1
             or not gf2.is_xor_closed(u0)):

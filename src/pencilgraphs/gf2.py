@@ -206,6 +206,12 @@ def hyperplane_masks(r: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=None)
+def hyperplane_set(r: int) -> frozenset[int]:
+    """The masks of hyperplane_masks(r) as a set, for membership tests."""
+    return frozenset(hyperplane_masks(r))
+
+
 def coset_mask(base_mask: int, x: int) -> int:
     """Mask of {x ^ a : a in base u {0}} for a subspace mask and point x."""
     m = 1 << x
@@ -219,25 +225,26 @@ def coset_mask(base_mask: int, x: int) -> int:
 
 @lru_cache(maxsize=None)
 def coset_table(r: int, a0_mask: int):
-    """For one A0: (coset masks, point -> containing-coset mask).
+    """For one A0: (coset masks, point table).
 
     The masks come in order of their least points, not sorted as integers:
     coset_table(4, 1 << 3)[0] starts (6, 144, 96).  The base vertex and the
-    block order of a clique copy are read off in this order.
+    block order of a clique copy are read off in this order.  The point
+    table is a tuple of length 2^r whose entry x is the mask of the coset
+    that holds point x, and 0 for point 0 and for the points of A0.
     """
-    n = (1 << r) - 1
     masks = []
-    lut = {}
+    table = [0] * (1 << r)
     seen = a0_mask
-    for x in range(1, n + 1):
+    for x in range(1, 1 << r):
         if seen >> x & 1:
             continue
         cm = coset_mask(a0_mask, x)
         seen |= cm
         masks.append(cm)
         for p in points_of(cm):
-            lut[p] = cm
-    return tuple(masks), lut
+            table[p] = cm
+    return tuple(masks), tuple(table)
 
 
 EXTENDED_HEX = "0123456789abcdefghijklmnopqrstuv"

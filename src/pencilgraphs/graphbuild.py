@@ -7,7 +7,10 @@ m0 maximal-clique copies incident to a vertex instead of scanning pairs.
 Within a copy, a pencil's entry i is the coset of its A0 that holds the least
 point of slice entry i.  Those least points do not depend on the block that
 extends U0 to A0, so they are found once per copy, and each of the 2s pencils
-is one itemgetter gather from its A0's point-to-coset table.
+is one itemgetter gather from its A0's point table.  A lazily filled cache
+keeps one member list per U0: for each U0-coset block, the triple (block,
+A0 = U0 | block, A0's point table).  A copy skips the blocks that meet h and
+gathers the rest, with no cache or dict lookup per member.
 
 The component BFS does not call neighbors(v) per vertex: it builds each
 clique copy once, when its first member is expanded, takes each row as the
@@ -61,7 +64,8 @@ DEFAULT_CAP = 1 << 20
 def adjacent(ctx: SpaceCtx, v: VTuple, w: VTuple):
     """Return the mask of the hyperplane U(v, w) if v ~ w, else None.
 
-    Checks the three edge conditions literally; condition 3 is evaluated even
+    Checks the three edge conditions literally; condition 3, "U is a
+    hyperplane", is membership in gf2.hyperplane_set and is evaluated even
     where it is implied by the first two (rho = 2), as a cross-check.
     Raises PencilError unless v and w are well-formed pencils of ctx.
     """
@@ -81,7 +85,7 @@ def adjacent(ctx: SpaceCtx, v: VTuple, w: VTuple):
         if m != gf2.coset_mask(inter, gf2.min_point(m)):
             return None
         u |= m
-    if u.bit_count() != (1 << (ctx.r - 1)) - 1 or not gf2.is_xor_closed(u):
+    if u not in gf2.hyperplane_set(ctx.r):
         return None
     return u
 
@@ -101,24 +105,30 @@ def clique_slices(ctx: SpaceCtx, v: VTuple) -> list[tuple[int, VTuple]]:
     out = []
     for y in _copy_dual_points(ctx.r, v[0]):
         h = hp[y - 1]
-        out.append((h, tuple(m & h for m in v)))
+        out.append((h, tuple(map(h.__and__, v))))
     if len(out) != ctx.m0:
         raise BuildError(f"{len(out)} clique copies at a vertex, expected {ctx.m0}")
     return out
 
 
+@lru_cache(maxsize=None)
+def _copy_members(r: int, u0_mask: int) -> tuple[tuple[int, int, tuple], ...]:
+    """(block, A0 = U0 | block, A0's point table) per U0-coset block."""
+    out = []
+    for blk in gf2.coset_table(r, u0_mask)[0]:
+        a0 = u0_mask | blk
+        out.append((blk, a0, gf2.coset_table(r, a0)[1]))
+    return tuple(out)
+
+
 def clique_copy_vertices(ctx: SpaceCtx, h: int, sl: VTuple) -> list[VTuple]:
     """All 2s pencils whose slice through hyperplane h equals sl."""
-    u0 = sl[0]
-    # m1 >= 3 slice entries, so itemgetter returns a tuple, never one item
-    pick = itemgetter(*map(gf2.min_point, sl[1:]))
-    out = []
+    # the least point of each slice entry, inline; m1 >= 3 slice entries,
+    # so itemgetter returns a tuple, never one item
+    pick = itemgetter(*[(m & -m).bit_length() - 1 for m in sl[1:]])
     # U0 lies in h, so each coset of U0 is inside h or disjoint from it
-    for blk in gf2.coset_table(ctx.r, u0)[0]:
-        if blk & h:
-            continue
-        a0 = u0 | blk
-        out.append((a0,) + pick(gf2.coset_table(ctx.r, a0)[1]))
+    out = [(a0,) + pick(table)
+           for blk, a0, table in _copy_members(ctx.r, sl[0]) if not blk & h]
     if len(out) != 2 * ctx.s:
         raise BuildError(f"{len(out)} pencils on a slice, expected {2 * ctx.s}")
     return out
@@ -132,9 +142,7 @@ def neighbors(ctx: SpaceCtx, v: VTuple) -> list[VTuple]:
     pencil.validate(ctx, v)
     out = []
     for h, sl in clique_slices(ctx, v):
-        for w in clique_copy_vertices(ctx, h, sl):
-            if w != v:
-                out.append(w)
+        out += [w for w in clique_copy_vertices(ctx, h, sl) if w != v]
     return out
 
 

@@ -115,15 +115,47 @@ def test_coset_table_examples():
 def test_cosets_partition_everything(r, sigma):
     ctx = SpaceCtx(r, sigma)
     for sub in gf2.subspace_masks(r, sigma)[:8]:
-        masks, lut = gf2.coset_table(r, sub)
+        masks, table = gf2.coset_table(r, sub)
         assert len(masks) == ctx.m1
+        assert type(table) is tuple and len(table) == 1 << r
+        assert [x for x in range(1 << r) if not table[x]] == [
+            0, *gf2.points_of(sub)]
         union = sub
         for c in masks:
             assert union & c == 0
             assert c.bit_count() == 1 << sigma
-            assert all(lut[p] == c for p in gf2.points_of(c))
+            assert all(table[p] == c for p in gf2.points_of(c))
             union |= c
         assert union == ctx.all_points_mask
+
+
+@st.composite
+def _hyperplane_candidates(draw):
+    """r and point sets near the hyperplanes of P(r): a hyperplane, one with
+    a point dropped, one with a point swapped out, a random span, and a
+    random set of the hyperplane's size."""
+    r = draw(st.integers(min_value=3, max_value=8))
+    n, size = (1 << r) - 1, (1 << (r - 1)) - 1
+    h = draw(st.sampled_from(gf2.hyperplane_masks(r)))
+    p = 1 << draw(st.sampled_from(gf2.points_of(h)))
+    q = 1 << draw(st.sampled_from(gf2.points_of(((1 << (n + 1)) - 2) & ~h)))
+    span = gf2.span_mask(draw(st.lists(st.integers(1, n), max_size=r)))
+    rand = gf2.mask_of(draw(st.lists(st.integers(1, n), unique=True,
+                                     min_size=size, max_size=size)))
+    return r, (h, h ^ p, h ^ p ^ q, span, rand)
+
+
+@given(_hyperplane_candidates())
+@settings(max_examples=200, deadline=None)
+def test_hyperplane_set_is_the_hyperplane_predicate(case):
+    """Membership in hyperplane_set is "2^(r-1) - 1 points, XOR-closed"."""
+    r, masks = case
+    for u in masks:
+        want = (u.bit_count() == (1 << (r - 1)) - 1
+                and gf2.is_xor_closed(u))
+        assert (u in gf2.hyperplane_set(r)) == want
+    assert masks[0] in gf2.hyperplane_set(r)
+    assert masks[2] not in gf2.hyperplane_set(r)
 
 
 def test_hyperplanes():

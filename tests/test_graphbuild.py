@@ -319,15 +319,22 @@ def test_neighbors_match_literal_adjacency(r, sigma):
 
 
 def _literal_copy_vertices(ctx, h, sl):
-    """Reference: one coset-table lookup per slice entry and block."""
+    """Reference: the U0-cosets in order of their least points, each entry
+    the A0-coset of the least point of its slice entry, all from
+    coset_mask."""
     u0 = sl[0]
     out = []
-    for blk in gf2.coset_table(ctx.r, u0)[0]:
+    seen = u0
+    for x in range(1, 1 << ctx.r):
+        if seen >> x & 1:
+            continue
+        blk = gf2.coset_mask(u0, x)
+        seen |= blk
         if blk & h:
             continue
         a0 = u0 | blk
-        lut = gf2.coset_table(ctx.r, a0)[1]
-        out.append((a0,) + tuple(lut[gf2.min_point(m)] for m in sl[1:]))
+        out.append((a0,) + tuple(gf2.coset_mask(a0, gf2.min_point(m))
+                                 for m in sl[1:]))
     return out
 
 
