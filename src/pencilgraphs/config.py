@@ -9,13 +9,14 @@ clique copies, whose unions the BFS took as the rows: the Menger check
 re-reads the build.  The graph's independent tie to the paper's edge rule
 is ``graphbuild.adjacent`` (see "Check the graph against the literal edge
 rule" in ROADMAP.md).  For sigma = 1 the configuration is square; a duality
-is searched for on the bitmask ``LeviGraph``, built for that search only,
-and the dual Menger check compares the rows of the dual lines.
+is searched for on the Levi graph's rows, read from ``through`` and
+``lines`` by the extension search of ``homog``, and the dual Menger check
+compares the rows of the dual lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from pencilgraphs import decomp, homog
@@ -84,34 +85,6 @@ def menger_equals_graph(cfg: IncidenceStructure, g: PencilGraph) -> bool:
     return _rows_match(g, cfg.lines, cfg.through)
 
 
-@dataclass
-class LeviGraph:
-    """Bipartite incidence graph; black = points, white = lines."""
-
-    n_black: int
-    n_white: int
-    adj: list[int] = field(repr=False)  # bitmasks over combined indexing
-
-    def __len__(self) -> int:
-        return self.n_black + self.n_white
-
-    def degree(self, x: int) -> int:
-        return self.adj[x].bit_count()
-
-
-def levi_graph(cfg: IncidenceStructure) -> LeviGraph:
-    nb, nw = cfg.n_points, len(cfg.lines)
-    adj = [0] * (nb + nw)
-    for li, ln in enumerate(cfg.lines):
-        if not ln:
-            raise ConfigError("empty line")
-        w = nb + li
-        for p in ln:
-            adj[p] |= 1 << w
-            adj[w] |= 1 << p
-    return LeviGraph(nb, nw, adj)
-
-
 REFINE_ROUNDS = 4  # colour-refinement passes before the duality search
 
 
@@ -136,32 +109,27 @@ SELF_DUAL_VERTEX_CAP = 1000  # larger graphs search only under --enable-heavy
 
 
 def self_duality_map(cfg: IncidenceStructure):
-    """A Levi-graph automorphism exchanging the color classes, or None.
+    """A Levi-graph automorphism exchanging points and lines, or None.
 
     Only defined for square configurations (m = n and c = d); returns the
-    combined permutation of the Levi graph when found.  The search is
-    :func:`homog._backtrack` on color-swapping candidates.
+    combined permutation of the Levi graph, points 0..nb-1 then line li as
+    nb + li, when found.  The search is :func:`homog._backtrack` on the
+    rows ``through`` (offset by nb) and ``lines``, each vertex sent to one
+    of the same refined colour on the other side.
     """
     m, c, n, d = cfg.params
     if m != n or c != d:
         return None
-    lv = levi_graph(cfg)
-    size = len(lv)
+    nb = cfg.n_points
+    rows = [[nb + li for li in lns] for lns in cfg.through] + cfg.lines
     # swap-color refinement: colors must be color-blind, so start uniform
-    colors = _refine_colors(cfg, [0] * size)
-    classes: dict[int, int] = {}
-    for x in range(size):
-        classes.setdefault(colors[x], 0)
-        classes[colors[x]] |= 1 << x
-
-    black_mask = (1 << lv.n_black) - 1
-    white_mask = ((1 << size) - 1) ^ black_mask
-    cand = [
-        (classes[colors[x]] & (white_mask if x < lv.n_black else black_mask))
-        for x in range(size)
-    ]
+    colors = _refine_colors(cfg, [0] * len(rows))
+    # x may go to y when they share a colour and lie on opposite sides
+    dom = [(col, x < nb) for x, col in enumerate(colors)]
+    img = [(col, x >= nb) for x, col in enumerate(colors)]
     try:
-        dual, _ = homog._backtrack(lv.adj, cand, {}, DUALITY_NODE_CAP)
+        dual, _ = homog._backtrack(rows.__getitem__, dom, img, {},
+                                   DUALITY_NODE_CAP)
     except homog.HomogError:
         raise ConfigError("duality search exceeded node cap") from None
     return dual

@@ -14,6 +14,12 @@ on the arcs exactly when it is transitive on the vertices and a vertex
 stabilizer is transitive on that vertex's neighbours (Gardiner, "Homogeneous
 graphs", JCT B 20, 1976).  Two orbits, of sizes n and the degree, stand in
 for the orbit on all 2|E| arcs.
+
+Whether a partial map extends to an automorphism, for the non-UH witness
+and for the self-duality search of ``config``, is one backtracking search on
+adjacency rows whose candidates are signature cells, refined by each
+assignment as in partition-backtrack search (Leon, J. Symbolic Comput. 12,
+1991; McKay and Piperno, "Practical graph isomorphism, II", 2014).
 """
 
 from __future__ import annotations
@@ -239,110 +245,119 @@ EXTEND_NODE_CAP = 2_000_000
 def extend_partial(g: PencilGraph, partial: dict[int, int]):
     """Complete a partial vertex map to an automorphism, or prove exhaustion.
 
-    Returns (vperm | None, stats); raises HomogError past EXTEND_NODE_CAP
-    search nodes.
+    Returns (vperm | None, stats); raises HomogError for a key or value that
+    is not a vertex id, and past EXTEND_NODE_CAP search nodes.
     """
-    n = len(g.vertices)
-    nbr = [g.nbr_mask(i) for i in range(n)]
-    return _backtrack(nbr, [(1 << n) - 1] * n, partial, EXTEND_NODE_CAP)
+    n = len(g)
+    for pair in partial.items():
+        if not all(type(v) is int and 0 <= v < n for v in pair):
+            raise HomogError(f"partial map entry {pair} is not a pair of "
+                             f"vertex ids in 0..{n - 1}")
+    one = [0] * n
+    return _backtrack(g.neighbors_of, one, one, partial, EXTEND_NODE_CAP)
 
 
-def _backtrack(adj: list[int], cand: list[int], partial: dict[int, int],
+def _backtrack(row, dom_key: list, img_key: list, partial: dict[int, int],
                node_cap: int):
-    """Search for a bijection m of the vertices of the bitmask graph adj with
-    m(x) in cand[x] and adj[m(x)] >> m(z) & 1 == adj[x] >> z & 1, extending
-    partial.  Returns (map | None, stats).
+    """Search for a bijection m of the vertices 0..n-1 of the graph with
+    adjacency rows row(i) that preserves adjacency, sends each x to a y with
+    img_key[y] == dom_key[x], and extends partial.  Returns (map | None,
+    stats).
 
-    Propagation keeps per-vertex candidate bitmasks; vertices with a unique
-    candidate are forced before branching.
+    Domain vertex x is slot x and image y slot n + y of one cell array.  A
+    slot's cell is its key plus one bit per assignment x -> y for "adjacent
+    to x" (to y, for an image), so x's candidates are the unmapped images in
+    its cell.  An assignment moves the unmapped neighbours of x and y into
+    split cells, one trail entry per move, and fails when a cell keeps
+    domain slots but no image.  The vertex with fewest candidates, the least
+    first, is tried next, its candidates in ascending order.  A cell that
+    starts with domain slots but no image ends the search at once,
+    exhausted with no nodes.
     """
-    n = len(adj)
+    n = len(dom_key)
     stats = ExtendStats()
-
+    # dom[c] and img[c] count the domain and image slots in cell c; cell 0
+    # holds the mapped slots, with more images than any cell can have
+    ids: dict = {}
+    cell = [ids.setdefault(k, len(ids) + 1) for k in dom_key + img_key]
+    dom, img = [0] * (len(ids) + 1), [n + 1] + [0] * len(ids)
+    for s, c in enumerate(cell):
+        (dom, img)[s >= n][c] += 1
+    trail: list[tuple[int, int]] = []
     m_fwd = [-1] * n
-    cand = list(cand)
 
-    def assign(x, y, trail):
+    def move(s, c):
+        side = (dom, img)[s >= n]
+        side[cell[s]] -= 1
+        side[c] += 1
+        cell[s] = c
+
+    def push(s, c):
+        trail.append((s, cell[s]))
+        move(s, c)
+
+    def whole(cells):
+        return all(img[c] or not dom[c] for c in cells)
+
+    def assign(x, y):
         m_fwd[x] = y
-        trail.append(("a", x))
-        # constrain all unmapped
-        for z in range(n):
-            if m_fwd[z] >= 0:
-                continue
-            old = cand[z]
-            new = old & (adj[y] if adj[x] >> z & 1 else ~adj[y]) & ~(1 << y)
-            if new != old:
-                trail.append(("c", z, old))
-                cand[z] = new
-                if new == 0:
-                    return False
-        return True
+        cy = cell[n + y]
+        push(x, 0)
+        push(n + y, 0)
+        split: dict[int, int] = {}
+        for s in (*row(x), *map(n.__add__, row(y))):
+            c = cell[s]
+            if c:
+                if c not in split:
+                    split[c] = len(img)
+                    dom.append(0)
+                    img.append(0)
+                push(s, split[c])
+        return whole((cy, *split, *split.values()))
 
-    def undo(trail, mark):
-        while len(trail) > mark:
-            entry = trail.pop()
-            if entry[0] == "a":
-                m_fwd[entry[1]] = -1
-            else:
-                _, z, old = entry
-                cand[z] = old
-
-    trail: list = []
-    for x, y in sorted(partial.items()):
-        if not (cand[x] >> y & 1 and assign(x, y, trail)):
-            stats.exhausted = True
-            return None, stats
-
-    def pick():
-        best, bestc, bestk = -1, 0, None
-        for i in range(n):
-            if m_fwd[i] < 0:
-                c = cand[i]
-                k = c.bit_count()
-                if bestk is None or k < bestk:
-                    best, bestc, bestk = i, c, k
-                    if k <= 1:
-                        break
-        return best, bestc
-
-    # iterative most-constrained-first backtracking; one frame per vertex
-    frames: list[list] = []
-    found = False
-    while True:
-        best, bestc = pick()
-        if best < 0:
-            found = True
-            break
-        frames.append([best, bestc, len(trail)])
-        live = False
-        while frames:
-            x, cands, mark = frames[-1]
-            undo(trail, mark)
-            y = None
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                frames[-1][1] = cands
-                y0 = low.bit_length() - 1
-                stats.nodes += 1
-                if stats.nodes > node_cap:
-                    raise HomogError("extension search exceeded node cap")
-                if assign(x, y0, trail):
-                    y = y0
+    def frame():
+        """The next vertex, its candidates and its undo mark, or None when
+        all are mapped.  No unmapped vertex has 0 candidates here."""
+        x, kx = -1, n + 1
+        for z, c in enumerate(cell[:n]):
+            if img[c] < kx:
+                x, kx = z, img[c]
+                if kx == 1:
                     break
-                undo(trail, mark)
-            if y is not None:
-                live = True
-                break
+        if x < 0:
+            return None
+        cands, s = [], n - 1
+        for _ in range(kx):
+            s = cell.index(cell[x], s + 1)
+            cands.append(s - n)
+        return x, iter(cands), len(trail), len(img)
+
+    def advance(x, cands, mark, ncells):
+        """Undo to the frame's mark and assign x its next live candidate."""
+        for y in cands:
+            while len(trail) > mark:
+                move(*trail.pop())
+            del dom[ncells:], img[ncells:]
+            stats.nodes += 1
+            if stats.nodes > node_cap:
+                raise HomogError("extension search exceeded node cap")
+            if assign(x, y):
+                return True
+        return False
+
+    live = whole(range(len(img))) and all(
+        cell[x] == cell[n + y] and assign(x, y)
+        for x, y in sorted(partial.items()))
+    # most-constrained-first backtracking; one frame per assigned vertex
+    frames: list[tuple] = []
+    while live and (top := frame()) is not None:
+        frames.append(top)
+        while frames and not advance(*frames[-1]):
             frames.pop()
         stats.max_depth = max(stats.max_depth, len(frames))
-        if not live:
-            break
-
-    if found:
-        return list(m_fwd), stats
-    stats.exhausted = True
-    return None, stats
+        live = bool(frames)
+    stats.exhausted = not live
+    return (m_fwd if live else None), stats
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,8 @@ def test_report_decomposition_without_golden_row(monkeypatch):
      "1af6e1a14852128845141f247b84058f7cf494f98bda444b5c20233c1c5eee0f"),
     (["config", "-r", "3", "-s", "1", "--format", "dot"],
      "e907f99a7878fb77ab03727bcbe5307b2451f948f9ccdd93eeff6cc466b66001"),
+    (["config", "-r", "4", "-s", "1", "--enable-heavy"],
+     "a22c6e031bafae54ee99dd3904d6f54a57e97fc170a54f61470bc469df55267b"),
     (["aut", "-r", "4", "-s", "2"],
      "5e25306f7d261320369057ce4df209543bf92523bd962184f89eb9b8ccaa2c3a"),
     (["aut", "-r", "3", "-s", "1"],
@@ -231,8 +233,9 @@ def test_report_decomposition_without_golden_row(monkeypatch):
     (["census", "--rho", "5", "--enable-heavy"],
      "a15316d7253ba58baf43c816b1c311f49f334767520d24a78793d3aa865c6b18"),
 ], ids=["report-3-1", "report-4-2", "build-3-1", "build-4-1", "verify-4-1",
-        "homog-4-2", "config-3-1", "config-3-1-dot", "aut-4-2", "aut-3-1",
-        "aut-4-1", "homog-4-1", "census-4", "hrho-4", "hrho-5", "census-5"])
+        "homog-4-2", "config-3-1", "config-3-1-dot", "config-4-1", "aut-4-2",
+        "aut-3-1", "aut-4-1", "homog-4-1", "census-4", "hrho-4", "hrho-5",
+        "census-5"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -7,8 +8,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from pencilgraphs import (autnr, cli, decomp, gf2, graphbuild as gb, homog,
-                          hrho, pencil)
+from pencilgraphs import (autnr, cli, config as cfgmod, decomp, gf2,
+                          graphbuild as gb, homog, hrho, pencil)
 from pencilgraphs.gf2 import SpaceCtx
 
 
@@ -210,6 +211,240 @@ def test_extend_node_cap(monkeypatch):
     monkeypatch.setattr(homog, "EXTEND_NODE_CAP", 1)
     with pytest.raises(homog.HomogError, match="node cap"):
         homog.extend_partial(g, partial)
+
+
+def test_extend_rejects_malformed_partial():
+    """Keys and values must be vertex ids: -1 would alias the last vertex."""
+    g = gb.component(3, 1)
+    for partial in ({-1: 0}, {0: -1}, {42: 0}, {0: 42}, {0.0: 0}, {0: 1.0},
+                    {True: 0}, {0: "1"}):
+        with pytest.raises(homog.HomogError, match="vertex ids"):
+            homog.extend_partial(g, partial)
+
+
+def _mask_backtrack(adj: list[int], cand: list[int], partial: dict[int, int],
+                    node_cap: int):
+    """The literal reference the cell search replaced: one n-bit candidate
+    mask per vertex, narrowed by every assignment, with each old mask on
+    the undo trail.  Returns (map | None, stats) like homog._backtrack."""
+    n = len(adj)
+    stats = homog.ExtendStats()
+
+    m_fwd = [-1] * n
+    cand = list(cand)
+
+    def assign(x, y, trail):
+        m_fwd[x] = y
+        trail.append(("a", x))
+        # constrain all unmapped
+        for z in range(n):
+            if m_fwd[z] >= 0:
+                continue
+            old = cand[z]
+            new = old & (adj[y] if adj[x] >> z & 1 else ~adj[y]) & ~(1 << y)
+            if new != old:
+                trail.append(("c", z, old))
+                cand[z] = new
+                if new == 0:
+                    return False
+        return True
+
+    def undo(trail, mark):
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry[0] == "a":
+                m_fwd[entry[1]] = -1
+            else:
+                _, z, old = entry
+                cand[z] = old
+
+    trail: list = []
+    for x, y in sorted(partial.items()):
+        if not (cand[x] >> y & 1 and assign(x, y, trail)):
+            stats.exhausted = True
+            return None, stats
+
+    def pick():
+        best, bestc, bestk = -1, 0, None
+        for i in range(n):
+            if m_fwd[i] < 0:
+                c = cand[i]
+                k = c.bit_count()
+                if bestk is None or k < bestk:
+                    best, bestc, bestk = i, c, k
+                    if k <= 1:
+                        break
+        return best, bestc
+
+    frames: list[list] = []
+    found = False
+    while True:
+        best, bestc = pick()
+        if best < 0:
+            found = True
+            break
+        frames.append([best, bestc, len(trail)])
+        live = False
+        while frames:
+            x, cands, mark = frames[-1]
+            undo(trail, mark)
+            y = None
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                frames[-1][1] = cands
+                y0 = low.bit_length() - 1
+                stats.nodes += 1
+                if stats.nodes > node_cap:
+                    raise homog.HomogError("extension search exceeded node cap")
+                if assign(x, y0, trail):
+                    y = y0
+                    break
+                undo(trail, mark)
+            if y is not None:
+                live = True
+                break
+            frames.pop()
+        stats.max_depth = max(stats.max_depth, len(frames))
+        if not live:
+            break
+
+    if found:
+        return list(m_fwd), stats
+    stats.exhausted = True
+    return None, stats
+
+
+def _mask_extend(g, partial, node_cap=homog.EXTEND_NODE_CAP):
+    n = len(g)
+    nbr = [g.nbr_mask(i) for i in range(n)]
+    return _mask_backtrack(nbr, [(1 << n) - 1] * n, partial, node_cap)
+
+
+def _mask_self_duality(cfg):
+    """The reference duality search on the bitmask Levi graph, points
+    0..nb-1 and line li as nb + li, with colour-class candidates masked to
+    the other side.  Returns (map | None, stats)."""
+    nb = cfg.n_points
+    size = nb + len(cfg.lines)
+    adj = [0] * size
+    for li, ln in enumerate(cfg.lines):
+        for p in ln:
+            adj[p] |= 1 << (nb + li)
+            adj[nb + li] |= 1 << p
+    colors = cfgmod._refine_colors(cfg, [0] * size)
+    classes: dict[int, int] = {}
+    for x in range(size):
+        classes[colors[x]] = classes.get(colors[x], 0) | 1 << x
+    black = (1 << nb) - 1
+    white = ((1 << size) - 1) ^ black
+    cand = [classes[colors[x]] & (white if x < nb else black)
+            for x in range(size)]
+    return _mask_backtrack(adj, cand, {}, cfgmod.DUALITY_NODE_CAP)
+
+
+def _random_partial_maps(case, count, seed):
+    """Seeded partial maps: an automorphism (a random word in the
+    generators) restricted to 1..4 random vertices; in every third map one
+    image is moved to a vertex outside the other images."""
+    _, g, gens = _cached_setup(case)
+    vperms = gens.vperms()
+    n = len(g)
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        auto = list(range(n))
+        for _ in range(8):
+            p = rng.choice(vperms)
+            auto = [p[v] for v in auto]
+        m = {x: auto[x] for x in rng.sample(range(n), rng.randint(1, 4))}
+        if i % 3 == 2:
+            x = rng.choice(sorted(m))
+            m[x] = rng.choice(sorted(set(range(n)) - set(m.values())))
+        out.append(m)
+    return out
+
+
+def _capped(search, *args) -> bool:
+    """Whether search(*args) stops at its node cap."""
+    try:
+        search(*args)
+    except homog.HomogError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("case,count", [((3, 1), 30), ((4, 2), 30),
+                                        ((4, 1), 3)])
+def test_cell_search_matches_mask_search(case, count):
+    """The same map and ExtendStats as the mask search on seeded partial
+    maps, the failing third included, and the same node-cap verdicts."""
+    g = gb.component(*case)
+    one = [0] * len(g)
+    verdicts = set()
+    for partial in _random_partial_maps(case, count, seed=2021 + len(g)):
+        want = _mask_extend(g, partial)
+        assert homog.extend_partial(g, partial) == want
+        verdicts.add(want[0] is None)
+        # a capped rerun of the reference takes seconds at (4,1)
+        if not want[1].nodes or case == (4, 1):
+            continue
+        for cap in (want[1].nodes - 1, want[1].nodes):
+            assert (_capped(_mask_extend, g, partial, cap)
+                    == _capped(homog._backtrack, g.neighbors_of, one, one,
+                               partial, cap)
+                    == (cap < want[1].nodes))
+    assert verdicts == {True, False}
+
+
+def test_extend_partial_starts_without_an_empty_cell(monkeypatch):
+    """extend_partial gives every vertex one key on both sides, so no cell
+    starts with domain slots but no image: the case in which the cell
+    search stops at once where the mask search reached the same verdict
+    later.  That case itself returns exhausted with no nodes."""
+    seen = []
+    search = homog._backtrack
+
+    def spy(row, dom_key, img_key, partial, node_cap):
+        seen.append((dom_key, img_key))
+        return search(row, dom_key, img_key, partial, node_cap)
+
+    monkeypatch.setattr(homog, "_backtrack", spy)
+    g = gb.component(3, 1)
+    homog.extend_partial(g, {0: 0})
+    (dom_key, img_key), = seen
+    assert dom_key == img_key and len(set(dom_key)) == 1
+    assert len(dom_key) == len(g)
+    vperm, stats = search(g.neighbors_of, [0] * (len(g) - 1) + [1],
+                          [0] * len(g), {}, 10)
+    assert vperm is None and stats == homog.ExtendStats(0, 0, True)
+
+
+def _duality_with_stats(cfg, monkeypatch):
+    stats = []
+    search = homog._backtrack
+
+    def spy(*args):
+        out = search(*args)
+        stats.append(out[1])
+        return out
+
+    monkeypatch.setattr(homog, "_backtrack", spy)
+    return cfgmod.self_duality_map(cfg), stats[0]
+
+
+def test_duality_matches_mask_search_31(monkeypatch):
+    cfg = cfgmod.build_config(SpaceCtx(3, 1), gb.component(3, 1))
+    got = _duality_with_stats(cfg, monkeypatch)
+    assert got == _mask_self_duality(cfg)
+    assert got[1].nodes == 87
+
+
+@pytest.mark.heavy
+def test_duality_matches_mask_search_41(monkeypatch):
+    """The reference takes about 15 s and 1 GB here."""
+    cfg = cfgmod.build_config(SpaceCtx(4, 1), gb.component(4, 1))
+    assert _duality_with_stats(cfg, monkeypatch) == _mask_self_duality(cfg)
 
 
 def _tuple_orbit(seed: tuple, gens) -> set[tuple]:
