@@ -9,7 +9,7 @@ intersection and translation single integer ops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 
@@ -80,7 +80,11 @@ def span_mask(points) -> int:
 
 @dataclass(frozen=True)
 class SpaceCtx:
-    """Parameters of one (r, sigma) instance, all derived values precomputed."""
+    """Parameters of one (r, sigma) instance.
+
+    Each derived value is computed on first access and then kept on the
+    instance; equality, hash and repr read only (r, sigma).
+    """
 
     r: int
     sigma: int
@@ -93,35 +97,35 @@ class SpaceCtx:
         if not 0 < self.sigma <= self.r - 2:
             raise Gf2Error(f"sigma must be in (0, r-1), got {self.sigma}")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return (1 << self.r) - 1
 
-    @property
+    @cached_property
     def rho(self) -> int:
         return self.r - self.sigma
 
-    @property
+    @cached_property
     def s(self) -> int:
         return 1 << (self.r - self.sigma - 1)
 
-    @property
+    @cached_property
     def t(self) -> int:
         return (1 << (self.sigma + 1)) - 1
 
-    @property
+    @cached_property
     def m1(self) -> int:
         return (1 << (self.r - self.sigma)) - 1
 
-    @property
+    @cached_property
     def m0(self) -> int:
         return 2 * self.s * ((1 << self.sigma) - 1)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return self.s * (self.t - 1) * self.m1
 
-    @property
+    @cached_property
     def all_points_mask(self) -> int:
         return (1 << (self.n + 1)) - 2
 
@@ -233,16 +237,18 @@ def coset_table(r: int, a0_mask: int):
     table is a tuple of length 2^r whose entry x is the mask of the coset
     that holds point x, and 0 for point 0 and for the points of A0.
     """
+    sub = (0,) + points_of(a0_mask)
     masks = []
     table = [0] * (1 << r)
     seen = a0_mask
     for x in range(1, 1 << r):
         if seen >> x & 1:
             continue
-        cm = coset_mask(a0_mask, x)
+        coset = [x ^ a for a in sub]
+        cm = mask_of(coset)
         seen |= cm
         masks.append(cm)
-        for p in points_of(cm):
+        for p in coset:
             table[p] = cm
     return tuple(masks), tuple(table)
 

@@ -4,13 +4,15 @@ Two pencils are adjacent iff they have equal slices through some hyperplane
 not containing either initial entry; neighbor generation therefore walks the
 m0 maximal-clique copies incident to a vertex instead of scanning pairs.
 
-Within a copy, a pencil's entry i is the coset of its A0 that holds the least
-point of slice entry i.  Those least points do not depend on the block that
-extends U0 to A0, so they are found once per copy, and each of the 2s pencils
-is one itemgetter gather from its A0's point table.  A lazily filled cache
-keeps one member list per U0: for each U0-coset block, the triple (block,
-A0 = U0 | block, A0's point table).  A copy skips the blocks that meet h and
-gathers the rest, with no cache or dict lookup per member.
+Within a copy, a pencil's entry i is the coset of its A0 that holds any
+point of slice entry i, say its top point.  Each A0 has one cached led
+table, A0 followed by its point table, so index p + 1 holds the coset of p
+and index 0 holds A0; the bit length of a slice entry is its top point + 1.
+One itemgetter of (0, bit lengths of the slice entries) therefore gathers a
+whole pencil from its led table.  A second cache keeps, per (U0, h) flag,
+the 2s led tables of the A0 = U0 | block whose block misses h, so a copy is
+one C-level map of that itemgetter over them, with no Python step per
+member or per block.
 
 The component BFS does not call neighbors(v) per vertex: it builds each
 clique copy once, when its first member is expanded, takes each row as the
@@ -112,26 +114,29 @@ def clique_slices(ctx: SpaceCtx, v: VTuple) -> list[tuple[int, VTuple]]:
 
 
 @lru_cache(maxsize=None)
-def _copy_members(r: int, u0_mask: int) -> tuple[tuple[int, int, tuple], ...]:
-    """(block, A0 = U0 | block, A0's point table) per U0-coset block."""
-    out = []
-    for blk in gf2.coset_table(r, u0_mask)[0]:
-        a0 = u0_mask | blk
-        out.append((blk, a0, gf2.coset_table(r, a0)[1]))
-    return tuple(out)
+def _led_table(r: int, a0_mask: int) -> tuple[int, ...]:
+    """A0 followed by A0's point table: index p + 1 holds the coset of p."""
+    return (a0_mask,) + gf2.coset_table(r, a0_mask)[1]
+
+
+@lru_cache(maxsize=None)
+def _copy_tables(r: int, u0_mask: int, h: int) -> tuple[tuple[int, ...], ...]:
+    """The led tables of the A0 = U0 | block whose block misses h, in block
+    order; U0 lies in h, so each coset of U0 is inside h or disjoint from it."""
+    return tuple(_led_table(r, u0_mask | blk)
+                 for blk in gf2.coset_table(r, u0_mask)[0] if not blk & h)
 
 
 def clique_copy_vertices(ctx: SpaceCtx, h: int, sl: VTuple) -> list[VTuple]:
     """All 2s pencils whose slice through hyperplane h equals sl."""
-    # the least point of each slice entry, inline; m1 >= 3 slice entries,
-    # so itemgetter returns a tuple, never one item
-    pick = itemgetter(*[(m & -m).bit_length() - 1 for m in sl[1:]])
-    # U0 lies in h, so each coset of U0 is inside h or disjoint from it
-    out = [(a0,) + pick(table)
-           for blk, a0, table in _copy_members(ctx.r, sl[0]) if not blk & h]
-    if len(out) != 2 * ctx.s:
-        raise BuildError(f"{len(out)} pencils on a slice, expected {2 * ctx.s}")
-    return out
+    tables = _copy_tables(ctx.r, sl[0], h)
+    if len(tables) != 2 * ctx.s:
+        raise BuildError(f"{len(tables)} pencils on a slice, "
+                         f"expected {2 * ctx.s}")
+    # bit_length of a slice entry is its top point + 1, the led-table index
+    # of that point's coset; 1 + m1 >= 4 indices, so itemgetter returns a
+    # tuple, never one item
+    return list(map(itemgetter(0, *map(int.bit_length, sl[1:])), tables))
 
 
 def neighbors(ctx: SpaceCtx, v: VTuple) -> list[VTuple]:
@@ -142,7 +147,13 @@ def neighbors(ctx: SpaceCtx, v: VTuple) -> list[VTuple]:
     pencil.validate(ctx, v)
     out = []
     for h, sl in clique_slices(ctx, v):
-        out += [w for w in clique_copy_vertices(ctx, h, sl) if w != v]
+        copy = clique_copy_vertices(ctx, h, sl)
+        try:
+            copy.remove(v)
+        except ValueError:
+            raise BuildError(f"{pencil.display(v)} is missing from its clique "
+                             f"copy through {gf2.mask_str(h)}") from None
+        out += copy
     return out
 
 

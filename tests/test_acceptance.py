@@ -205,8 +205,7 @@ def test_criterion_12_configurations():
     _line(12, "configurations, Menger equality, self-duality", ok)
 
 
-@pytest.mark.heavy
-def test_criterion_12_heavy_duality_41():
+def test_criterion_12_duality_41():
     ctx = SpaceCtx(4, 1)
     g = gb.component(4, 1)
     cfg = cfgmod.build_config(ctx, g)

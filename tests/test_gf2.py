@@ -15,6 +15,21 @@ def test_ctx_derived_values():
     assert ctx.m1 * (1 << ctx.sigma) + (1 << ctx.sigma) - 1 == ctx.n
 
 
+def test_ctx_derived_values_kept_once():
+    """Each derived value is computed once and kept on the instance, and
+    equality, hash and repr stay keyed on (r, sigma) alone."""
+    names = ("n", "rho", "s", "t", "m1", "m0", "degree", "all_points_mask")
+    warm, cold = SpaceCtx(6, 2), SpaceCtx(6, 2)
+    values = [getattr(warm, name) for name in names]
+    assert values == [63, 4, 8, 7, 15, 48, 720, (1 << 64) - 2]
+    assert all(vars(warm)[name] is v for name, v in zip(names, values))
+    assert all(getattr(warm, name) is v for name, v in zip(names, values))
+    assert not set(names) & set(vars(cold))
+    assert warm == cold and hash(warm) == hash(cold) == hash((6, 2))
+    assert repr(warm) == repr(cold) == "SpaceCtx(r=6, sigma=2)"
+    assert warm != SpaceCtx(6, 3) and len({warm, cold, SpaceCtx(6, 3)}) == 2
+
+
 @pytest.mark.parametrize("r,sigma", [(2, 1), (3, 0), (3, 3), (4, 3), (9, 7)])
 def test_ctx_rejects_bad_parameters(r, sigma):
     with pytest.raises(gf2.Gf2Error):

@@ -360,6 +360,50 @@ def test_gathered_neighbors_match_literal_lookup(r, sigma):
         assert gb.neighbors(ctx, v) == literal
 
 
+@pytest.mark.parametrize("r,sigma", [(6, 2), (5, 3)])
+def test_copy_tables_share_one_led_table_per_a0(r, sigma):
+    """After neighbors on seeded pencils, each (U0, h) entry holds 2s led
+    tables of distinct A0s, each the very _led_table object of its A0, and
+    there is one entry per (U0, h) flag touched."""
+    ctx = SpaceCtx(r, sigma)
+    gb._copy_tables.cache_clear()
+    gb._led_table.cache_clear()
+    rng = random.Random(r * 10 + sigma)
+    flags = set()
+    for _ in range(3):
+        a0 = 0
+        while a0.bit_count() != (1 << sigma) - 1:
+            a0 = gf2.span_mask(rng.sample(range(1, 1 << r), sigma))
+        masks = list(gf2.coset_table(r, a0)[0])
+        rng.shuffle(masks)
+        v = (a0,) + tuple(masks)
+        gb.neighbors(ctx, v)
+        flags |= {(sl[0], h) for h, sl in gb.clique_slices(ctx, v)}
+    assert gb._copy_tables.cache_info().currsize == len(flags)
+    a0s = set()
+    for u0, h in flags:
+        tables = gb._copy_tables(r, u0, h)
+        assert len(tables) == len({t[0] for t in tables}) == 2 * ctx.s
+        assert all(t is gb._led_table(r, t[0]) for t in tables)
+        a0s |= {t[0] for t in tables}
+    assert gb._copy_tables.cache_info().currsize == len(flags)
+    assert gb._led_table.cache_info().currsize == len(a0s)
+
+
+def test_neighbors_rejects_pencil_missing_from_its_copy(monkeypatch):
+    """A copy builder that leaves v out of one of v's copies makes neighbors
+    raise BuildError, not the ValueError of list.remove; the check is not an
+    assert, so it holds under python -O too."""
+    ctx = SpaceCtx(4, 2)
+    v = pencil.base_vertex_tuple(ctx)
+    real = gb.clique_copy_vertices
+    first_h = gb.clique_slices(ctx, v)[0][0]
+    monkeypatch.setattr(gb, "clique_copy_vertices", lambda ctx, h, sl: [
+        w for w in real(ctx, h, sl) if w != v or h != first_h])
+    with pytest.raises(gb.BuildError, match="missing from its clique copy"):
+        gb.neighbors(ctx, v)
+
+
 def _literal_bfs(ctx, seed, vertices, index, adj_rows):
     """Reference: the BFS from seed that calls neighbors(v) per vertex and
     looks up each neighbour's id; returns the new vertex ids."""
