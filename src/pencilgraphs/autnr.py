@@ -17,7 +17,17 @@ validated against the built graph; only verified automorphisms are kept.
 A point-kind candidate is mapped over the whole graph at once by
 PencilGraph.linear_vperm, a gather over the graph's label rows; mapping each
 vertex through apply_point_map with vperm_of gives the same permutation and
-is kept as the literal reference.  Fiber maps act on the neighborhood only.
+is kept as the literal reference.  Fiber maps act on the neighborhood only,
+and are checked on the sorted rows of the neighbors.
+
+A whole-graph candidate is validated exactly, on every vertex, by one test:
+it is a permutation and it maps every clique copy onto a clique copy.  The
+premise, checked once per graph, is that each row lists, each once, the
+other members of the vertex's clique copies, which is how the build makes
+the rows; then every edge lies in a copy and every copy is a clique, so the
+test is sufficient.  It is also necessary wherever every automorphism
+permutes the clique copies, as at (3,1), (4,2) and (4,1), whose generated
+groups are all of Aut(G).
 """
 
 from __future__ import annotations
@@ -139,26 +149,21 @@ def _neighbor_slots(g: PencilGraph) -> list[int]:
     return sorted(g.neighbors_of(0))
 
 
-# _is_automorphism checks every row up to this many vertices, else about
-# SAMPLE_ROWS evenly spaced rows
-EXHAUSTIVE_ROWS = 3000
-SAMPLE_ROWS = 400
-
-
 def _is_automorphism(g: PencilGraph, vperm) -> bool:
-    """vperm is a permutation of g that maps the neighbors of each checked
-    row i onto the (sorted) row of vperm[i]."""
-    n = len(g.vertices)
-    if sorted(vperm) != list(range(n)):
-        return False
-    step = 1 if n <= EXHAUSTIVE_ROWS else n // SAMPLE_ROWS
-    adj, d = g.adj, g.degree
-    image = vperm.__getitem__
-    for i in range(0, n, step):
-        lo = vperm[i] * d
-        if sorted(map(image, adj[i * d:i * d + d])) != adj[lo:lo + d].tolist():
-            return False
-    return True
+    """vperm is a permutation of g that maps every clique copy onto a clique
+    copy, checked exactly by PencilGraph.permutes_copies.
+
+    The premise, checked once per graph when its copy index is built: each
+    row lists, each once, the other members of the vertex's clique copies.
+    So every edge lies in a copy and every copy is a clique, and a
+    permutation that maps copies onto copies maps edges onto edges; it is an
+    automorphism.  The converse holds where every automorphism permutes the
+    copies.  At (3,1), (4,2) and (4,1) the generators the package builds
+    generate all of Aut(G) and permute the copies, so there the test equals
+    the literal all-pairs definition; elsewhere it is a sufficient
+    condition.
+    """
+    return g.permutes_copies(vperm)
 
 
 def _nperm_from_vperm(g: PencilGraph, vperm, slots, slot_index) -> tuple[int, ...]:
@@ -298,21 +303,15 @@ def synth_fiber_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
 
 
 def _nperm_preserves_ball(g: PencilGraph, slots, nperm) -> bool:
-    k = len(slots)
-    sub = []
-    for a in range(k):
-        m = 0
-        ga = g.nbr_mask(slots[a])
-        for b in range(k):
-            if ga >> slots[b] & 1:
-                m |= 1 << b
-        sub.append(m)
-    for a in range(k):
-        ia = nperm[a]
-        ma = sub[a]
-        for b in range(a + 1, k):
-            if bool(ma >> b & 1) != bool(sub[ia] >> nperm[b] & 1):
-                return False
+    """nperm, on the sorted neighbour slots, keeps every pair of slots
+    adjacent or not; read from the sorted rows."""
+    slot_index = {s: k for k, s in enumerate(slots)}
+    sub = [{slot_index[j] for j in g.neighbors_of(s) if j in slot_index}
+           for s in slots]
+    for a, ia in enumerate(nperm):
+        image = {nperm[b] for b in sub[a]}
+        if image != sub[ia]:
+            return False
     return True
 
 

@@ -27,6 +27,7 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from pencilgraphs import (_golden, autnr, config as configmod, decomp, gf2,
                           graphbuild, homog, hrho, hrho_heavy)
@@ -47,7 +48,10 @@ class RunConfig:
     fmt: str = "json"
 
 
+@lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built by the first main call; parse_args leaves
+    it unchanged, so one serves every later call in the process."""
     ap = argparse.ArgumentParser(
         prog="pencilgraphs",
         description="ordered-pencil graphs over binary projective space",

@@ -32,6 +32,17 @@ sends row L to psi[L[T^-1]]: over the n rows stored as one bytes object,
 that is 2^r strided column copies and one translate, and each image row
 finds its vertex id with one dict lookup.  The rows are derived; the mask
 tuple stays the only public form of a pencil.
+
+It keeps a second private, lazily built index, its clique copies as a copy
+family: one itemgetter of the copies' members in turn, the copy size 2s and
+the set of copies, each a sorted id tuple.  permutes_copies gathers the
+members' images under a vertex permutation, cuts them into copies and sorts
+each, all at C level, and looks every image up in the set.  The index is
+built only after every row is checked to list, each once, the other members
+of the vertex's copies, the rule build_component builds rows by and
+build_full relabels.  Every edge then lies in a copy and every copy is a
+clique, so a permutation that maps each copy onto a copy maps edges onto
+edges: it is an automorphism.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 
 from pencilgraphs import gf2, pencil
@@ -61,6 +72,19 @@ class MapError(ValueError):
 
 
 DEFAULT_CAP = 1 << 20
+
+# (one itemgetter of every copy's members in turn, copy size, set of
+# copies), each copy a sorted tuple of vertex ids
+CopyFamily = tuple[itemgetter, int, frozenset]
+
+
+def copy_family(copies, size: int) -> CopyFamily:
+    """The copies, sorted tuples of size vertex ids each, as a CopyFamily."""
+    copies = list(copies)
+    # the gather has at least two indices, so it returns a tuple
+    if size < 2 or not copies or any(len(c) != size for c in copies):
+        raise BuildError(f"not a family of copies of {size} >= 2 members")
+    return itemgetter(*chain.from_iterable(copies)), size, frozenset(copies)
 
 
 def adjacent(ctx: SpaceCtx, v: VTuple, w: VTuple):
@@ -175,6 +199,10 @@ class PencilGraph:
     # (label rows, row -> vertex id), built by the first linear_vperm
     _label_rows: tuple[bytes, dict[bytes, int]] | None = field(
         default=None, repr=False)
+    # the clique copies as a CopyFamily, built by the first clique_family;
+    # not an init field, so dataclasses.replace starts it afresh
+    _clique_family: CopyFamily | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -269,6 +297,38 @@ class PencilGraph:
         img = bytes(img).translate(bytes(1) + p[1:] + bytes(255 - m1))
         vperm = tuple(map(ids.get, self._split(img)))
         return None if None in vperm else vperm
+
+    def clique_family(self) -> CopyFamily:
+        """The clique copies as a CopyFamily.  Raises BuildError unless each
+        row lists, each once, the members other than the vertex of the
+        copies that hold it."""
+        if self._clique_family is None:
+            n = len(self.vertices)
+            held: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+            for ids in self.clique_copies.values():
+                for i in ids:
+                    held[i].append(ids)
+            for i, cs in enumerate(held):
+                row = sorted(chain.from_iterable(cs))
+                del row[bisect_left(row, i):bisect_right(row, i)]
+                if row != self.neighbors_of(i).tolist():
+                    raise BuildError(f"row {i} is not the other members of "
+                                     f"its clique copies")
+            self._clique_family = copy_family(self.clique_copies.values(),
+                                              2 * self.ctx.s)
+        return self._clique_family
+
+    def permutes_copies(self, vperm, family: CopyFamily | None = None
+                        ) -> bool:
+        """Whether vperm is a permutation of the vertices that maps every
+        copy of family, by default the clique copies, onto a copy of it."""
+        n = len(self.vertices)
+        if len(vperm) != n or set(vperm) != set(range(n)):
+            return False
+        gather, size, copies = family or self.clique_family()
+        images = iter(gather(vperm))
+        return copies.issuperset(map(tuple, map(sorted,
+                                                zip(*[images] * size))))
 
     def vertex_display(self, i: int) -> str:
         return pencil.display(self.vertices[i])

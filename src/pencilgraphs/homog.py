@@ -29,7 +29,7 @@ from itertools import permutations, product
 
 from pencilgraphs import autnr, decomp, gf2, hrho
 from pencilgraphs.gf2 import SpaceCtx
-from pencilgraphs.graphbuild import PencilGraph
+from pencilgraphs.graphbuild import CopyFamily, PencilGraph, copy_family
 from pencilgraphs.pencil import encode_tuple
 
 
@@ -178,14 +178,10 @@ class HReport:
         return dict(self.__dict__, exhaustive=True, sampled_checked=self.total)
 
 
-def _copies_equivariant(copy_sets: set[frozenset], vperms) -> bool:
-    """Every generator maps each copy's vertex set onto a copy's vertex set."""
-    for p in vperms:
-        image = p.__getitem__
-        for fs in copy_sets:
-            if frozenset(map(image, fs)) not in copy_sets:
-                return False
-    return True
+def _copies_equivariant(g: PencilGraph, family: CopyFamily, vperms) -> bool:
+    """Every generator is a permutation that maps each copy of the family
+    onto a copy of it."""
+    return all(g.permutes_copies(p, family) for p in vperms)
 
 
 def check_H_property(ctx: SpaceCtx, g: PencilGraph, gens: GeneratorSet
@@ -213,17 +209,17 @@ def check_H_property(ctx: SpaceCtx, g: PencilGraph, gens: GeneratorSet
     _, u = base_arc(ctx, g)
     norb, nused = _orbit(u, [p for p in vperms if p[0] == 0])
     cert = vused + [p for p in nused if p not in vused]
-    cl_copies, _ = decomp.enumerate_clique_copies(ctx, g)
     tu_copies, _ = decomp.enumerate_turan_copies(ctx, g)
     families = {
-        "clique": {frozenset(v) for v in cl_copies.values()},
-        "turan": set(tu_copies.keys()),
+        "clique": g.clique_family(),
+        "turan": copy_family(map(tuple, map(sorted, tu_copies)),
+                             ctx.t * ctx.s),
     }
     total = 2 * g.edge_count()
     size = len(vorb) * len(norb)
     out = []
-    for family, copy_sets in families.items():
-        equi = _copies_equivariant(copy_sets, cert)
+    for family, copies in families.items():
+        equi = _copies_equivariant(g, copies, cert)
         out.append(HReport(family, size, total, equi, equi and size == total))
     return out
 

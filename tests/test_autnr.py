@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import os
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -222,23 +224,30 @@ def _group_gens(case):
     return g, homog.full_generator_set(ctx, g, stab_gens=gens).vperms()
 
 
-def _literal_automorphism(g, vperm, rows) -> bool:
-    """The literal definition on the checked rows: vperm is a permutation
-    and keeps every pair (i, j) with i among the rows adjacent or not."""
-    n = len(g)
+@lru_cache(maxsize=None)
+def _edge_set(case):
+    """Every edge of the component, in both orientations, from its rows."""
+    g = gb.component(*case)
+    return frozenset(e for i, j in g.edges() for e in ((i, j), (j, i)))
+
+
+def _literal_automorphism(case, vperm) -> bool:
+    """The literal definition: vperm is a permutation of the vertices and
+    maps every edge to an edge, so, being a bijection, every pair adjacent
+    or not onto a pair of the same kind."""
+    n = len(gb.component(*case))
     if sorted(vperm) != list(range(n)):
         return False
-    return all(g.has_edge(i, j) == g.has_edge(vperm[i], vperm[j])
-               for i in rows for j in range(n))
+    edges = _edge_set(case)
+    return all((vperm[i], vperm[j]) in edges for i, j in edges)
 
 
-@pytest.mark.parametrize("case", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_is_automorphism_matches_literal_definition(case, data):
-    """The row test agrees with the all-pairs has_edge definition, on group
-    elements and on ones with two images swapped or merged, checking every
-    row or an evenly spaced sample of them."""
+    """The copy test agrees with the literal definition over all rows, on
+    group elements and on ones with two images swapped or merged."""
     g, gens = _group_gens(case)
     n = len(g)
     vperm = list(range(n))
@@ -252,17 +261,90 @@ def test_is_automorphism_matches_literal_definition(case, data):
             vperm[x], vperm[y] = vperm[y], vperm[x]
         else:
             vperm[x] = vperm[y]
-    sample = data.draw(st.none() | st.integers(1, n // 2))
-    with pytest.MonkeyPatch.context() as mp:
-        rows = range(n)
-        if sample is not None:
-            mp.setattr(autnr, "EXHAUSTIVE_ROWS", 0)
-            mp.setattr(autnr, "SAMPLE_ROWS", sample)
-            rows = range(0, n, n // sample)
-        got = autnr._is_automorphism(g, tuple(vperm))
-    assert got == _literal_automorphism(g, vperm, rows)
+    got = autnr._is_automorphism(g, tuple(vperm))
+    assert got == _literal_automorphism(case, vperm)
     if change == "none":
         assert got
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
+def test_swap_across_copies_is_rejected(case):
+    """Swapping vertex 0 with a vertex that shares no clique copy with it
+    maps a copy of 0 off the copies, and is no automorphism."""
+    g = gb.component(*case)
+    mates = set().union(*(c for c in g.clique_copies.values() if 0 in c))
+    far = [x for x in range(len(g)) if x not in mates]
+    assert far
+    for x in far[:5] + far[-5:]:
+        swap = list(range(len(g)))
+        swap[0], swap[x] = x, 0
+        assert not autnr._is_automorphism(g, swap)
+        assert not _literal_automorphism(case, swap)
+
+
+@pytest.mark.parametrize("fault", ["row", "copy"])
+def test_unfaithful_copies_are_refused(fault):
+    """A hand-built graph whose rows are not the other members of the
+    copies is refused with BuildError, not validated on its copies: an
+    edge outside every copy, or a copy missing from the family."""
+    g = gb.component(3, 1)
+    g.clique_family()  # a built index is not carried over by replace
+    if fault == "row":
+        adj = array(g.adj.typecode, g.adj)
+        row = g.neighbors_of(0)
+        adj[0] = next(x for x in range(1, len(g)) if x not in row)
+        bad = dataclasses.replace(g, adj=adj)
+    else:
+        copies = dict(g.clique_copies)
+        del copies[next(iter(copies))]
+        bad = gb.PencilGraph(g.ctx, g.vertices, g.index, g.adj, g.degree,
+                             True, copies)
+    with pytest.raises(gb.BuildError, match="not the other members"):
+        autnr._is_automorphism(bad, tuple(range(len(bad))))
+
+
+def _ball_by_masks(g, slots, nperm) -> bool:
+    """The ball check on the neighbour bitmasks: nperm keeps every pair of
+    slots adjacent or not, pair by pair."""
+    k = len(slots)
+    sub = []
+    for a in range(k):
+        m = 0
+        ga = g.nbr_mask(slots[a])
+        for b in range(k):
+            if ga >> slots[b] & 1:
+                m |= 1 << b
+        sub.append(m)
+    return all(bool(sub[a] >> b & 1) == bool(sub[nperm[a]] >> nperm[b] & 1)
+               for a in range(k) for b in range(a + 1, k))
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
+def test_ball_check_matches_bitmask_form(case, monkeypatch):
+    """The ball check on the sorted rows agrees with the bitmask form on
+    every fiber candidate that synthesis tests, and on each with two
+    entries swapped."""
+    ctx = SpaceCtx(*case)
+    g = gb.component(*case)
+    real = autnr._nperm_preserves_ball
+    calls = []
+
+    def recorded(g_, slots, nperm):
+        calls.append((slots, list(nperm)))
+        return real(g_, slots, nperm)
+
+    monkeypatch.setattr(autnr, "_nperm_preserves_ball", recorded)
+    autnr.synth_fiber_kind(ctx, g)
+    results = set()
+    for slots, nperm in calls:
+        k = len(nperm)
+        for a, b in [(0, 0), (0, 1), (0, k - 1), (k // 2, k // 3)]:
+            p = list(nperm)
+            p[a], p[b] = p[b], p[a]
+            got = real(g, slots, p)
+            assert got == _ball_by_masks(g, slots, p)
+            results.add(got)
+    assert results == {True, False}
 
 
 def _transposed(psi):

@@ -304,6 +304,31 @@ def test_heavy_paths_do_not_import_numpy(tmp_path):
                                                           "2.out"]
 
 
+def test_successive_main_calls_match_separate_processes(tmp_path, capsys,
+                                                        monkeypatch):
+    """One process serves verb after verb with one parser: each main call
+    writes the bytes and the error text, and exits with the code, of the
+    same command in a process of its own, bad arguments included."""
+    runs = [["census", "--rho", "3"], ["report", "-r", "3", "-s", "1"],
+            ["report", "-r", "3"], ["census", "--rho", "9"],
+            ["verify", "-r", "3", "-s", "1", "--format", "dot"],
+            ["census", "--rho", "3", "--format", "json"]]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for i, args in enumerate(runs):
+        one, own = tmp_path / f"{i}.one", tmp_path / f"{i}.own"
+        rc = main(args + ["--out", str(one)])
+        err = capsys.readouterr().err
+        proc = subprocess.run(
+            [sys.executable, "-m", "pencilgraphs.cli", *args, "--out",
+             str(own)], capture_output=True, text=True, env=env)
+        assert (rc, err) == (proc.returncode, proc.stderr), args
+        assert one.exists() == own.exists() == (rc == 0), args
+        if rc == 0:
+            assert one.read_bytes() == own.read_bytes(), args
+    assert cli._parser() is cli._parser()
+
+
 def test_internal_build_error_is_not_caught(monkeypatch):
     """Only cap refusals exit 2; a broken invariant still raises."""
     def broken(*args):
