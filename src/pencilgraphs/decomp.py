@@ -17,19 +17,24 @@ two different copies through one anchor and raises.  The first anchor of a
 copy in vertex-then-entry order is never skipped, so the copies come out in
 the same order, with the same parts, as from the all-anchor walk.
 
-The edge-cover check names the edge (x, y) by the slot of y in x's sorted
-adjacency row, and keeps one array of copy indices per slot and family.
-It does not count how often each pair of vertices lies in a clique copy:
-two clique copies sharing a pair either cover the edge twice or contain a
-non-edge, and the cover pass already reports both.
+The decomposition is checked one vertex at a time by graphbuild.row_faults,
+the routine PencilGraph.clique_family uses: a vertex's sorted row must list,
+each once, the other members of its clique copies, and again the members of
+its Turan copies outside its own part.  At every vertex, that holds exactly
+when each pair in a copy is an edge, no edge is in two copies of a family
+and every edge is covered.  The vertex's other part members must be off its
+row (parts are independent) and distinct (no two Turan copies share a part
+pair), and no clique copy may hold three members of one Turan copy, the
+literal |C & T| <= 2.  A failure names each pair once, as x < y; a cover
+count is the sum over all vertices of their distinct co-members, halved.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from pencilgraphs import gf2, graphbuild, hrho, pencil
@@ -279,108 +284,60 @@ def verify_decomposition(ctx: SpaceCtx, g: PencilGraph) -> DecompReport:
     if ell1 != exp_ell1:
         failures.append(f"Turan copy count {ell1} != {exp_ell1}")
 
-    # each edge in exactly one copy per family, and the copies intersect in
-    # it; edge (x, y) is the slot of y in x's sorted adjacency row, a pair
-    # with no slot is a non-edge and is kept by pair in a set.  The slot
-    # lookup is written out in both passes: a call per pair would cost about
-    # a tenth of the check.
-    adj, d = g.adj, g.degree
-    edges = g.edge_count()
-    clique_verts = list(cliques.values())
-    clique_of = array("i", [-1]) * len(adj)  # slot -> last clique copy on it
-    stray_clique: set[tuple[int, int]] = set()  # non-edges in a clique copy
-    clique_cover = 0
-    bad = False
-    for ci, verts in enumerate(clique_verts):
-        for a, x in enumerate(verts):
-            lo = x * d
-            hi = lo + d
-            for y in verts[a + 1:]:
-                k = bisect_left(adj, y, lo, hi)
-                if k < hi and adj[k] == y:
-                    if clique_of[k] >= 0:
-                        failures.append(f"edge {(x, y)} in two clique copies")
-                        bad = True
-                    else:
-                        clique_cover += 1
-                    clique_of[k] = ci
-                    continue
-                e = (x, y)
-                failures.append(f"clique copy not a clique at {e}")
-                bad = True
-                if e in stray_clique:
-                    failures.append(f"edge {e} in two clique copies")
-                else:
-                    clique_cover += 1
-                stray_clique.add(e)
-            if bad:
-                break
-        if bad:
-            break
-    if clique_cover != edges:
-        failures.append(
-            f"clique copies cover {clique_cover} pairs, "
-            f"expected {edges} edges"
-        )
+    # one vertex at a time: its row lists, each once, the other members of
+    # its clique copies, and the members of its Turan copies outside its
+    # part; its other part members are off the row and distinct
+    edges, d = g.edge_count(), g.degree
+    cliques_at = graphbuild.held_by(n, zip(cliques.values(), cliques.values()))
+    turan_list = [(frozenset().union(*ps), ps) for ps in turans.values()]
+    families = [
+        (cliques_at, "clique copy not a clique at ({}, {})",
+         "edge ({}, {}) in two clique copies"),
+        (graphbuild.held_by(n, ((p, tuple(members - p))
+                                for members, ps in turan_list for p in ps)),
+         "Turan copy non-edge across parts {},{}",
+         "edge ({},{}) in two Turan copies")]
+    parts_at = graphbuild.held_by(n, ((p, p) for _, ps in turan_list
+                                      for p in ps))
+    cover = [0, 0]  # distinct co-members summed: each pair from both ends
+    for x in range(n):
+        row = g.neighbors_of(x).tolist()
+        for f, (held, off_text, twice_text) in enumerate(families):
+            faults = graphbuild.row_faults(row, x, held[x])
+            if faults is None:
+                cover[f] += d
+                continue
+            off, twice, distinct = faults
+            cover[f] += distinct
+            failures += [off_text.format(x, y) for y in off if y > x]
+            failures += [twice_text.format(x, y) for y in twice if y > x]
+        same = list(chain.from_iterable(parts_at[x]))
+        others = set(same) - {x}
+        if (len(others) != len(same) - same.count(x)
+                or not others.isdisjoint(row)):
+            same.sort()
+            failures += [f"Turan copy edge inside a part {x},{y}"
+                         for y in sorted(others.intersection(row)) if y > x]
+            failures += [f"two Turan copies share vertices {x},{y}"
+                         for y in sorted({a for a, b in zip(same, same[1:])
+                                          if a == b and a > x})]
+    if cover[0] // 2 != edges:
+        failures.append(f"clique copies cover {cover[0] // 2} pairs, "
+                        f"expected {edges} edges")
+    if cover[1] // 2 != edges:
+        failures.append(f"Turan copies cover {cover[1] // 2} edges, "
+                        f"expected {edges}")
 
-    # With no edge covered twice, a clique copy C and a Turan copy T meet in
-    # more than an edge exactly when T holds two edges of C: a clique copy
-    # met twice on one Turan copy's edges is the failure.
-    turan_seen = bytearray(len(adj))  # slot -> covered by a Turan copy
-    stray_turan: set[tuple[int, int]] = set()  # non-edges across parts
-    same_pairs: set[int] = set()  # x * n + y for pairs inside a part
-    turan_cover = 0
-    for part_sets in turans.values():
-        labels = {}
-        for pi, ps in enumerate(part_sets):
-            for x in ps:
-                labels[x] = pi
-        verts = sorted(labels)
-        met: set[int] = set()  # clique copies on this copy's edges
-        for a, x in enumerate(verts):
-            lx = labels[x]
-            lo = x * d
-            hi = lo + d
-            for y in verts[a + 1:]:
-                k = bisect_left(adj, y, lo, hi)
-                edge = k < hi and adj[k] == y
-                if labels[y] == lx:
-                    if edge:
-                        failures.append(f"Turan copy edge inside a part {x},{y}")
-                    p = x * n + y
-                    if (p in same_pairs
-                            or (turan_seen[k] if edge
-                                else (x, y) in stray_turan)):
-                        failures.append(
-                            f"two Turan copies share vertices {x},{y}"
-                        )
-                    same_pairs.add(p)
-                elif edge:
-                    if turan_seen[k]:
-                        failures.append(f"edge ({x},{y}) in two Turan copies")
-                    else:
-                        turan_cover += 1
-                    turan_seen[k] = 1
-                    ci = clique_of[k]
-                    if ci in met:
-                        inter = set(clique_verts[ci]).intersection(labels)
-                        failures.append(
-                            f"copy intersection at {(x, y)} is {sorted(inter)}"
-                        )
-                    elif ci >= 0:
-                        met.add(ci)
-                else:
-                    failures.append(f"Turan copy non-edge across parts {x},{y}")
-                    if (x, y) in stray_turan:
-                        failures.append(f"edge ({x},{y}) in two Turan copies")
-                    else:
-                        turan_cover += 1
-                    stray_turan.add((x, y))
-    if turan_cover != edges:
-        failures.append(
-            f"Turan copies cover {turan_cover} edges, "
-            f"expected {edges}"
-        )
+    # a clique copy and a Turan copy share at most two vertices; met counts
+    # equal clique copies as one, so each candidate is tested literally
+    for members, _ in turan_list:
+        met = Counter(chain.from_iterable(map(cliques_at.__getitem__, members)))
+        if max(met.values(), default=0) > 2:
+            for c in sorted(c for c, k in met.items() if k > 2):
+                inter = sorted(members.intersection(c))
+                if len(inter) > 2:
+                    failures.append(
+                        f"copy intersection at {tuple(inter[:2])} is {inter}")
 
     # maximality
     _check_maximality(g, cliques, turans, failures)

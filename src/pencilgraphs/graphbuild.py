@@ -38,9 +38,10 @@ family: one itemgetter of the copies' members in turn, the copy size 2s and
 the set of copies, each a sorted id tuple.  permutes_copies gathers the
 members' images under a vertex permutation, cuts them into copies and sorts
 each, all at C level, and looks every image up in the set.  The index is
-built only after every row is checked to list, each once, the other members
-of the vertex's copies, the rule build_component builds rows by and
-build_full relabels.  Every edge then lies in a copy and every copy is a
+built only after row_faults finds that every row lists, each once, the other
+members of the vertex's copies, the rule build_component builds rows by and
+build_full relabels; decomp.verify_decomposition checks both copy families
+with the same routine.  Every edge then lies in a copy and every copy is a
 clique, so a permutation that maps each copy onto a copy maps edges onto
 edges: it is an automorphism.
 """
@@ -71,6 +72,10 @@ class MapError(ValueError):
     """A point table or entry permutation that linear_vperm cannot apply."""
 
 
+class VertexIdError(IndexError):
+    """A vertex id that is not an int in 0..n-1 of the graph."""
+
+
 DEFAULT_CAP = 1 << 20
 
 # (one itemgetter of every copy's members in turn, copy size, set of
@@ -85,6 +90,32 @@ def copy_family(copies, size: int) -> CopyFamily:
     if size < 2 or not copies or any(len(c) != size for c in copies):
         raise BuildError(f"not a family of copies of {size} >= 2 members")
     return itemgetter(*chain.from_iterable(copies)), size, frozenset(copies)
+
+
+def held_by(n: int, groups) -> list[list]:
+    """For each of n vertices, the members of each (holders, members) group
+    whose holders include it, one entry per group."""
+    held: list[list] = [[] for _ in range(n)]
+    for holders, members in groups:
+        for i in holders:
+            held[i].append(members)
+    return held
+
+
+def row_faults(row: list[int], i: int, groups
+               ) -> tuple[list[int], list[int], int] | None:
+    """None when the sorted row of vertex i lists, each once, the members
+    of groups other than i; else those members that are not on the row and
+    those counted more than once, each sorted, and the number of distinct
+    members other than i."""
+    others = sorted(chain.from_iterable(groups))
+    del others[bisect_left(others, i):bisect_right(others, i)]
+    if others == row:
+        return None
+    distinct = set(others)
+    return (sorted(distinct.difference(row)),
+            sorted({a for a, b in zip(others, others[1:]) if a == b}),
+            len(distinct))
 
 
 def adjacent(ctx: SpaceCtx, v: VTuple, w: VTuple):
@@ -222,7 +253,17 @@ class PencilGraph:
                     yield i, j
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.nbr_mask(i) >> j & 1)
+        """Whether j is on the sorted row of i.  Raises VertexIdError unless
+        both ids are ints in 0..n-1."""
+        n = len(self.vertices)
+        if (type(i) is not int or type(j) is not int
+                or not (0 <= i < n and 0 <= j < n)):
+            raise VertexIdError(f"vertex ids {i!r}, {j!r} are not both "
+                                f"ints in 0..{n - 1}")
+        lo = i * self.degree
+        hi = lo + self.degree
+        k = bisect_left(self.adj, j, lo, hi)
+        return k < hi and self.adj[k] == j
 
     def nbr_mask(self, i: int) -> int:
         if self._nbr_masks is None:
@@ -303,15 +344,11 @@ class PencilGraph:
         row lists, each once, the members other than the vertex of the
         copies that hold it."""
         if self._clique_family is None:
-            n = len(self.vertices)
-            held: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-            for ids in self.clique_copies.values():
-                for i in ids:
-                    held[i].append(ids)
+            copies = self.clique_copies.values()
+            held = held_by(len(self.vertices), zip(copies, copies))
             for i, cs in enumerate(held):
-                row = sorted(chain.from_iterable(cs))
-                del row[bisect_left(row, i):bisect_right(row, i)]
-                if row != self.neighbors_of(i).tolist():
+                if row_faults(self.neighbors_of(i).tolist(), i,
+                              cs) is not None:
                     raise BuildError(f"row {i} is not the other members of "
                                      f"its clique copies")
             self._clique_family = copy_family(self.clique_copies.values(),

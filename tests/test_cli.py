@@ -498,11 +498,19 @@ def test_out_is_atomic_when_the_export_fails_midway(tmp_path, monkeypatch):
 
 def _export_in_subprocess(tmp_path, args):
     """(sha256 of the artifact, peak RSS in MB) of one build in a fresh
-    process."""
+    process.
+
+    Linux carries ru_maxrss across exec, so in the child it is at least the
+    spawning test process's own peak; VmHWM, where there is one, is the
+    high-water mark of the child's own memory map."""
     code = ("import resource\n"
             "from pencilgraphs.cli import main\n"
             f"assert main({args + ['--out', 'g.json']!r}) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "try:\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    print(status.split('VmHWM:')[1].split()[0])\n"
+            "except (OSError, IndexError):\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))

@@ -1,3 +1,5 @@
+from array import array
+from bisect import bisect_left
 from itertools import combinations
 
 import pytest
@@ -340,6 +342,278 @@ def test_verify_reports_every_copy_intersection():
     assert rep.ok is False
     for msgs in want:
         assert msgs & set(rep.failures)
+
+
+def _walk_verify(ctx, g):
+    """The pair-walk check that verify_decomposition replaced, kept verbatim
+    as the literal reference: a bisect per pair into the sorted rows, one
+    slot array per family and sets for the stray pairs."""
+    failures: list[str] = []
+    n = len(g.vertices)
+    s, t, m1 = ctx.s, ctx.t, ctx.m1
+    two_s = 2 * s
+
+    cliques, cinc = decomp.enumerate_clique_copies(ctx, g)
+    turans, tinc = decomp.enumerate_turan_copies(ctx, g)
+    ell0, ell1 = len(cliques), len(turans)
+
+    if any(c != ctx.m0 for c in cinc):
+        failures.append("clique incidence not m0 at every vertex")
+    if any(c != ctx.m1 for c in tinc):
+        failures.append("Turan incidence not m1 at every vertex")
+
+    exp_ell0 = ((1 << ctx.sigma) - 1) * n
+    exp_ell1 = m1 * n // (s * t)
+    if ell0 != exp_ell0:
+        failures.append(f"clique copy count {ell0} != {exp_ell0}")
+    if ell1 != exp_ell1:
+        failures.append(f"Turan copy count {ell1} != {exp_ell1}")
+
+    # each edge in exactly one copy per family, and the copies intersect in
+    # it; edge (x, y) is the slot of y in x's sorted adjacency row, a pair
+    # with no slot is a non-edge and is kept by pair in a set.  The slot
+    # lookup is written out in both passes: a call per pair would cost about
+    # a tenth of the check.
+    adj, d = g.adj, g.degree
+    edges = g.edge_count()
+    clique_verts = list(cliques.values())
+    clique_of = array("i", [-1]) * len(adj)  # slot -> last clique copy on it
+    stray_clique: set[tuple[int, int]] = set()  # non-edges in a clique copy
+    clique_cover = 0
+    bad = False
+    for ci, verts in enumerate(clique_verts):
+        for a, x in enumerate(verts):
+            lo = x * d
+            hi = lo + d
+            for y in verts[a + 1:]:
+                k = bisect_left(adj, y, lo, hi)
+                if k < hi and adj[k] == y:
+                    if clique_of[k] >= 0:
+                        failures.append(f"edge {(x, y)} in two clique copies")
+                        bad = True
+                    else:
+                        clique_cover += 1
+                    clique_of[k] = ci
+                    continue
+                e = (x, y)
+                failures.append(f"clique copy not a clique at {e}")
+                bad = True
+                if e in stray_clique:
+                    failures.append(f"edge {e} in two clique copies")
+                else:
+                    clique_cover += 1
+                stray_clique.add(e)
+            if bad:
+                break
+        if bad:
+            break
+    if clique_cover != edges:
+        failures.append(
+            f"clique copies cover {clique_cover} pairs, "
+            f"expected {edges} edges"
+        )
+
+    # With no edge covered twice, a clique copy C and a Turan copy T meet in
+    # more than an edge exactly when T holds two edges of C: a clique copy
+    # met twice on one Turan copy's edges is the failure.
+    turan_seen = bytearray(len(adj))  # slot -> covered by a Turan copy
+    stray_turan: set[tuple[int, int]] = set()  # non-edges across parts
+    same_pairs: set[int] = set()  # x * n + y for pairs inside a part
+    turan_cover = 0
+    for part_sets in turans.values():
+        labels = {}
+        for pi, ps in enumerate(part_sets):
+            for x in ps:
+                labels[x] = pi
+        verts = sorted(labels)
+        met: set[int] = set()  # clique copies on this copy's edges
+        for a, x in enumerate(verts):
+            lx = labels[x]
+            lo = x * d
+            hi = lo + d
+            for y in verts[a + 1:]:
+                k = bisect_left(adj, y, lo, hi)
+                edge = k < hi and adj[k] == y
+                if labels[y] == lx:
+                    if edge:
+                        failures.append(f"Turan copy edge inside a part {x},{y}")
+                    p = x * n + y
+                    if (p in same_pairs
+                            or (turan_seen[k] if edge
+                                else (x, y) in stray_turan)):
+                        failures.append(
+                            f"two Turan copies share vertices {x},{y}"
+                        )
+                    same_pairs.add(p)
+                elif edge:
+                    if turan_seen[k]:
+                        failures.append(f"edge ({x},{y}) in two Turan copies")
+                    else:
+                        turan_cover += 1
+                    turan_seen[k] = 1
+                    ci = clique_of[k]
+                    if ci in met:
+                        inter = set(clique_verts[ci]).intersection(labels)
+                        failures.append(
+                            f"copy intersection at {(x, y)} is {sorted(inter)}"
+                        )
+                    elif ci >= 0:
+                        met.add(ci)
+                else:
+                    failures.append(f"Turan copy non-edge across parts {x},{y}")
+                    if (x, y) in stray_turan:
+                        failures.append(f"edge ({x},{y}) in two Turan copies")
+                    else:
+                        turan_cover += 1
+                    stray_turan.add((x, y))
+    if turan_cover != edges:
+        failures.append(
+            f"Turan copies cover {turan_cover} edges, "
+            f"expected {edges}"
+        )
+
+    # maximality
+    decomp._check_maximality(g, cliques, turans, failures)
+
+    # degree identity and double-cover arithmetic
+    if ctx.m0 * (two_s - 1) != ctx.degree:
+        failures.append("degree identity m0(2s-1) = s(t-1)m1 fails")
+    if ell0 * (two_s * (two_s - 1) // 2) != edges:
+        failures.append("clique edge double-cover arithmetic fails")
+    if ell1 * (s * s * t * (t - 1) // 2) != edges:
+        failures.append("Turan edge double-cover arithmetic fails")
+
+    note = (
+        "copy counts follow ell0=(2^sigma-1)|V| cliques and "
+        "ell1=m1|V|/(st) Turan copies; the theorem statement's phrasing "
+        "swaps the two families and is treated as a typo (counts verified)"
+    )
+    return decomp.DecompReport(not failures, ell0, ell1, ctx.m0, ctx.m1,
+                        edges, failures, note)
+
+
+def _partial_outsider(g, members, rest):
+    """The least vertex outside members adjacent to some, not all, of rest."""
+    return next(z for z in range(len(g)) if z not in members
+                and 0 < sum(g.has_edge(z, y) for y in rest) < len(rest))
+
+
+def test_verify_reports_every_tampered_clique_copy():
+    """The first and last clique copies each lose their top member to an
+    outsider adjacent to only some of the rest: both copies' non-edges are
+    named, and the cover counts the distinct pairs of every copy, not the
+    pairs walked before the first bad copy."""
+    ctx, g, cliques, _ = _tampered((4, 2))
+    bad = []
+    for key in (next(iter(cliques)), list(cliques)[-1]):
+        rest = cliques[key][:-1]
+        z = _partial_outsider(g, cliques[key], rest)
+        cliques[key] = tuple(sorted(rest + (z,)))
+        bad.append(cliques[key])
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    for verts in bad:
+        for e in combinations(verts, 2):
+            if not g.has_edge(*e):
+                assert f"clique copy not a clique at {e}" in rep.failures
+    pairs = {e for verts in cliques.values() for e in combinations(verts, 2)}
+    e = g.edge_count()
+    assert len(pairs) < e
+    assert (f"clique copies cover {len(pairs)} pairs, expected {e} edges"
+            in rep.failures)
+
+
+def test_verify_reports_every_tampered_turan_copy():
+    """The first and last Turan copies each lose the least member of their
+    first part to an outsider adjacent to only some of the other parts: both
+    copies' cross non-edges are named, and the cover counts the distinct
+    cross pairs of every copy."""
+    ctx, g, _, turans = _tampered((4, 2))
+
+    def cross(parts):
+        return {tuple(sorted((a, b))) for i, p in enumerate(parts)
+                for q in parts[i + 1:] for a in p for b in q}
+
+    bad = []
+    for key in (next(iter(turans)), list(turans)[-1]):
+        parts = turans[key]
+        rest = frozenset().union(*parts[1:])
+        z = _partial_outsider(g, parts[0] | rest, rest)
+        turans[key] = [parts[0] - {min(parts[0])} | {z}] + parts[1:]
+        bad.append(turans[key])
+    rep = decomp.verify_decomposition(ctx, g)
+    assert rep.ok is False
+    for parts in bad:
+        for a, b in cross(parts):
+            if not g.has_edge(a, b):
+                assert (f"Turan copy non-edge across parts {a},{b}"
+                        in rep.failures)
+    pairs = set().union(*map(cross, turans.values()))
+    e = g.edge_count()
+    assert len(pairs) < e
+    assert f"Turan copies cover {len(pairs)} edges, expected {e}" in rep.failures
+
+
+def _summary(rep):
+    return rep.ok, rep.ell0, rep.ell1, rep.m0, rep.m1
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
+def test_verify_matches_reference_walks(case):
+    ctx = SpaceCtx(*case)
+    g = gb.component(*case)
+    rep = decomp.verify_decomposition(ctx, g)
+    ref = _walk_verify(ctx, g)
+    assert _summary(rep) == _summary(ref)
+    assert rep.as_dict() == ref.as_dict()
+
+
+# every mutant test above, with the arguments it takes
+_MUTANTS = [
+    (test, dict(case=case)) for case in [(3, 1), (4, 2)] for test in [
+        test_verify_rejects_duplicated_clique_copy,
+        test_verify_rejects_dropped_clique_copy,
+        test_verify_rejects_clique_copy_with_non_edge,
+        test_verify_rejects_duplicated_turan_copy,
+        test_verify_rejects_dropped_turan_copy,
+        test_verify_rejects_turan_copy_with_non_edge,
+        test_verify_rejects_turan_parts_swapped,
+        test_verify_rejects_wrong_incidence,
+        test_clique_incidence_is_counted_from_members,
+        test_verify_rejects_non_maximal_copies,
+    ]
+] + [(test, {}) for test in [
+    test_verify_reports_every_copy_intersection,
+    test_verify_reports_every_tampered_clique_copy,
+    test_verify_reports_every_tampered_turan_copy,
+]]
+
+
+@pytest.mark.parametrize(
+    "test,kwargs", _MUTANTS,
+    ids=[t.__name__.removeprefix("test_")
+         + "".join(map(str, kw.get("case", ()))) for t, kw in _MUTANTS])
+def test_verify_matches_reference_walks_on_mutants(monkeypatch, test,
+                                                   kwargs):
+    """Each mutant test runs as written, its strings asserted on the
+    per-vertex check, and that check's verdict and counts equal the
+    reference walks' on the same mutated copies."""
+    check = decomp.verify_decomposition
+    seen = []
+
+    def both(ctx, g):
+        rep = check(ctx, g)
+        seen.append((_summary(rep), _summary(_walk_verify(ctx, g))))
+        return rep
+
+    monkeypatch.setattr(decomp, "verify_decomposition", both)
+    if "monkeypatch" in test.__code__.co_varnames:
+        kwargs = dict(kwargs, monkeypatch=monkeypatch)
+    test(**kwargs)
+    assert seen
+    for got, want in seen:
+        assert got == want
+        assert got[0] is False
 
 
 @pytest.mark.parametrize("rho", [2, 3, 4, 5])

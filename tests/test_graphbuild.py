@@ -281,6 +281,22 @@ def test_linear_vperm_rejects_bad_maps_under_O():
     assert res.returncode == 0, res.stderr + res.stdout
 
 
+def test_has_edge_reads_rows_and_rejects_bad_ids():
+    """has_edge answers from the sorted rows and raises VertexIdError, not
+    a bare ValueError or IndexError or a quiet False, for a bad id; the
+    refusal is a raise, so it survives python -O."""
+    g = gb.component(3, 1)
+    n = len(g)
+    for i in range(n):
+        row = set(g.neighbors_of(i))
+        assert [g.has_edge(i, j) for j in range(n)] == [
+            j in row for j in range(n)]
+    for i, j in [(0, n + 5), (0, -1), (n + 1, 0), (-1, 0), (0, n), (0, 1.0),
+                 (True, 0), ("0", 1)]:
+        with pytest.raises(gb.VertexIdError):
+            g.has_edge(i, j)
+
+
 def test_turan_part_rejects_bad_entry_index():
     ctx = SpaceCtx(6, 2)
     v = pencil.base_vertex_tuple(ctx)
