@@ -4,16 +4,18 @@ Artifacts are deterministic: identical parameters produce byte-identical
 output.  Every verb runs serially; the thread-count flag is accepted and
 ignored, so existing command lines keep working.
 
-The graph export renders each distinct point mask once: its points tuple
-and extended-hex label are computed once per mask, and the JSON writer
-renders each tuple of plain ints once per indent.  The graph-sized lists
-reach the writer as iterators, one vertex or row at a time, so no
-per-vertex copy of the document is held.  The artifact still reaches
-_emit as one string, which is written out in slices.  On a 2-vCPU host,
-`build -r 4 -s 1 --full` (64 MB of JSON) takes about 4 s and peaks at
-about 205 MB: the graph, the rendered rows and the joined text.  Writing
-the rows straight into the --out file would drop the last two, but _emit
-takes the whole text.
+Every JSON artifact is json.dumps(data, sort_keys=True, indent=1) and a
+newline.  The graph export of build is the one large document: json.dumps
+would need it built as lists and would write it with its pure-Python
+indenting encoder, so _graph_json renders the same bytes from per-mask
+text.  Each distinct mask's points are rendered once per indent, a vertex
+record is one join of those texts, and an adjacency row is one %-format of
+a template built from the degree.  Rows are read one at a time, and the
+pieces, one per row or record, are joined once into the string that _emit
+writes out in slices.  On a 2-vCPU host, `build -r 4 -s 1 --full` (64 MB
+of JSON) takes about 1.7 s and peaks at about 189 MB: the graph, the
+pieces and the joined text.  Writing the pieces straight into the --out
+file would drop the joined text, but _emit takes the whole text.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,69 +123,53 @@ def _emit(cfg: RunConfig, text: str) -> None:
         raise
 
 
-_scalar = json.JSONEncoder().encode
-
-
 def _json(data) -> str:
-    """json.dumps(data, sort_keys=True, indent=1) + "\\n", byte for byte.
-
-    With an indent, json.dumps runs its pure-Python encoder; this writer
-    walks the containers itself and joins each list of plain ints at once.
-    A tuple of plain ints is rendered once per indent and then read back
-    from a memo that lives for this call, and an iterator value is written
-    as the equal list, one item at a time.
-    """
-    out = []
-    _write(data, "\n", out, {})
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
 
 
-def _key(k) -> str:
-    if isinstance(k, str):
-        return _scalar(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + _scalar(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(k).__name__}")
-
-
-def _write(o, nl: str, out: list, memo: dict) -> None:
-    """Append o's text to out; nl is the newline and indent of o's line.
-
-    memo maps (tuple, nl) to its text, for tuples of plain ints only: any
-    other tuple may be unhashable, and (True,) equals (1,).
-    """
+def _ints(xs, nl: str) -> str:
+    """A non-empty list of ints, or of %d slots, as json.dumps with indent=1
+    writes it on a line whose newline and indent are nl."""
     inner = nl + " "
-    sep = "," + inner
-    if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        out.append("{")
-        for n, (k, v) in enumerate(sorted(o.items())):
-            out.append((sep if n else inner) + _key(k) + ": ")
-            _write(v, inner, out, memo)
-        out.append(nl + "}")
-    elif isinstance(o, (list, tuple)) and o and set(map(type, o)) == {int}:
-        # a list is unhashable, so only a tuple's text is kept
-        key = (o, nl) if isinstance(o, tuple) else None
-        text = memo.get(key)
-        if text is None:
-            text = "[" + inner + sep.join(map(int.__repr__, o)) + nl + "]"
-            if key:
-                memo[key] = text
-        out.append(text)
-    elif isinstance(o, (list, tuple, Iterator)):
-        n = -1
-        for n, x in enumerate(o):
-            # one piece per item keeps the list of pieces short
-            item = [sep if n else "[" + inner]
-            _write(x, inner, item, memo)
-            out.append("".join(item))
-        out.append(nl + "]" if n >= 0 else "[]")
-    else:
-        out.append(_scalar(o))
+    return "[" + inner + ("," + inner).join(map(str, xs)) + nl + "]"
+
+
+def _graph_json(g, label: dict) -> str:
+    """The build document, as _json writes it, rendered from per-mask text.
+
+    label maps each mask of the graph to its extended-hex label.  Each
+    mask's points are rendered once at the A0 indent and once at the entry
+    indent, a vertex record is one join of those texts, and an adjacency
+    row is one %-format of a template built from the degree.  Labels use
+    only 0-9a-v{}, so a display string needs no escaping.  Every item
+    carries its leading comma, which the first item of a list drops; the
+    pieces, one per row or record, are joined once.
+    """
+    row = ",\n  " + _ints(["%d"] * g.degree, "\n  ")
+    points = {m: gf2.points_of(m) for m in label}
+    lead = {m: ',\n  {\n   "A0": ' + _ints(p, "\n   ")
+            + ',\n   "entries": [\n    ' for m, p in points.items()}
+    entry = {m: _ints(p, "\n    ") for m, p in points.items()}
+    r, sigma = g.ctx.r, g.ctx.sigma
+    pieces = []
+    for head, items in [
+        ('{\n "adjacency": [',
+         (row % tuple(g.neighbors_of(i)) for i in range(len(g)))),
+        ('\n ],\n "components": [',
+         [",\n  %d" % c for c in graphbuild.component_sizes(g)]),
+        ('\n ],\n "display": [',
+         (',\n  "(' + ",".join(map(label.__getitem__, v)) + ')"'
+          for v in g.vertices)),
+        (f'\n ],\n "r": {r},\n "sigma": {sigma},\n "vertices": [',
+         (lead[v[0]] + ",\n    ".join(map(entry.__getitem__, v[1:]))
+          + "\n   ]\n  }" for v in g.vertices)),
+    ]:
+        pieces.append(head)
+        first = len(pieces)
+        pieces.extend(items)
+        pieces[first] = pieces[first][1:]
+    pieces.append("\n ]\n}\n")
+    return "".join(pieces)
 
 
 def _graph_for(cfg: RunConfig):
@@ -197,34 +182,19 @@ def _graph_for(cfg: RunConfig):
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    ctx, g = _graph_for(cfg)
+    _, g = _graph_for(cfg)
     if cfg.fmt == "dot":
         buf = ["graph G {"]
         buf += [f"  {i} -- {j};" for i, j in g.edges()]
         buf.append("}")
         _emit(cfg, "\n".join(buf) + "\n")
         return 0
-    # each distinct mask's points and label, once; the writer's memo then
-    # renders each points tuple once per indent
-    masks = {m for v in g.vertices for m in v}
-    points = {m: gf2.points_of(m) for m in masks}
-    label = {m: gf2.mask_str(m) for m in masks}
-    display = ("(" + ",".join(map(label.__getitem__, v)) + ")"
-               for v in g.vertices)
+    label = {m: gf2.mask_str(m) for m in {m for v in g.vertices for m in v}}
     if cfg.fmt == "text":
-        _emit(cfg, "".join(f"{i} {d}\n" for i, d in enumerate(display)))
+        _emit(cfg, "".join(f"{i} ({','.join(map(label.__getitem__, v))})\n"
+                           for i, v in enumerate(g.vertices)))
         return 0
-    data = {
-        "r": ctx.r,
-        "sigma": ctx.sigma,
-        "vertices": ({"A0": points[v[0]],
-                      "entries": [points[m] for m in v[1:]]}
-                     for v in g.vertices),
-        "adjacency": (g.neighbors_of(i).tolist() for i in range(len(g))),
-        "display": display,
-        "components": graphbuild.component_sizes(g),
-    }
-    _emit(cfg, _json(data))
+    _emit(cfg, _graph_json(g, label))
     return 0
 
 

@@ -178,19 +178,6 @@ def turan_vertices(ctx: SpaceCtx, g: PencilGraph, tid: TuranCopyId
     return parts
 
 
-def turan_vertex_set(ctx: SpaceCtx, g: PencilGraph, tid: TuranCopyId
-                     ) -> frozenset[int]:
-    parts = turan_vertices(ctx, g, tid)
-    out = set()
-    for plist in parts.values():
-        for w in plist:
-            j = g.index.get(w)
-            if j is None:
-                raise DecompError("Turan copy leaves the graph")
-            out.add(j)
-    return frozenset(out)
-
-
 @dataclass
 class DecompReport:
     ok: bool

@@ -22,7 +22,8 @@ copy, with its member ids, on the graph for decomp.
 Each component is one GL(r,2)-orbit, and relabelling the entry positions of
 every pencil commutes with GL(r,2) and preserves adjacency, so the full graph
 is (2^rho - 1)!/|GL(rho,2)| relabelled copies of the base component; it is
-built that way, with no BFS of its own.
+built that way, with no BFS of its own.  It keeps no clique copies, since
+no verb reads them: report reads only its component ids.
 
 A built graph also keeps a private, lazily built label-row index for
 linear_vperm.  A pencil's A0 and its m1 cosets partition the points, so
@@ -39,9 +40,9 @@ the set of copies, each a sorted id tuple.  permutes_copies gathers the
 members' images under a vertex permutation, cuts them into copies and sorts
 each, all at C level, and looks every image up in the set.  The index is
 built only after row_faults finds that every row lists, each once, the other
-members of the vertex's copies, the rule build_component builds rows by and
-build_full relabels; decomp.verify_decomposition checks both copy families
-with the same routine.  Every edge then lies in a copy and every copy is a
+members of the vertex's copies, the rule build_component builds rows by;
+decomp.verify_decomposition checks both copy families with the same
+routine.  Every edge then lies in a copy and every copy is a
 clique, so a permutation that maps each copy onto a copy maps edges onto
 edges: it is an automorphism.
 """
@@ -222,7 +223,8 @@ class PencilGraph:
     adj: array  # flat, stride = degree
     degree: int
     is_component: bool
-    # key (h,) + slice -> sorted ids of the copy's 2s members
+    # key (h,) + slice -> sorted ids of the copy's 2s members; a full
+    # graph keeps none
     clique_copies: dict[tuple, tuple[int, ...]] = field(repr=False)
     component_id: array | None = None
     n_components: int = 1
@@ -449,8 +451,9 @@ def build_full(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     preserves adjacency, so pi maps the base component onto a component.
     The permutations are walked in itertools order, and each pi that sends
     the base vertex to a new pencil appends one copy: the base vertices
-    relabelled, in base order, with the base rows, clique copies and ids
-    shifted by the copy's offset.
+    relabelled, in base order, with the base rows and ids shifted by the
+    copy's offset.  No verb reads a full graph's clique copies, so none are
+    kept: clique_copies is {}, and clique_family() raises BuildError.
     """
     total = pencil.total_pencil_count(ctx)
     if total > cap:
@@ -462,28 +465,19 @@ def build_full(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     index: dict[VTuple, int] = {}
     adj = array("i")
     comp = array("i")
-    copies: dict[tuple, tuple[int, ...]] = {}
-    # 2s >= 4 members and m1 >= 3 entries, so each itemgetter below returns
-    # a tuple, never one item; a copy's ids are gathered from the same int
-    # objects as the index values
-    members = [(key, itemgetter(*ids))
-               for key, ids in base.clique_copies.items()]
     for perm in permutations(range(1, ctx.m1 + 1)):
         pick = itemgetter(*perm)
         if (v0[0],) + pick(v0) in index:
             continue
         off = len(vertices)
-        ids = list(range(off, off + n))
         vertices += [(v[0],) + pick(v) for v in base.vertices]
-        index.update(zip(vertices[off:], ids))
+        index.update(zip(vertices[off:], range(off, off + n)))
         adj.extend(map(off.__add__, base.adj))
         comp.extend(array("i", [off // n]) * n)
-        for key, gather in members:
-            copies[key[:2] + pick(key[1:])] = gather(ids)
     if not len(vertices) == len(index) == total:
         raise BuildError(f"relabelled copies hold {len(vertices)} pencils, "
                          f"{len(index)} distinct, expected {total}")
-    return PencilGraph(ctx, vertices, index, adj, ctx.degree, False, copies,
+    return PencilGraph(ctx, vertices, index, adj, ctx.degree, False, {},
                        component_id=comp, n_components=len(vertices) // n)
 
 

@@ -62,7 +62,10 @@ def encode_tuple(v: VTuple) -> bytes:
 
 
 def decode(ctx: SpaceCtx, key: bytes) -> VTuple:
-    """Inverse of :func:`encode_tuple`; raises PencilError on a bad key."""
+    """Inverse of :func:`encode_tuple`; raises PencilError on a bad key,
+    including one that is not bytes."""
+    if not isinstance(key, bytes):
+        raise PencilError(f"a pencil key is bytes, not {type(key).__name__}")
     w = 1 << ctx.sigma
     a0 = gf2.mask_of(key[: w - 1])
     masks = [

@@ -525,16 +525,14 @@ def test_kept_clique_copies_match_rediscovery(r, sigma):
     assert len(g.clique_copies) == ((1 << sigma) - 1) * len(g)
 
 
-def test_relabelled_clique_copies_match_rediscovery():
-    """In the (4,1) full graph, the copies relabelled into the last of the
-    30 components are those found again from its vertices."""
-    ctx = SpaceCtx(4, 1)
-    g = gb.full_graph(4, 1)
-    n = len(g) // g.n_components
-    last = range(len(g) - n, len(g))
-    kept = {k: ids for k, ids in g.clique_copies.items() if ids[0] in last}
-    assert kept == _rediscovered_copies(ctx, g, last)
-    assert len(g.clique_copies) == len(g)
+@pytest.mark.parametrize("r,sigma", [(3, 1), (4, 2)])
+def test_full_graph_keeps_no_clique_copies(r, sigma):
+    """A full graph keeps no clique copies, so its clique family is refused
+    with a typed error rather than read as empty."""
+    g = gb.full_graph(r, sigma)
+    assert g.clique_copies == {}
+    with pytest.raises(gb.BuildError):
+        g.clique_family()
 
 
 def _mutant(fn, old, new):

@@ -53,6 +53,19 @@ def test_encode_orders_and_roundtrip():
         pencil.decode(ctx, pencil.encode_tuple(a)[:-2])
 
 
+@pytest.mark.parametrize("spell", [
+    list, tuple, bytearray, memoryview, lambda k: k.decode("latin-1"),
+    lambda k: "abc", lambda k: None, lambda k: 7,
+], ids=["list", "tuple", "bytearray", "memoryview", "str", "abc", "None",
+        "int"])
+def test_decode_rejects_key_that_is_not_bytes(spell):
+    """Only bytes decode, even when the items spell a valid key."""
+    ctx = SpaceCtx(3, 1)
+    key = pencil.encode_tuple(pencil.base_vertex_tuple(ctx))
+    with pytest.raises(pencil.PencilError, match="is bytes"):
+        pencil.decode(ctx, spell(key))
+
+
 def test_validate():
     ctx = SpaceCtx(3, 1)
     v = pencil.base_vertex_tuple(ctx)
