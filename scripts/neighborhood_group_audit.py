@@ -18,7 +18,6 @@ Usage:
 import argparse
 
 from pencilgraphs import autnr, graphbuild, homog
-from pencilgraphs.gf2 import SpaceCtx
 
 
 def main() -> int:
@@ -27,18 +26,17 @@ def main() -> int:
     ap.add_argument("-s", "--sigma", type=int, default=2)
     args = ap.parse_args()
 
-    ctx = SpaceCtx(args.r, args.sigma)
     g = graphbuild.component(args.r, args.sigma)
     print(f"graph: {len(g)} vertices, degree {g.degree}")
 
-    gens = autnr.synth_generators(ctx, g)
+    gens = autnr.synth_generators(g)
     point = [a for a in gens if a.kind == "point"]
     fiber = [a for a in gens if a.kind == "fiber"]
     print(f"generators: {len(point)} point kind, {len(fiber)} fiber kind")
 
     extending = autnr.close_permutations([a.nperm for a in point])
     full = autnr.closure_order(gens, g)
-    formula = autnr.nr_order_formula(ctx)
+    formula = autnr.nr_order_formula(g.ctx)
     print(f"extending subgroup order: {extending}")
     print(f"neighborhood group order: {full} (formula {formula})")
 

@@ -170,8 +170,9 @@ def _nperm_from_vperm(g: PencilGraph, vperm, slots, slot_index) -> tuple[int, ..
     return tuple(slot_index[vperm[s]] for s in slots)
 
 
-def synth_point_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
+def synth_point_kind(g: PencilGraph) -> list[AutoMap]:
     """Transvection generators fixing the base vertex, validated on g."""
+    ctx = g.ctx
     J = g.vertices[0][0]
     slots = _neighbor_slots(g)
     slot_index = {s: k for k, s in enumerate(slots)}
@@ -226,6 +227,7 @@ def fiber_apply(ctx: SpaceCtx, J: int, theta: int, block_map: dict[int, int],
         return v
     blk = v[0] & ~theta
     a0 = theta | block_map.get(blk, blk)
+    # led table: index top point + 1 holds that point's block, 0 in theta
     block_of = gf2.coset_table(ctx.r, theta)[1]
     ents = []
     for m in v[1:]:
@@ -233,7 +235,7 @@ def fiber_apply(ctx: SpaceCtx, J: int, theta: int, block_map: dict[int, int],
         rest = m
         ok = True
         while rest:
-            b = block_of[gf2.min_point(rest)]
+            b = block_of[rest.bit_length()]
             if not b or b & m != b:
                 ok = False
                 break
@@ -245,7 +247,7 @@ def fiber_apply(ctx: SpaceCtx, J: int, theta: int, block_map: dict[int, int],
     return (a0,) + tuple(ents)
 
 
-def synth_fiber_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
+def synth_fiber_kind(g: PencilGraph) -> list[AutoMap]:
     """Block-swap generators acting on a single neighbor fiber.
 
     For each hyperplane theta of the base initial entry and each axis alpha
@@ -253,6 +255,7 @@ def synth_fiber_kind(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
     by the complementary block of theta; keep the candidate when the induced
     permutation of the closed neighborhood preserves its adjacency.
     """
+    ctx = g.ctx
     J = g.vertices[0][0]
     slots = _neighbor_slots(g)
     slot_index = {s: k for k, s in enumerate(slots)}
@@ -315,8 +318,8 @@ def _nperm_preserves_ball(g: PencilGraph, slots, nperm) -> bool:
     return True
 
 
-def synth_generators(ctx: SpaceCtx, g: PencilGraph) -> list[AutoMap]:
-    return synth_point_kind(ctx, g) + synth_fiber_kind(ctx, g)
+def synth_generators(g: PencilGraph) -> list[AutoMap]:
+    return synth_point_kind(g) + synth_fiber_kind(g)
 
 
 # ---------------------------------------------------------------------------

@@ -172,17 +172,14 @@ def _graph_json(g, label: dict) -> str:
     return "".join(pieces)
 
 
-def _graph_for(cfg: RunConfig):
-    ctx = SpaceCtx(cfg.r, cfg.sigma)
+def _graph_for(cfg: RunConfig) -> graphbuild.PencilGraph:
     if cfg.full:
-        g = graphbuild.full_graph(cfg.r, cfg.sigma, cfg.cap_vertices)
-    else:
-        g = graphbuild.component(cfg.r, cfg.sigma, cfg.cap_vertices)
-    return ctx, g
+        return graphbuild.full_graph(cfg.r, cfg.sigma, cfg.cap_vertices)
+    return graphbuild.component(cfg.r, cfg.sigma, cfg.cap_vertices)
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    _, g = _graph_for(cfg)
+    g = _graph_for(cfg)
     if cfg.fmt == "dot":
         buf = ["graph G {"]
         buf += [f"  {i} -- {j};" for i, j in g.edges()]
@@ -199,8 +196,7 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    ctx, g = _graph_for(cfg)
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(_graph_for(cfg))
     if cfg.fmt == "text":
         lines = [f"{k}: {v}" for k, v in rep.as_dict().items()]
         _emit(cfg, "\n".join(lines) + "\n")
@@ -210,10 +206,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_aut(cfg: RunConfig) -> int:
-    ctx, g = _graph_for(cfg)
-    gens = autnr.synth_generators(ctx, g)
+    g = _graph_for(cfg)
+    gens = autnr.synth_generators(g)
     order = autnr.closure_order(gens, g)
-    expected = autnr.nr_order_formula(ctx)
+    expected = autnr.nr_order_formula(g.ctx)
     data = {
         "closure_order": order,
         "formula_order": expected,
@@ -294,8 +290,8 @@ def cmd_census(cfg: RunConfig) -> int:
 
 
 def cmd_config(cfg: RunConfig) -> int:
-    ctx, g = _graph_for(cfg)
-    c = configmod.build_config(ctx, g)
+    g = _graph_for(cfg)
+    c = configmod.build_config(g)
     if cfg.fmt == "dot":
         nb = c.n_points
         buf = ["graph L {"]
@@ -337,10 +333,10 @@ def cmd_config(cfg: RunConfig) -> int:
 
 
 def cmd_homog(cfg: RunConfig) -> int:
-    ctx, g = _graph_for(cfg)
-    gens = homog.full_generator_set(ctx, g)
-    reports = homog.check_H_property(ctx, g, gens)
-    wit, tried = homog.non_uh_witness(ctx, g)
+    g = _graph_for(cfg)
+    gens = homog.full_generator_set(g)
+    reports = homog.check_H_property(g, gens)
+    wit, tried = homog.non_uh_witness(g)
     vorb = homog.vertex_orbit_of_base(g, gens.vperms())
     data = {
         "h_property": [rep.as_dict() for rep in reports],
@@ -361,7 +357,7 @@ def cmd_homog(cfg: RunConfig) -> int:
     }
     _emit(cfg, _json(data))
     ok = all(rep.ok for rep in reports)
-    ok = ok and ((wit is not None) == homog.witness_expected(ctx))
+    ok = ok and ((wit is not None) == homog.witness_expected(g.ctx))
     return 0 if ok else 1
 
 

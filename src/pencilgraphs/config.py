@@ -2,11 +2,11 @@
 
 Points are the graph vertices, lines the maximal-clique copies.  Every check
 reads one incidence form: the sorted ``lines``, and ``through``, the
-ascending indices of the lines through each point.  A point's Menger row,
-the union of its lines minus the point, is compared with its adjacency row
-one point at a time, so no edge set is built.  The lines are the BFS's own
-clique copies, whose unions the BFS took as the rows: the Menger check
-re-reads the build.  The graph's independent tie to the paper's edge rule
+ascending indices of the lines through each point.  A point's adjacency
+row must list, each once, the other points of its lines, its Menger row;
+``graphbuild.row_faults`` checks it one point at a time, so no edge set is
+built.  The lines are the BFS's own clique copies, whose unions the BFS
+took as the rows: the Menger check re-reads the build.  The graph's independent tie to the paper's edge rule
 is ``graphbuild.adjacent`` (see "Check the graph against the literal edge
 rule" in ROADMAP.md).  For sigma = 1 the configuration is square; a duality
 is searched for on the Levi graph's rows, read from ``through`` and
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from pencilgraphs import decomp, homog
-from pencilgraphs.gf2 import SpaceCtx
-from pencilgraphs.graphbuild import PencilGraph
+from pencilgraphs.graphbuild import PencilGraph, held_by, row_faults
 
 
 class ConfigError(RuntimeError):
@@ -43,11 +42,7 @@ class IncidenceStructure:
     @cached_property
     def through(self) -> list[list[int]]:
         """The ascending indices of the lines through each point."""
-        out: list[list[int]] = [[] for _ in range(self.n_points)]
-        for li, ln in enumerate(self.lines):
-            for p in ln:
-                out[p].append(li)
-        return out
+        return held_by(self.n_points, zip(self.lines, range(len(self.lines))))
 
     def check_balance(self) -> bool:
         m, c, n, d = self.params
@@ -56,29 +51,22 @@ class IncidenceStructure:
                 and all(len(lns) == c for lns in self.through))
 
 
-def build_config(ctx: SpaceCtx, g: PencilGraph) -> IncidenceStructure:
-    copies, incidence = decomp.enumerate_clique_copies(ctx, g)
+def build_config(g: PencilGraph) -> IncidenceStructure:
+    copies, incidence = decomp.enumerate_clique_copies(g)
     lines = sorted(copies.values())
     c = incidence[0]
     if any(x != c for x in incidence):
         raise ConfigError("point degrees differ")
-    return IncidenceStructure(len(g.vertices), lines, c, 2 * ctx.s)
+    return IncidenceStructure(len(g.vertices), lines, c, 2 * g.ctx.s)
 
 
 def _rows_match(g: PencilGraph, lines, through) -> bool:
-    """Each vertex x's row of g is the union of the lines through x
-    (``lines[k] for k in through[x]``), minus x."""
-    if len(through) != len(g):
-        return False
-    for x, lns in enumerate(through):
-        row: set[int] = set()
-        for k in lns:
-            row.update(lines[k])
-        row.discard(x)
-        nbrs = g.neighbors_of(x)
-        if len(nbrs) != len(row) or row != set(nbrs):
-            return False
-    return True
+    """Each vertex x's row of g lists, each once, the other members of the
+    lines through x (``lines[k] for k in through[x]``)."""
+    return len(through) == len(g) and all(
+        row_faults(list(g.neighbors_of(x)), x,
+                   map(lines.__getitem__, lns)) is None
+        for x, lns in enumerate(through))
 
 
 def menger_equals_graph(cfg: IncidenceStructure, g: PencilGraph) -> bool:

@@ -157,9 +157,10 @@ def _turan_part(ctx: SpaceCtx, v: VTuple, i: int) -> list[VTuple]:
                   for psi in _pivot_maps(ctx.rho, i)]
 
 
-def turan_vertices(ctx: SpaceCtx, g: PencilGraph, tid: TuranCopyId
+def turan_vertices(g: PencilGraph, tid: TuranCopyId
                    ) -> dict[int, list[VTuple]]:
     """Parts of a Turan copy, keyed by the part label A0."""
+    ctx = g.ctx
     v = tid.anchor
     vi = g.index.get(v)
     if vi is None:
@@ -202,7 +203,7 @@ class DecompReport:
         }
 
 
-def enumerate_clique_copies(ctx: SpaceCtx, g: PencilGraph):
+def enumerate_clique_copies(g: PencilGraph):
     """The clique copies kept by the build, (h,) + slice -> sorted vertex
     ids in closing order, plus per-vertex incidence counted from members."""
     incidence = [0] * len(g.vertices)
@@ -212,16 +213,16 @@ def enumerate_clique_copies(ctx: SpaceCtx, g: PencilGraph):
     return g.clique_copies, incidence
 
 
-def enumerate_turan_copies(ctx: SpaceCtx, g: PencilGraph):
+def enumerate_turan_copies(g: PencilGraph):
     """frozen vertex set -> (parts as index sets), plus per-vertex incidence.
 
     Each copy is built once, from its first anchor (v, i) in vertex-then-entry
     order, and claims (x, W) for each member x; incidence[x] counts the copies
     that contain x.
     """
-    cached = getattr(g, "_turan_copy_cache", None)
-    if cached is not None:
-        return cached
+    if g._turan_copy_cache is not None:
+        return g._turan_copy_cache
+    ctx = g.ctx
     copies: dict[frozenset, list[frozenset]] = {}
     incidence = [0] * len(g.vertices)
     claimed: set[int] = set()  # vertex index << shift | W
@@ -231,7 +232,7 @@ def enumerate_turan_copies(ctx: SpaceCtx, g: PencilGraph):
             w = v[0] | v[i]
             if vi << shift | w in claimed:
                 continue
-            parts = turan_vertices(ctx, g, TuranCopyId(w, i, v))
+            parts = turan_vertices(g, TuranCopyId(w, i, v))
             part_sets = [
                 frozenset(g.index[x] for x in plist)
                 for plist in parts.values()
@@ -248,15 +249,16 @@ def enumerate_turan_copies(ctx: SpaceCtx, g: PencilGraph):
     return copies, incidence
 
 
-def verify_decomposition(ctx: SpaceCtx, g: PencilGraph) -> DecompReport:
+def verify_decomposition(g: PencilGraph) -> DecompReport:
     """Check the two copy families give the double edge-disjoint structure."""
+    ctx = g.ctx
     failures: list[str] = []
     n = len(g.vertices)
     s, t, m1 = ctx.s, ctx.t, ctx.m1
     two_s = 2 * s
 
-    cliques, cinc = enumerate_clique_copies(ctx, g)
-    turans, tinc = enumerate_turan_copies(ctx, g)
+    cliques, cinc = enumerate_clique_copies(g)
+    turans, tinc = enumerate_turan_copies(g)
     ell0, ell1 = len(cliques), len(turans)
 
     if any(c != ctx.m0 for c in cinc):

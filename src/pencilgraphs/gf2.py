@@ -229,17 +229,19 @@ def coset_mask(base_mask: int, x: int) -> int:
 
 @lru_cache(maxsize=None)
 def coset_table(r: int, a0_mask: int):
-    """For one A0: (coset masks, point table).
+    """For one A0: (coset masks, led point table).
 
     The masks come in order of their least points, not sorted as integers:
     coset_table(4, 1 << 3)[0] starts (6, 144, 96).  The base vertex and the
-    block order of a clique copy are read off in this order.  The point
-    table is a tuple of length 2^r whose entry x is the mask of the coset
-    that holds point x, and 0 for point 0 and for the points of A0.
+    block order of a clique copy are read off in this order.  The led point
+    table is a tuple of length 2^r + 1: entry 0 is A0, and entry x + 1 is
+    the mask of the coset that holds point x, or 0 for point 0 and for the
+    points of A0.  The bit length of a mask is its top point + 1, so it
+    indexes the coset of that point.
     """
     sub = (0,) + points_of(a0_mask)
     masks = []
-    table = [0] * (1 << r)
+    table = [a0_mask] + [0] * (1 << r)
     seen = a0_mask
     for x in range(1, 1 << r):
         if seen >> x & 1:
@@ -249,7 +251,7 @@ def coset_table(r: int, a0_mask: int):
         seen |= cm
         masks.append(cm)
         for p in coset:
-            table[p] = cm
+            table[p + 1] = cm
     return tuple(masks), tuple(table)
 
 

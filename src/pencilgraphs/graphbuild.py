@@ -5,14 +5,13 @@ not containing either initial entry; neighbor generation therefore walks the
 m0 maximal-clique copies incident to a vertex instead of scanning pairs.
 
 Within a copy, a pencil's entry i is the coset of its A0 that holds any
-point of slice entry i, say its top point.  Each A0 has one cached led
-table, A0 followed by its point table, so index p + 1 holds the coset of p
-and index 0 holds A0; the bit length of a slice entry is its top point + 1.
-One itemgetter of (0, bit lengths of the slice entries) therefore gathers a
-whole pencil from its led table.  A second cache keeps, per (U0, h) flag,
-the 2s led tables of the A0 = U0 | block whose block misses h, so a copy is
-one C-level map of that itemgetter over them, with no Python step per
-member or per block.
+point of slice entry i, say its top point.  gf2.coset_table keeps one led
+point table per A0, whose index 0 holds A0 and index p + 1 the coset of p;
+the bit length of a slice entry is its top point + 1.  One itemgetter of
+(0, bit lengths of the slice entries) therefore gathers a whole pencil from
+its led table.  A second cache keeps, per (U0, h) flag, the 2s led tables
+of the A0 = U0 | block whose block misses h, so a copy is one C-level map of
+that itemgetter over them, with no Python step per member or per block.
 
 The component BFS does not call neighbors(v) per vertex: it builds each
 clique copy once, when its first member is expanded, takes each row as the
@@ -41,10 +40,10 @@ members' images under a vertex permutation, cuts them into copies and sorts
 each, all at C level, and looks every image up in the set.  The index is
 built only after row_faults finds that every row lists, each once, the other
 members of the vertex's copies, the rule build_component builds rows by;
-decomp.verify_decomposition checks both copy families with the same
-routine.  Every edge then lies in a copy and every copy is a
-clique, so a permutation that maps each copy onto a copy maps edges onto
-edges: it is an automorphism.
+decomp.verify_decomposition checks both copy families, and config the
+Menger rows, with the same routine.  Every edge then lies in a copy and
+every copy is a clique, so a permutation that maps each copy onto a copy
+maps edges onto edges: it is an automorphism.
 """
 
 from __future__ import annotations
@@ -170,16 +169,10 @@ def clique_slices(ctx: SpaceCtx, v: VTuple) -> list[tuple[int, VTuple]]:
 
 
 @lru_cache(maxsize=None)
-def _led_table(r: int, a0_mask: int) -> tuple[int, ...]:
-    """A0 followed by A0's point table: index p + 1 holds the coset of p."""
-    return (a0_mask,) + gf2.coset_table(r, a0_mask)[1]
-
-
-@lru_cache(maxsize=None)
 def _copy_tables(r: int, u0_mask: int, h: int) -> tuple[tuple[int, ...], ...]:
     """The led tables of the A0 = U0 | block whose block misses h, in block
     order; U0 lies in h, so each coset of U0 is inside h or disjoint from it."""
-    return tuple(_led_table(r, u0_mask | blk)
+    return tuple(gf2.coset_table(r, u0_mask | blk)[1]
                  for blk in gf2.coset_table(r, u0_mask)[0] if not blk & h)
 
 
@@ -221,21 +214,27 @@ class PencilGraph:
     vertices: list[VTuple]
     index: dict[VTuple, int]
     adj: array  # flat, stride = degree
-    degree: int
-    is_component: bool
     # key (h,) + slice -> sorted ids of the copy's 2s members; a full
     # graph keeps none
     clique_copies: dict[tuple, tuple[int, ...]] = field(repr=False)
     component_id: array | None = None
     n_components: int = 1
-    _nbr_masks: list[int] | None = field(default=None, repr=False)
-    # (label rows, row -> vertex id), built by the first linear_vperm
+    # indexes derived from the fields above, each built by its first use:
+    # nbr_mask, linear_vperm (label rows, row -> vertex id), clique_family
+    # and decomp.enumerate_turan_copies ((Turan copies, incidence)); none is
+    # an init field, so dataclasses.replace starts each afresh
+    _nbr_masks: list[int] | None = field(
+        default=None, init=False, repr=False, compare=False)
     _label_rows: tuple[bytes, dict[bytes, int]] | None = field(
-        default=None, repr=False)
-    # the clique copies as a CopyFamily, built by the first clique_family;
-    # not an init field, so dataclasses.replace starts it afresh
+        default=None, init=False, repr=False, compare=False)
     _clique_family: CopyFamily | None = field(
         default=None, init=False, repr=False, compare=False)
+    _turan_copy_cache: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def degree(self) -> int:
+        return self.ctx.degree
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -441,7 +440,7 @@ def build_component(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     flat = array("i")
     for row in adj_rows:
         flat.extend(row)
-    return PencilGraph(ctx, vertices, index, flat, ctx.degree, True, copies)
+    return PencilGraph(ctx, vertices, index, flat, copies)
 
 
 def build_full(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
@@ -477,8 +476,8 @@ def build_full(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     if not len(vertices) == len(index) == total:
         raise BuildError(f"relabelled copies hold {len(vertices)} pencils, "
                          f"{len(index)} distinct, expected {total}")
-    return PencilGraph(ctx, vertices, index, adj, ctx.degree, False, {},
-                       component_id=comp, n_components=len(vertices) // n)
+    return PencilGraph(ctx, vertices, index, adj, {}, component_id=comp,
+                       n_components=len(vertices) // n)
 
 
 def component_sizes(g: PencilGraph) -> list[int]:

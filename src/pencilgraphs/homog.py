@@ -51,19 +51,19 @@ class GeneratorSet:
         return [p for _, p in self.stabilizer + self.entry_perms + self.movers]
 
 
-def full_generator_set(ctx: SpaceCtx, g: PencilGraph,
+def full_generator_set(g: PencilGraph,
                        stab_gens: list[autnr.AutoMap] | None = None
                        ) -> GeneratorSet:
     """Stabilizer generators, entry permutations and the base movers of
     :func:`base_movers`, each validated as an automorphism of g."""
     if stab_gens is None:
-        stab_gens = autnr.synth_generators(ctx, g)
+        stab_gens = autnr.synth_generators(g)
     stab = [
         (a.display(), a.vperm) for a in stab_gens if a.vperm is not None
     ]
     entry = []
-    identity = range(1 << ctx.r)
-    for q, a, psi in hrho.generators(ctx.rho):
+    identity = range(1 << g.ctx.r)
+    for q, a, psi in hrho.generators(g.ctx.rho):
         # apply_index_perm reads entry psi[j] into position j, so entry k
         # moves to position psi^-1[k], and the argsort of psi is psi^-1
         inv = sorted(range(len(psi)), key=psi.__getitem__)
@@ -73,7 +73,7 @@ def full_generator_set(ctx: SpaceCtx, g: PencilGraph,
                 f"entry permutation p({gf2.mask_str(q)},{a}) is not an automorphism"
             )
         entry.append((f"psi:{hrho.perm_display(psi, pivot=a)}", vperm))
-    movers = base_movers(ctx, g, [p for _, p in entry])
+    movers = base_movers(g, [p for _, p in entry])
     for name, vperm in movers:
         if not autnr._is_automorphism(g, vperm):
             raise HomogError(f"base mover {name} is not an automorphism")
@@ -95,12 +95,12 @@ def _table_from_basis_images(r: int, images: list[int]) -> list[int]:
     return table
 
 
-def base_movers(ctx: SpaceCtx, g: PencilGraph,
-                entry_vperms: list[tuple[int, ...]]
+def base_movers(g: PencilGraph, entry_vperms: list[tuple[int, ...]]
                 ) -> list[tuple[str, tuple[int, ...]]]:
     """Position-preserving linear maps that move the base vertex: a full-cycle
     map, then one transvection per axis until, together with the entry
     permutations, they reach every vertex of g."""
+    ctx = g.ctx
 
     def linear(table):
         return g.linear_vperm(table, range(ctx.m1 + 1))
@@ -184,8 +184,7 @@ def _copies_equivariant(g: PencilGraph, family: CopyFamily, vperms) -> bool:
     return all(g.permutes_copies(p, family) for p in vperms)
 
 
-def check_H_property(ctx: SpaceCtx, g: PencilGraph, gens: GeneratorSet
-                     ) -> list[HReport]:
+def check_H_property(g: PencilGraph, gens: GeneratorSet) -> list[HReport]:
     """Arc-transitivity certificate from two orbits, for both families.
 
     The orbit of vertex 0 is grown under every generator, and the orbit of
@@ -206,14 +205,14 @@ def check_H_property(ctx: SpaceCtx, g: PencilGraph, gens: GeneratorSet
     """
     vperms = gens.vperms()
     vorb, vused = _orbit(0, vperms)
-    _, u = base_arc(ctx, g)
+    _, u = base_arc(g)
     norb, nused = _orbit(u, [p for p in vperms if p[0] == 0])
     cert = vused + [p for p in nused if p not in vused]
-    tu_copies, _ = decomp.enumerate_turan_copies(ctx, g)
+    tu_copies, _ = decomp.enumerate_turan_copies(g)
     families = {
         "clique": g.clique_family(),
         "turan": copy_family(map(tuple, map(sorted, tu_copies)),
-                             ctx.t * ctx.s),
+                             g.ctx.t * g.ctx.s),
     }
     total = 2 * g.edge_count()
     size = len(vorb) * len(norb)
@@ -409,7 +408,7 @@ class Witness:
         }
 
 
-def base_arc(ctx: SpaceCtx, g: PencilGraph) -> tuple[int, int]:
+def base_arc(g: PencilGraph) -> tuple[int, int]:
     """(base vertex, its lexicographically least neighbor) as indices."""
     u = min(g.neighbors_of(0), key=lambda j: encode_tuple(g.vertices[j]))
     return 0, u
@@ -421,14 +420,14 @@ def witness_expected(ctx: SpaceCtx) -> bool:
     return (ctx.r, ctx.sigma) != (3, 1)
 
 
-def non_uh_witness(ctx: SpaceCtx, g: PencilGraph):
+def non_uh_witness(g: PencilGraph):
     """First non-extensible arc-fixing automorphism of the least Turan copy.
 
     Returns (Witness | None, tried_count).
     """
-    v_i, u_i = base_arc(ctx, g)
-    tid = decomp.turan_copies_at(ctx, g.vertices[v_i])[0]
-    parts = decomp.turan_vertices(ctx, g, tid)
+    v_i, u_i = base_arc(g)
+    tid = decomp.turan_copies_at(g.ctx, g.vertices[v_i])[0]
+    parts = decomp.turan_vertices(g, tid)
     part_sets = [
         sorted(g.index[w] for w in plist) for _, plist in sorted(parts.items())
     ]

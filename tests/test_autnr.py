@@ -20,7 +20,7 @@ from itertools import combinations
 def _gens(case):
     ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    return ctx, g, autnr.synth_generators(ctx, g)
+    return ctx, g, autnr.synth_generators(g)
 
 
 @pytest.mark.parametrize("case,order", sorted(
@@ -221,7 +221,7 @@ def test_closure_matches_enumeration_generators(case):
 @lru_cache(maxsize=None)
 def _group_gens(case):
     ctx, g, gens = _gens(case)
-    return g, homog.full_generator_set(ctx, g, stab_gens=gens).vperms()
+    return g, homog.full_generator_set(g, stab_gens=gens).vperms()
 
 
 @lru_cache(maxsize=None)
@@ -297,8 +297,7 @@ def test_unfaithful_copies_are_refused(fault):
     else:
         copies = dict(g.clique_copies)
         del copies[next(iter(copies))]
-        bad = gb.PencilGraph(g.ctx, g.vertices, g.index, g.adj, g.degree,
-                             True, copies)
+        bad = gb.PencilGraph(g.ctx, g.vertices, g.index, g.adj, copies)
     with pytest.raises(gb.BuildError, match="not the other members"):
         autnr._is_automorphism(bad, tuple(range(len(bad))))
 
@@ -324,7 +323,6 @@ def test_ball_check_matches_bitmask_form(case, monkeypatch):
     """The ball check on the sorted rows agrees with the bitmask form on
     every fiber candidate that synthesis tests, and on each with two
     entries swapped."""
-    ctx = SpaceCtx(*case)
     g = gb.component(*case)
     real = autnr._nperm_preserves_ball
     calls = []
@@ -334,7 +332,7 @@ def test_ball_check_matches_bitmask_form(case, monkeypatch):
         return real(g_, slots, nperm)
 
     monkeypatch.setattr(autnr, "_nperm_preserves_ball", recorded)
-    autnr.synth_fiber_kind(ctx, g)
+    autnr.synth_fiber_kind(g)
     results = set()
     for slots, nperm in calls:
         k = len(nperm)
@@ -397,9 +395,9 @@ def test_linear_vperm_matches_literal_map(case, monkeypatch):
         assert entry[-1] == g.vperm_of(
             lambda v: decomp.apply_index_perm(ctx, v, psi))
     del entry[len(gens):]
-    movers = homog.base_movers(ctx, g, entry)
+    movers = homog.base_movers(g, entry)
     monkeypatch.setattr(g, "linear_vperm", literal)
-    assert homog.base_movers(ctx, g, entry) == movers
+    assert homog.base_movers(g, entry) == movers
 
 
 # the (5,2) point-kind generators as synthesized by mapping every vertex
@@ -412,9 +410,8 @@ POINT_KIND_52_VPERMS = (
 
 @pytest.mark.heavy
 def test_closure_order_52():
-    ctx = SpaceCtx(5, 2)
     g = gb.component(5, 2)
-    gens = autnr.synth_generators(ctx, g)
+    gens = autnr.synth_generators(g)
     point = [a for a in gens if a.kind == "point"]
     with open(POINT_KIND_52) as f:
         assert [a.display() for a in point] == f.read().splitlines()

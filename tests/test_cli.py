@@ -386,25 +386,27 @@ def test_json_writer_matches_json_dumps_on_artifacts(monkeypatch, capsys, args):
 
     build renders its graph document itself, so its artifact is compared
     with json.dumps of the document built from lists, at (3,1) and at
-    (4,2), where A0 has three points and the entries four.
+    (4,2), where A0 has three points and the entries four.  Every other
+    verb writes its stdout as the one text _json returns, and that text
+    round-trips: json.dumps of what it parses to is the text again.
     """
     if args[0] == "build":
         assert main(args) == 0
         assert capsys.readouterr().out == _dumps(
             _seed_build_doc(int(args[2]), int(args[4]), "--full" in args))
         return
-    seen = []
+    texts = []
     write = cli._json
 
-    def checked(data):
-        text = write(data)
-        seen.append(text == _dumps(data))
-        return text
+    def recorded(data):
+        texts.append(write(data))
+        return texts[-1]
 
-    monkeypatch.setattr(cli, "_json", checked)
+    monkeypatch.setattr(cli, "_json", recorded)
     assert main(args) == 0
-    capsys.readouterr()
-    assert seen == [True]
+    out = capsys.readouterr().out
+    assert texts == [out]
+    assert _dumps(json.loads(out)) == out
 
 
 def test_out_is_atomic_when_the_export_fails_midway(tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from pencilgraphs import _golden, config as cfgmod, graphbuild as gb
-from pencilgraphs.gf2 import SpaceCtx
 
 
 def literal_menger_edges(lines) -> set[tuple[int, int]]:
@@ -42,7 +41,7 @@ def _swap_neighbor(g):
     k = next(j for j in range(1, len(g)) if j not in row)
     adj = array(g.adj.typecode, g.adj)
     adj[0] = k
-    return dataclasses.replace(g, adj=adj, _nbr_masks=None)
+    return dataclasses.replace(g, adj=adj)
 
 
 class _Rows:
@@ -60,9 +59,8 @@ class _Rows:
 
 @pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
 def test_params_and_menger(case):
-    ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    cfg = cfgmod.build_config(ctx, g)
+    cfg = cfgmod.build_config(g)
     assert cfg.params == _golden.CONFIG_PARAMS[case]
     assert cfg.check_balance()
     m, c, n, d = cfg.params
@@ -78,15 +76,19 @@ def test_degenerate_single_line_is_clique():
     assert not cfgmod._rows_match(_Rows(k4), cfg.lines, cfg.through)
     k4[3] = [0, 1, 2, 2]  # the right neighbours, one of them twice
     assert not cfgmod._rows_match(_Rows(k4), cfg.lines, cfg.through)
+    # two lines sharing the points 0 and 1: each row is the union of its
+    # lines minus itself, but 0 and 1 see each other on both lines
+    cfg = cfgmod.IncidenceStructure(4, [(0, 1, 2), (0, 1, 3)], 2, 3)
+    union = [[1, 2, 3], [0, 2, 3], [0, 1], [0, 1]]
+    assert not cfgmod._rows_match(_Rows(union), cfg.lines, cfg.through)
 
 
 @pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
 def test_menger_checks_match_literal_edge_sets(case):
     """The row checks agree with the set-of-pairs definitions, on the
     configuration and on a moved point and a swapped neighbour."""
-    ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    cfg = cfgmod.build_config(ctx, g)
+    cfg = cfgmod.build_config(g)
     edges = set(g.edges())
     assert literal_menger_edges(cfg.lines) == edges
     assert cfgmod.menger_equals_graph(cfg, g)
@@ -110,9 +112,8 @@ def test_menger_checks_match_literal_edge_sets(case):
 
 
 def test_bad_dualities_give_false():
-    ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
-    cfg = cfgmod.build_config(ctx, g)
+    cfg = cfgmod.build_config(g)
     dual = cfgmod.self_duality_map(cfg)
     nb = cfg.n_points
     assert literal_dual_menger_edges(cfg, dual) == set(g.edges())
@@ -127,9 +128,8 @@ def test_bad_dualities_give_false():
 
 
 def test_self_duality_31():
-    ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
-    cfg = cfgmod.build_config(ctx, g)
+    cfg = cfgmod.build_config(g)
     dual = cfgmod.self_duality_map(cfg)
     assert dual is not None
     nb = cfg.n_points
@@ -145,25 +145,22 @@ def test_self_duality_31():
 
 
 def test_duality_node_cap(monkeypatch):
-    ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
-    cfg = cfgmod.build_config(ctx, g)
+    cfg = cfgmod.build_config(g)
     monkeypatch.setattr(cfgmod, "DUALITY_NODE_CAP", 1)
     with pytest.raises(cfgmod.ConfigError, match="node cap"):
         cfgmod.self_duality_map(cfg)
 
 
 def test_non_square_case_has_no_duality():
-    ctx = SpaceCtx(4, 2)
     g = gb.component(4, 2)
-    cfg = cfgmod.build_config(ctx, g)
+    cfg = cfgmod.build_config(g)
     assert cfgmod.self_duality_map(cfg) is None
 
 
 def test_self_duality_41():
-    ctx = SpaceCtx(4, 1)
     g = gb.component(4, 1)
-    cfg = cfgmod.build_config(ctx, g)
+    cfg = cfgmod.build_config(g)
     dual = cfgmod.self_duality_map(cfg)
     assert dual is not None
     assert cfgmod.dual_menger_isomorphic(cfg, g, dual)

@@ -60,7 +60,7 @@ def test_turan_part_of_base(case, i):
     g = gb.component(*case)
     v = pencil.base_vertex_tuple(ctx)
     tid = decomp.turan_copies_at(ctx, v)[i - 1]
-    parts = decomp.turan_vertices(ctx, g, tid)
+    parts = decomp.turan_vertices(g, tid)
     got = {pencil.display(w) for w in parts[v[0]]}
     assert got == set(_golden.TURAN_PART_OF_BASE[case + (i,)])
 
@@ -70,7 +70,7 @@ def test_turan_copy_is_turan_graph():
     g = gb.component(4, 1)
     v = pencil.base_vertex_tuple(ctx)
     tid = decomp.turan_copies_at(ctx, v)[0]
-    parts = decomp.turan_vertices(ctx, g, tid)
+    parts = decomp.turan_vertices(g, tid)
     assert len(parts) == ctx.t
     assert all(len(p) == ctx.s for p in parts.values())
     labels = {}
@@ -91,7 +91,7 @@ def test_turan_anchor_irrelevant_within_copy():
     tid = decomp.turan_copies_at(ctx, v)[0]
 
     def member_ids(tid):
-        parts = decomp.turan_vertices(ctx, g, tid).values()
+        parts = decomp.turan_vertices(g, tid).values()
         return {g.index[w] for part in parts for w in part}
 
     members = member_ids(tid)
@@ -109,7 +109,7 @@ def _all_anchor_turan_copies(ctx, g):
     for vi, v in enumerate(g.vertices):
         for i in range(1, ctx.m1 + 1):
             tid = decomp.TuranCopyId(v[0] | v[i], i, v)
-            parts = decomp.turan_vertices(ctx, g, tid)
+            parts = decomp.turan_vertices(g, tid)
             part_sets = [frozenset(g.index[w] for w in plist)
                          for plist in parts.values()]
             key = frozenset().union(*part_sets)
@@ -122,7 +122,7 @@ def _all_anchor_turan_copies(ctx, g):
 def test_turan_copies_found_once_match_all_anchors(case):
     ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    got, incidence = decomp.enumerate_turan_copies(ctx, g)
+    got, incidence = decomp.enumerate_turan_copies(g)
     want, at_anchor = _all_anchor_turan_copies(ctx, g)
     assert list(got) == list(want)
     assert got == want
@@ -144,9 +144,8 @@ def test_turan_copies_found_once_match_all_anchors(case):
 
 @pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
 def test_verify_decomposition(case):
-    ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     data = _golden.CASE_DATA[case]
     assert rep.ok, rep.failures
     assert (rep.ell0, rep.ell1) == (data["ell0"], data["ell1"])
@@ -173,8 +172,8 @@ def _tampered(case):
     """
     ctx = SpaceCtx(*case)
     g = gb.build_component(ctx)
-    cliques, _ = decomp.enumerate_clique_copies(ctx, g)
-    turans, _ = decomp.enumerate_turan_copies(ctx, g)
+    cliques, _ = decomp.enumerate_clique_copies(g)
+    turans, _ = decomp.enumerate_turan_copies(g)
     return ctx, g, cliques, turans
 
 
@@ -189,7 +188,7 @@ def test_verify_rejects_duplicated_clique_copy(case):
     ctx, g, cliques, _ = _tampered(case)
     verts = next(iter(cliques.values()))
     cliques[(-1,)] = verts
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     assert f"edge {(verts[0], verts[1])} in two clique copies" in rep.failures
     assert f"clique copy count {rep.ell0} != {rep.ell0 - 1}" in rep.failures
@@ -199,7 +198,7 @@ def test_verify_rejects_duplicated_clique_copy(case):
 def test_verify_rejects_dropped_clique_copy(case):
     ctx, g, cliques, _ = _tampered(case)
     del cliques[next(iter(cliques))]
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     e, two_s = g.edge_count(), 2 * ctx.s
     assert rep.ok is False
     assert (f"clique copies cover {e - two_s * (two_s - 1) // 2} pairs, "
@@ -217,7 +216,7 @@ def test_verify_rejects_clique_copy_with_non_edge(case):
     cliques[key] = bad
     first = next((a, b) for i, a in enumerate(bad) for b in bad[i + 1:]
                  if not g.has_edge(a, b))
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     assert f"clique copy not a clique at {first}" in rep.failures
 
@@ -230,7 +229,7 @@ def test_verify_rejects_duplicated_turan_copy(case):
     turans[tuple(sorted(key))] = parts
     x, y = sorted(parts[0])[:2]
     a, b = min(parts[0]), min(parts[1])
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     assert f"edge ({min(a, b)},{max(a, b)}) in two Turan copies" in rep.failures
     assert f"two Turan copies share vertices {x},{y}" in rep.failures
@@ -241,7 +240,7 @@ def test_verify_rejects_duplicated_turan_copy(case):
 def test_verify_rejects_dropped_turan_copy(case):
     ctx, g, _, turans = _tampered(case)
     del turans[next(iter(turans))]
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     e = g.edge_count()
     per_copy = ctx.s * ctx.s * ctx.t * (ctx.t - 1) // 2
     assert rep.ok is False
@@ -258,7 +257,7 @@ def test_verify_rejects_turan_copy_with_non_edge(case):
     z = _outsider(g, key, other)
     x = min(parts[0])
     turans[key] = [parts[0] - {x} | {z}] + list(parts[1:])
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     assert (f"Turan copy non-edge across parts {min(z, other)},{max(z, other)}"
             in rep.failures)
@@ -271,7 +270,7 @@ def test_verify_rejects_turan_parts_swapped(case):
     x, y = min(parts[0]), min(parts[1])
     turans[key] = [parts[0] - {x} | {y}, parts[1] - {y} | {x}] + parts[2:]
     z = min(parts[1] - {y})
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     assert (f"Turan copy edge inside a part {min(x, z)},{max(x, z)}"
             in rep.failures)
@@ -282,14 +281,14 @@ def test_verify_rejects_wrong_incidence(monkeypatch, case):
     ctx, g, _, _ = _tampered(case)
     real = decomp.enumerate_clique_copies
 
-    def bumped(ctx, g):
-        copies, incidence = real(ctx, g)
+    def bumped(g):
+        copies, incidence = real(g)
         incidence[0] += 1
         return copies, incidence
 
     monkeypatch.setattr(decomp, "enumerate_clique_copies", bumped)
     g._turan_copy_cache[1][-1] -= 1
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     assert "clique incidence not m0 at every vertex" in rep.failures
     assert "Turan incidence not m1 at every vertex" in rep.failures
@@ -302,10 +301,10 @@ def test_clique_incidence_is_counted_from_members(case):
     key = next(iter(cliques))
     x = cliques[key][0]
     cliques[key] = cliques[key][1:]
-    incidence = decomp.enumerate_clique_copies(ctx, g)[1]
+    incidence = decomp.enumerate_clique_copies(g)[1]
     assert incidence[x] == ctx.m0 - 1
     assert incidence.count(ctx.m0) == len(g) - 1
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert "clique incidence not m0 at every vertex" in rep.failures
 
 
@@ -316,7 +315,7 @@ def test_verify_rejects_non_maximal_copies(case):
     cliques[key] = cliques[key][1:]
     tkey, parts = next(iter(turans.items()))
     turans[tkey] = [parts[0] - {min(parts[0])}] + parts[1:]
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     assert f"clique copy {key[0]:x} not maximal" in rep.failures
     assert "Turan copy extendable inside a part" in rep.failures
@@ -343,23 +342,24 @@ def test_verify_reports_every_copy_intersection():
         want.append({f"copy intersection at {pair} is {tri}"
                      for pair in combinations(tri, 2)})
     assert len(tkeys) == 3
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     for msgs in want:
         assert msgs & set(rep.failures)
 
 
-def _walk_verify(ctx, g):
+def _walk_verify(g):
     """The pair-walk check that verify_decomposition replaced, kept verbatim
     as the literal reference: a bisect per pair into the sorted rows, one
     slot array per family and sets for the stray pairs."""
+    ctx = g.ctx
     failures: list[str] = []
     n = len(g.vertices)
     s, t, m1 = ctx.s, ctx.t, ctx.m1
     two_s = 2 * s
 
-    cliques, cinc = decomp.enumerate_clique_copies(ctx, g)
-    turans, tinc = decomp.enumerate_turan_copies(ctx, g)
+    cliques, cinc = decomp.enumerate_clique_copies(g)
+    turans, tinc = decomp.enumerate_turan_copies(g)
     ell0, ell1 = len(cliques), len(turans)
 
     if any(c != ctx.m0 for c in cinc):
@@ -515,7 +515,7 @@ def test_verify_reports_every_tampered_clique_copy():
         z = _partial_outsider(g, cliques[key], rest)
         cliques[key] = tuple(sorted(rest + (z,)))
         bad.append(cliques[key])
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     for verts in bad:
         for e in combinations(verts, 2):
@@ -546,7 +546,7 @@ def test_verify_reports_every_tampered_turan_copy():
         z = _partial_outsider(g, parts[0] | rest, rest)
         turans[key] = [parts[0] - {min(parts[0])} | {z}] + parts[1:]
         bad.append(turans[key])
-    rep = decomp.verify_decomposition(ctx, g)
+    rep = decomp.verify_decomposition(g)
     assert rep.ok is False
     for parts in bad:
         for a, b in cross(parts):
@@ -565,10 +565,9 @@ def _summary(rep):
 
 @pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
 def test_verify_matches_reference_walks(case):
-    ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    rep = decomp.verify_decomposition(ctx, g)
-    ref = _walk_verify(ctx, g)
+    rep = decomp.verify_decomposition(g)
+    ref = _walk_verify(g)
     assert _summary(rep) == _summary(ref)
     assert rep.as_dict() == ref.as_dict()
 
@@ -606,9 +605,9 @@ def test_verify_matches_reference_walks_on_mutants(monkeypatch, test,
     check = decomp.verify_decomposition
     seen = []
 
-    def both(ctx, g):
-        rep = check(ctx, g)
-        seen.append((_summary(rep), _summary(_walk_verify(ctx, g))))
+    def both(g):
+        rep = check(g)
+        seen.append((_summary(rep), _summary(_walk_verify(g))))
         return rep
 
     monkeypatch.setattr(decomp, "verify_decomposition", both)

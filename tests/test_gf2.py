@@ -132,14 +132,17 @@ def test_cosets_partition_everything(r, sigma):
     for sub in gf2.subspace_masks(r, sigma)[:8]:
         masks, table = gf2.coset_table(r, sub)
         assert len(masks) == ctx.m1
-        assert type(table) is tuple and len(table) == 1 << r
-        assert [x for x in range(1 << r) if not table[x]] == [
+        assert type(table) is tuple and len(table) == (1 << r) + 1
+        assert table[0] == sub
+        assert [x for x in range(1 << r) if not table[x + 1]] == [
             0, *gf2.points_of(sub)]
         union = sub
         for c in masks:
             assert union & c == 0
             assert c.bit_count() == 1 << sigma
-            assert all(table[p] == c for p in gf2.points_of(c))
+            assert all(table[p + 1] == c for p in gf2.points_of(c))
+            # the bit length of a coset is its top point + 1
+            assert table[c.bit_length()] == c
             union |= c
         assert union == ctx.all_points_mask
 

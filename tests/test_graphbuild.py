@@ -379,11 +379,10 @@ def test_gathered_neighbors_match_literal_lookup(r, sigma):
 @pytest.mark.parametrize("r,sigma", [(6, 2), (5, 3)])
 def test_copy_tables_share_one_led_table_per_a0(r, sigma):
     """After neighbors on seeded pencils, each (U0, h) entry holds 2s led
-    tables of distinct A0s, each the very _led_table object of its A0, and
-    there is one entry per (U0, h) flag touched."""
+    tables of distinct A0s, each the very table gf2.coset_table keeps for
+    its A0, and there is one entry per (U0, h) flag touched."""
     ctx = SpaceCtx(r, sigma)
     gb._copy_tables.cache_clear()
-    gb._led_table.cache_clear()
     rng = random.Random(r * 10 + sigma)
     flags = set()
     for _ in range(3):
@@ -396,14 +395,11 @@ def test_copy_tables_share_one_led_table_per_a0(r, sigma):
         gb.neighbors(ctx, v)
         flags |= {(sl[0], h) for h, sl in gb.clique_slices(ctx, v)}
     assert gb._copy_tables.cache_info().currsize == len(flags)
-    a0s = set()
     for u0, h in flags:
         tables = gb._copy_tables(r, u0, h)
         assert len(tables) == len({t[0] for t in tables}) == 2 * ctx.s
-        assert all(t is gb._led_table(r, t[0]) for t in tables)
-        a0s |= {t[0] for t in tables}
+        assert all(t is gf2.coset_table(r, t[0])[1] for t in tables)
     assert gb._copy_tables.cache_info().currsize == len(flags)
-    assert gb._led_table.cache_info().currsize == len(a0s)
 
 
 def test_neighbors_rejects_pencil_missing_from_its_copy(monkeypatch):
@@ -533,6 +529,27 @@ def test_full_graph_keeps_no_clique_copies(r, sigma):
     assert g.clique_copies == {}
     with pytest.raises(gb.BuildError):
         g.clique_family()
+
+
+def test_replace_starts_derived_indexes_afresh():
+    """A graph made by dataclasses.replace with new rows builds its own
+    neighbour masks, label rows and copy indexes, and never reads those of
+    the graph it came from."""
+    g = gb.component(3, 1)
+    g.nbr_mask(0)
+    g.linear_vperm(bytes(range(8)), range(g.ctx.m1 + 1))
+    g.clique_family()
+    decomp.enumerate_turan_copies(g)
+    derived = ["_nbr_masks", "_label_rows", "_clique_family",
+               "_turan_copy_cache"]
+    assert None not in [getattr(g, name) for name in derived]
+    k = next(j for j in range(1, len(g)) if not g.has_edge(0, j))
+    adj = array(g.adj.typecode, g.adj)
+    adj[0] = k
+    bad = replace(g, adj=adj)
+    assert [getattr(bad, name) for name in derived] == [None] * 4
+    assert bad.nbr_mask(0) >> k & 1
+    assert bad.nbr_mask(0) != g.nbr_mask(0)
 
 
 def _mutant(fn, old, new):

@@ -16,7 +16,7 @@ from pencilgraphs.gf2 import SpaceCtx
 def _setup(case):
     ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    gens = homog.full_generator_set(ctx, g)
+    gens = homog.full_generator_set(g)
     return ctx, g, gens
 
 
@@ -62,7 +62,7 @@ def test_combined_closure_order_31():
 @pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
 def test_h_property_exhaustive(case):
     ctx, g, gens = _setup(case)
-    reports = homog.check_H_property(ctx, g, gens)
+    reports = homog.check_H_property(g, gens)
     for rep in reports:
         assert rep.copies_equivariant
         assert rep.ok
@@ -74,11 +74,10 @@ def test_h_property_exhaustive(case):
 def test_h_property_fails_on_stabilizer_alone_41():
     """The stabilizer fixes the base vertex, so its arc orbit is short of
     the total and the check fails although every generator is valid."""
-    ctx = SpaceCtx(4, 1)
     g = gb.component(4, 1)
-    stab = [(a.display(), a.vperm) for a in autnr.synth_generators(ctx, g)
+    stab = [(a.display(), a.vperm) for a in autnr.synth_generators(g)
             if a.vperm is not None]
-    reports = homog.check_H_property(ctx, g, homog.GeneratorSet(stab, [], []))
+    reports = homog.check_H_property(g, homog.GeneratorSet(stab, [], []))
     for rep in reports:
         assert rep.copies_equivariant
         assert rep.orbit_size < rep.total
@@ -95,7 +94,7 @@ def _arc_orbit_size(g, vperms) -> int:
     under the generators, arcs coded as a * n + b."""
     n = len(g)
     perms = np.array(vperms, dtype=np.int64)
-    v, u = homog.base_arc(g.ctx, g)
+    v, u = homog.base_arc(g)
     seen = np.zeros(n * n, dtype=bool)
     frontier = np.array([v * n + u])
     seen[frontier] = True
@@ -132,7 +131,7 @@ def test_certificate_matches_arc_orbit(case, stab_size, fiber_size):
     ]:
         subset = _subset(gens, families)
         assert _arc_orbit_size(g, subset.vperms()) == size
-        for rep in homog.check_H_property(ctx, g, subset):
+        for rep in homog.check_H_property(g, subset):
             assert rep.copies_equivariant
             assert (rep.orbit_size, rep.total) == (size, total)
             assert rep.ok is (size == total)
@@ -147,7 +146,7 @@ def test_certificate_without_stabilizer(case, cert, arcs):
     ctx, g, gens = _cached_setup(case)
     subset = _subset(gens, ("entry_perms", "movers"))
     assert _arc_orbit_size(g, subset.vperms()) == arcs
-    for rep in homog.check_H_property(ctx, g, subset):
+    for rep in homog.check_H_property(g, subset):
         assert rep.copies_equivariant
         assert rep.orbit_size == cert
         assert rep.ok is False
@@ -163,16 +162,15 @@ def test_certificate_checks_equivariance():
     assert not autnr._is_automorphism(g, swap)
     bad = homog.GeneratorSet([("swap", tuple(swap))] + gens.stabilizer,
                              gens.entry_perms, gens.movers)
-    for rep in homog.check_H_property(ctx, g, bad):
+    for rep in homog.check_H_property(g, bad):
         assert rep.orbit_size == rep.total
         assert rep.copies_equivariant is False
         assert rep.ok is False
 
 
 def test_extend_identity_on_copy():
-    ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
-    copies, _ = decomp.enumerate_clique_copies(ctx, g)
+    copies, _ = decomp.enumerate_clique_copies(g)
     verts = min(copies.values())
     vperm, stats = homog.extend_partial(g, {x: x for x in verts})
     assert vperm is not None
@@ -181,9 +179,8 @@ def test_extend_identity_on_copy():
 
 def test_all_k4_copy_automorphisms_extend_31():
     """Ultrahomogeneity on the clique side for the smallest case."""
-    ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
-    copies, _ = decomp.enumerate_clique_copies(ctx, g)
+    copies, _ = decomp.enumerate_clique_copies(g)
     verts = min(copies.values())
     extended = 0
     for img in permutations(verts):
@@ -202,9 +199,8 @@ def test_extend_rejects_non_injective_partial():
 
 def test_extend_node_cap(monkeypatch):
     """Past the node cap the search raises instead of answering."""
-    ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
-    copies, _ = decomp.enumerate_clique_copies(ctx, g)
+    copies, _ = decomp.enumerate_clique_copies(g)
     partial = {x: x for x in min(copies.values())}
     _, stats = homog.extend_partial(g, partial)
     assert stats.nodes > 1
@@ -434,7 +430,7 @@ def _duality_with_stats(cfg, monkeypatch):
 
 
 def test_duality_matches_mask_search_31(monkeypatch):
-    cfg = cfgmod.build_config(SpaceCtx(3, 1), gb.component(3, 1))
+    cfg = cfgmod.build_config(gb.component(3, 1))
     got = _duality_with_stats(cfg, monkeypatch)
     assert got == _mask_self_duality(cfg)
     assert got[1].nodes == 87
@@ -443,7 +439,7 @@ def test_duality_matches_mask_search_31(monkeypatch):
 @pytest.mark.heavy
 def test_duality_matches_mask_search_41(monkeypatch):
     """The reference takes about 15 s and 1 GB here."""
-    cfg = cfgmod.build_config(SpaceCtx(4, 1), gb.component(4, 1))
+    cfg = cfgmod.build_config(gb.component(4, 1))
     assert _duality_with_stats(cfg, monkeypatch) == _mask_self_duality(cfg)
 
 
@@ -472,7 +468,7 @@ def test_clique_copy_orbit_is_every_ordered_copy(case, movers, size):
     copy has ell0 * (2s)! images, so every bijection between two copies
     extends to an automorphism.  Without the base movers it does not."""
     ctx, g, gens = _cached_setup(case)
-    copies, _ = decomp.enumerate_clique_copies(ctx, g)
+    copies, _ = decomp.enumerate_clique_copies(g)
     copy_sets = {frozenset(v) for v in copies.values()}
     vperms = gens.vperms() if movers else [
         p for _, p in gens.stabilizer + gens.entry_perms]
@@ -491,7 +487,7 @@ def test_literal_k4_reading_of_claim_c(case, k4s):
     abstract's 2^(sigma+1), which agrees only at r = 3."""
     ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    copies, _ = decomp.enumerate_clique_copies(ctx, g)
+    copies, _ = decomp.enumerate_clique_copies(g)
     at_base = {frozenset(v) for v in copies.values() if 0 in v}
     found = set()
     for a, b, c in combinations(g.neighbors_of(0), 3):
@@ -506,18 +502,16 @@ def test_literal_k4_reading_of_claim_c(case, k4s):
 
 
 def test_witness_absent_for_31():
-    ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
-    wit, tried = homog.non_uh_witness(ctx, g)
+    wit, tried = homog.non_uh_witness(g)
     assert wit is None
     assert tried == 2  # identity plus the one nontrivial arc-fixing map
 
 
 @pytest.mark.parametrize("case", [(4, 2), (4, 1)])
 def test_witness_found_for_r_above_3(case):
-    ctx = SpaceCtx(*case)
     g = gb.component(*case)
-    wit, tried = homog.non_uh_witness(ctx, g)
+    wit, tried = homog.non_uh_witness(g)
     assert wit is not None
     assert wit.stats.exhausted
     # the failed partial map really is an isomorphism of the copy
@@ -529,10 +523,9 @@ def test_witness_found_for_r_above_3(case):
 
 
 def test_witness_partial_fixes_base_arc():
-    ctx = SpaceCtx(4, 2)
     g = gb.component(4, 2)
-    v, u = homog.base_arc(ctx, g)
-    wit, _ = homog.non_uh_witness(ctx, g)
+    v, u = homog.base_arc(g)
+    wit, _ = homog.non_uh_witness(g)
     assert wit.partial[v] == v and wit.partial[u] == u
 
 

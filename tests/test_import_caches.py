@@ -35,6 +35,5 @@ def test_import_leaves_lru_caches_empty():
     sizes = json.loads(res.stdout)
     # the scan sees the neighbour kernel's caches, so it is not vacuous
     assert {"gf2.coset_table", "graphbuild._copy_dual_points",
-            "graphbuild._led_table", "graphbuild._copy_tables",
-            "graphbuild.component"} <= set(sizes)
+            "graphbuild._copy_tables", "graphbuild.component"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}
