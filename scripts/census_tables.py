@@ -4,7 +4,7 @@ Usage:
     python scripts/census_tables.py [--max-rho 4] [--heavy]
 
 Each table is summed over the conjugacy classes of GL(rho, 2)
-(``hrho.class_census``); the rho = 5 table (9,999,360 elements) is printed
+(``hrho.census_rows``); the rho = 5 table (9,999,360 elements) is printed
 only with --heavy, as ``census --rho 5`` needs --enable-heavy.
 """
 
@@ -13,11 +13,7 @@ import argparse
 from pencilgraphs import _golden, hrho
 
 
-def print_table(rho: int, census) -> bool:
-    rows = sorted(
-        ((hrho.super_type_str(st), d, c) for st, (d, c) in census.items()),
-        key=lambda t: (t[1], t[0]),
-    )
+def print_table(rho: int, rows) -> bool:
     total = sum(c for _, _, c in rows)
     print(f"\nrho = {rho}   (order {total})")
     print(f"{'super_type':<22}{'d':>3}{'count':>10}")
@@ -39,7 +35,7 @@ def main() -> int:
 
     ok = True
     for rho in range(2, min(args.max_rho, 5 if args.heavy else 4) + 1):
-        ok &= print_table(rho, hrho.class_census(rho))
+        ok &= print_table(rho, hrho.census_rows(rho))
     return 0 if ok else 1
 
 

@@ -35,7 +35,7 @@ def main() -> int:
     print(f"generators: {len(point)} point kind, {len(fiber)} fiber kind")
 
     extending = autnr.close_permutations([a.nperm for a in point])
-    full = autnr.closure_order(gens, g)
+    full = autnr.closure_order(gens)
     formula = autnr.nr_order_formula(g.ctx)
     print(f"extending subgroup order: {extending}")
     print(f"neighborhood group order: {full} (formula {formula})")

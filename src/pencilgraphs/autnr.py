@@ -109,7 +109,7 @@ def quotient_psi(ctx: SpaceCtx, table: list[int]) -> tuple[int, ...]:
     return tuple(psi)
 
 
-def point_factors(ctx: SpaceCtx, table, alpha: int, thetas: list[int],
+def point_factors(ctx: SpaceCtx, table, thetas: list[int],
                   within_span_of: int | None = None) -> tuple[Factor, ...]:
     """Bracket data [theta.chi(pairs)] of a point map, one factor per theta.
 
@@ -145,36 +145,11 @@ def point_factors(ctx: SpaceCtx, table, alpha: int, thetas: list[int],
 # synthesis
 
 
-def _neighbor_slots(g: PencilGraph) -> list[int]:
-    return sorted(g.neighbors_of(0))
-
-
-def _is_automorphism(g: PencilGraph, vperm) -> bool:
-    """vperm is a permutation of g that maps every clique copy onto a clique
-    copy, checked exactly by PencilGraph.permutes_copies.
-
-    The premise, checked once per graph when its copy index is built: each
-    row lists, each once, the other members of the vertex's clique copies.
-    So every edge lies in a copy and every copy is a clique, and a
-    permutation that maps copies onto copies maps edges onto edges; it is an
-    automorphism.  The converse holds where every automorphism permutes the
-    copies.  At (3,1), (4,2) and (4,1) the generators the package builds
-    generate all of Aut(G) and permute the copies, so there the test equals
-    the literal all-pairs definition; elsewhere it is a sufficient
-    condition.
-    """
-    return g.permutes_copies(vperm)
-
-
-def _nperm_from_vperm(g: PencilGraph, vperm, slots, slot_index) -> tuple[int, ...]:
-    return tuple(slot_index[vperm[s]] for s in slots)
-
-
 def synth_point_kind(g: PencilGraph) -> list[AutoMap]:
     """Transvection generators fixing the base vertex, validated on g."""
     ctx = g.ctx
     J = g.vertices[0][0]
-    slots = _neighbor_slots(g)
+    slots = sorted(g.neighbors_of(0))
     slot_index = {s: k for k, s in enumerate(slots)}
     j_thetas = subsets_of_dim(J, ctx.sigma - 1)
     out = []
@@ -188,7 +163,7 @@ def synth_point_kind(g: PencilGraph) -> list[AutoMap]:
             psi = quotient_psi(ctx, table)
             vperm = g.linear_vperm(table, psi)
             if (vperm is None or vperm[0] != 0 or vperm in seen_vperms
-                    or not _is_automorphism(g, vperm)):
+                    or not g.permutes_copies(vperm)):
                 continue
             seen_vperms.add(vperm)
             within = None
@@ -203,9 +178,9 @@ def synth_point_kind(g: PencilGraph) -> list[AutoMap]:
                     if t & J != t
                 ]
                 within = J
-            factors = point_factors(ctx, table, alpha, thetas, within)
-            out.append(AutoMap(cat, "point", pi, alpha, factors, psi,
-                               _nperm_from_vperm(g, vperm, slots, slot_index),
+            factors = point_factors(ctx, table, thetas, within)
+            nperm = tuple(slot_index[vperm[s]] for s in slots)
+            out.append(AutoMap(cat, "point", pi, alpha, factors, psi, nperm,
                                vperm, center=c))
     return out
 
@@ -257,9 +232,8 @@ def synth_fiber_kind(g: PencilGraph) -> list[AutoMap]:
     """
     ctx = g.ctx
     J = g.vertices[0][0]
-    slots = _neighbor_slots(g)
+    slots = sorted(g.neighbors_of(0))
     slot_index = {s: k for k, s in enumerate(slots)}
-    ball = {0} | set(slots)
     out = []
     seen = set()
     for theta in subsets_of_dim(J, ctx.sigma - 1):
@@ -414,8 +388,7 @@ def close_permutations(gens: list[tuple[int, ...]]) -> int:
     return prod(len(t) for t in trans)
 
 
-def closure_order(gens: list[AutoMap], g: PencilGraph,
-                  cross_check_full: bool = False) -> int:
+def closure_order(gens: list[AutoMap], cross_check_full: bool = False) -> int:
     """Group order generated by the neighborhood restrictions.
 
     With cross_check_full, also takes the order of the group generated by

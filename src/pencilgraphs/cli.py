@@ -208,7 +208,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_aut(cfg: RunConfig) -> int:
     g = _graph_for(cfg)
     gens = autnr.synth_generators(g)
-    order = autnr.closure_order(gens, g)
+    order = autnr.closure_order(gens)
     expected = autnr.nr_order_formula(g.ctx)
     data = {
         "closure_order": order,
@@ -265,11 +265,7 @@ def cmd_census(cfg: RunConfig) -> int:
     if rho >= 5 and not cfg.enable_heavy:
         sys.stderr.write("refused: the rho = 5 census needs --enable-heavy\n")
         return 2
-    rows = sorted(
-        ((hrho.super_type_str(st), d, cnt)
-         for st, (d, cnt) in hrho.class_census(rho).items()),
-        key=lambda t: (t[1], t[0]),
-    )
+    rows = hrho.census_rows(rho)
     golden = _golden.TABLE1.get(rho)
     diff = []
     if golden is not None:
@@ -337,7 +333,7 @@ def cmd_homog(cfg: RunConfig) -> int:
     gens = homog.full_generator_set(g)
     reports = homog.check_H_property(g, gens)
     wit, tried = homog.non_uh_witness(g)
-    vorb = homog.vertex_orbit_of_base(g, gens.vperms())
+    vorb = homog.vertex_orbit_of_base(gens.vperms())
     data = {
         "h_property": [rep.as_dict() for rep in reports],
         "vertex_transitive_under_generators": len(vorb) == len(g),
@@ -387,21 +383,9 @@ def main(argv=None) -> int:
         ns = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    kwargs = dict(
-        command=ns.command,
-        cap_vertices=ns.cap_vertices,
-        seed=ns.seed,
-        enable_heavy=ns.enable_heavy,
-        out=ns.out,
-        fmt=ns.fmt,
-    )
-    if hasattr(ns, "r"):
-        kwargs.update(r=ns.r, sigma=ns.sigma)
-    if hasattr(ns, "rho"):
-        kwargs.update(rho=ns.rho)
-    if hasattr(ns, "full"):
-        kwargs.update(full=ns.full)
-    cfg = RunConfig(**kwargs)
+    args = vars(ns)
+    del args["threads"]
+    cfg = RunConfig(**args)
     if cfg.command in ("hrho", "census"):
         if not 2 <= cfg.rho <= 5:
             sys.stderr.write(f"invalid parameters: rho must be in 2..5, "

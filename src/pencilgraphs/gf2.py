@@ -130,20 +130,6 @@ class SpaceCtx:
         return (1 << (self.n + 1)) - 2
 
 
-def line_third(a: int, b: int) -> int:
-    """Third point of the line through distinct points a, b."""
-    if a == b:
-        raise Gf2Error(f"degenerate line through {a}, {a}")
-    return a ^ b
-
-
-def complement_point(ctx: SpaceCtx, i: int) -> int:
-    """The complement n - i (= n XOR i) of a point i < n."""
-    if not 1 <= i < ctx.n:
-        raise Gf2Error(f"point {i} has no complement in [1, {ctx.n})")
-    return ctx.n ^ i
-
-
 def gaussian_binomial(r: int, sigma: int) -> int:
     """Number of sigma-dimensional GF(2)-subspaces of an r-dimensional space."""
     if not 0 <= sigma <= r:

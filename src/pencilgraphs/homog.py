@@ -29,7 +29,7 @@ from itertools import permutations, product
 
 from pencilgraphs import autnr, decomp, gf2, hrho
 from pencilgraphs.gf2 import SpaceCtx
-from pencilgraphs.graphbuild import CopyFamily, PencilGraph, copy_family
+from pencilgraphs.graphbuild import PencilGraph, copy_family
 from pencilgraphs.pencil import encode_tuple
 
 
@@ -43,12 +43,12 @@ class HomogError(RuntimeError):
 
 @dataclass
 class GeneratorSet:
-    stabilizer: list[tuple[str, tuple[int, ...]]]
-    entry_perms: list[tuple[str, tuple[int, ...]]]
-    movers: list[tuple[str, tuple[int, ...]]]
+    stabilizer: list[tuple[int, ...]]
+    entry_perms: list[tuple[int, ...]]
+    movers: list[tuple[int, ...]]
 
     def vperms(self) -> list[tuple[int, ...]]:
-        return [p for _, p in self.stabilizer + self.entry_perms + self.movers]
+        return self.stabilizer + self.entry_perms + self.movers
 
 
 def full_generator_set(g: PencilGraph,
@@ -58,9 +58,7 @@ def full_generator_set(g: PencilGraph,
     :func:`base_movers`, each validated as an automorphism of g."""
     if stab_gens is None:
         stab_gens = autnr.synth_generators(g)
-    stab = [
-        (a.display(), a.vperm) for a in stab_gens if a.vperm is not None
-    ]
+    stab = [a.vperm for a in stab_gens if a.vperm is not None]
     entry = []
     identity = range(1 << g.ctx.r)
     for q, a, psi in hrho.generators(g.ctx.rho):
@@ -68,15 +66,15 @@ def full_generator_set(g: PencilGraph,
         # moves to position psi^-1[k], and the argsort of psi is psi^-1
         inv = sorted(range(len(psi)), key=psi.__getitem__)
         vperm = g.linear_vperm(identity, inv)
-        if vperm is None or not autnr._is_automorphism(g, vperm):
+        if vperm is None or not g.permutes_copies(vperm):
             raise HomogError(
                 f"entry permutation p({gf2.mask_str(q)},{a}) is not an automorphism"
             )
-        entry.append((f"psi:{hrho.perm_display(psi, pivot=a)}", vperm))
-    movers = base_movers(g, [p for _, p in entry])
-    for name, vperm in movers:
-        if not autnr._is_automorphism(g, vperm):
-            raise HomogError(f"base mover {name} is not an automorphism")
+        entry.append(vperm)
+    movers = base_movers(g, entry)
+    for k, vperm in enumerate(movers):
+        if not g.permutes_copies(vperm):
+            raise HomogError(f"base mover {k} is not an automorphism")
     return GeneratorSet(stab, entry, movers)
 
 
@@ -96,7 +94,7 @@ def _table_from_basis_images(r: int, images: list[int]) -> list[int]:
 
 
 def base_movers(g: PencilGraph, entry_vperms: list[tuple[int, ...]]
-                ) -> list[tuple[str, tuple[int, ...]]]:
+                ) -> list[tuple[int, ...]]:
     """Position-preserving linear maps that move the base vertex: a full-cycle
     map, then one transvection per axis until, together with the entry
     permutations, they reach every vertex of g."""
@@ -110,8 +108,8 @@ def base_movers(g: PencilGraph, entry_vperms: list[tuple[int, ...]]
     images = [1 << (i + 1) for i in range(ctx.r - 1)] + [_FEEDBACK[ctx.r]]
     cyc = linear(_table_from_basis_images(ctx.r, images))
     if cyc is not None:
-        out.append(("mov:cycle", cyc))
-    gens = list(entry_vperms) + [p for _, p in out]
+        out.append(cyc)
+    gens = list(entry_vperms) + out
     for alpha in gf2.hyperplane_masks(ctx.r):
         if len(_orbit(0, gens)[0]) == len(g.vertices):
             break
@@ -119,7 +117,7 @@ def base_movers(g: PencilGraph, entry_vperms: list[tuple[int, ...]]
             vperm = linear(autnr.transvection_table(ctx.r, alpha, c))
             if vperm is None or vperm[0] == 0:
                 continue
-            out.append((f"mov:{gf2.mask_str(alpha)}+{gf2.point_str(c)}", vperm))
+            out.append(vperm)
             gens.append(vperm)
             break
     return out
@@ -157,7 +155,7 @@ def _orbit(seed: int, gens: list[tuple[int, ...]]
     return orb, used
 
 
-def vertex_orbit_of_base(g: PencilGraph, gens: list[tuple[int, ...]]) -> set[int]:
+def vertex_orbit_of_base(gens: list[tuple[int, ...]]) -> set[int]:
     return _orbit(0, gens)[0]
 
 
@@ -176,12 +174,6 @@ class HReport:
     def as_dict(self):
         # the certificate covers every arc; the two keys keep the layout
         return dict(self.__dict__, exhaustive=True, sampled_checked=self.total)
-
-
-def _copies_equivariant(g: PencilGraph, family: CopyFamily, vperms) -> bool:
-    """Every generator is a permutation that maps each copy of the family
-    onto a copy of it."""
-    return all(g.permutes_copies(p, family) for p in vperms)
 
 
 def check_H_property(g: PencilGraph, gens: GeneratorSet) -> list[HReport]:
@@ -218,7 +210,7 @@ def check_H_property(g: PencilGraph, gens: GeneratorSet) -> list[HReport]:
     size = len(vorb) * len(norb)
     out = []
     for family, copies in families.items():
-        equi = _copies_equivariant(g, copies, cert)
+        equi = all(g.permutes_copies(p, copies) for p in cert)
         out.append(HReport(family, size, total, equi, equi and size == total))
     return out
 

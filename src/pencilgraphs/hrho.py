@@ -649,6 +649,14 @@ def class_census(rho: int) -> dict[tuple, tuple[int, int]]:
     return out
 
 
+def census_rows(rho: int) -> list[tuple[str, int, int]]:
+    """The census as (super_type_str, distance, count) rows, by distance and
+    then super type."""
+    return sorted(((super_type_str(st), d, c)
+                   for st, (d, c) in class_census(rho).items()),
+                  key=lambda t: (t[1], t[0]))
+
+
 # ---------------------------------------------------------------------------
 # cosets of the doubled subgroup
 #

@@ -63,7 +63,7 @@ def encode_tuple(v: VTuple) -> bytes:
 
 def decode(ctx: SpaceCtx, key: bytes) -> VTuple:
     """Inverse of :func:`encode_tuple`; raises PencilError on a bad key,
-    including one that is not bytes."""
+    including one that is not bytes or that encode_tuple never writes."""
     if not isinstance(key, bytes):
         raise PencilError(f"a pencil key is bytes, not {type(key).__name__}")
     w = 1 << ctx.sigma
@@ -73,6 +73,8 @@ def decode(ctx: SpaceCtx, key: bytes) -> VTuple:
     ]
     v = (a0,) + tuple(masks)
     validate(ctx, v)
+    if encode_tuple(v) != key:
+        raise PencilError(f"key is not the canonical key of {display(v)}")
     return v
 
 

@@ -89,7 +89,7 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
     # generators are synthesized once and reused by check 10
     stab_gens = autnr.synth_generators(g)
     if case in _golden.NR_ORDERS:
-        order = autnr.closure_order(stab_gens, g,
+        order = autnr.closure_order(stab_gens,
                                     cross_check_full=(case == (3, 1)))
         formula = autnr.nr_order_formula(ctx)
         checks.append(_check(
@@ -104,8 +104,7 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
     checks.append(_check("aux_group_order",
                          len(store) == _golden.GROUP_ORDERS[rho],
                          _golden.GROUP_ORDERS[rho], len(store)))
-    got_rows = {hrho.super_type_str(st): (d, c)
-                for st, (d, c) in hrho.class_census(rho).items()}
+    got_rows = {st: (d, c) for st, d, c in hrho.census_rows(rho)}
     checks.append(_check("aux_census", got_rows == _golden.TABLE1[rho],
                          _golden.TABLE1[rho], got_rows))
     law = hrho.check_distance_law(store)
@@ -203,7 +202,7 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
                          entry))
 
     # 13: diameter bounds
-    transitive = len(homog.vertex_orbit_of_base(g, gens_h.vperms())) == len(g)
+    transitive = len(homog.vertex_orbit_of_base(gens_h.vperms())) == len(g)
     diam = graphbuild.diameter(g, assume_vertex_transitive=transitive)
     bound = 2 * r - 2
     entry = {"diameter": diam, "bound": bound,

@@ -36,29 +36,6 @@ def test_ctx_rejects_bad_parameters(r, sigma):
         SpaceCtx(r, sigma)
 
 
-@pytest.mark.parametrize("a,b,c", [(8, 9, 1), (1, 2, 3), (3, 4, 7)])
-def test_line_third(a, b, c):
-    assert gf2.line_third(a, b) == c
-
-
-def test_line_third_degenerate():
-    with pytest.raises(gf2.Gf2Error):
-        gf2.line_third(5, 5)
-
-
-@pytest.mark.parametrize("r,i,c", [(3, 4, 3), (4, 1, 14), (3, 1, 6)])
-def test_complement_point(r, i, c):
-    assert gf2.complement_point(SpaceCtx(r, 1), i) == c
-
-
-def test_complement_point_whole_space():
-    ctx = SpaceCtx(3, 1)
-    with pytest.raises(gf2.Gf2Error):
-        gf2.complement_point(ctx, 7)
-    for i in range(1, ctx.n):
-        assert gf2.complement_point(ctx, i) == ctx.n ^ i
-
-
 def test_span_examples():
     assert gf2.span_mask([1, 2]) == gf2.mask_of([1, 2, 3])
     assert gf2.span_mask([3, 4]) == gf2.mask_of([3, 4, 7])

@@ -1,10 +1,14 @@
-"""A function on a built graph takes the graph alone.
+"""A function takes only what it reads.
 
 A built ``PencilGraph`` carries its case as ``g.ctx``, so a public function
 that took a ``SpaceCtx`` beside the graph would hold two sources of (r, sigma)
 that nothing checks against each other.  The pencil-level queries take
-``(ctx, pencil)``, since a pencil does not carry its case.  The check reads
-the parameter annotations of every public top-level function.
+``(ctx, pencil)``, since a pencil does not carry its case.  The first check
+reads the parameter annotations of every public top-level function.
+
+The second check reads the body of every function and method, nested ones
+too: each parameter but ``self`` and ``cls`` is read somewhere in it, so no
+caller passes a value that nothing uses.
 """
 
 import ast
@@ -52,4 +56,47 @@ def test_no_public_function_takes_ctx_beside_graph():
             with open(os.path.join(SRC, module)) as f:
                 found += [f"{module}: {name}"
                           for name in ctx_and_graph_functions(f.read())]
+    assert found == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """function.parameter for each parameter that its body never loads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs
+                                      + [args.vararg, args.kwarg]) if a]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{node.name}.{p}" for p in params
+                    if p not in ("self", "cls") and p not in read]
+    return out
+
+
+def test_checker_finds_unread_parameters():
+    src = ("def used(a, *args, b=1, **kw): return a, args, b, kw\n"
+           "def unused(a, b, *args, c, **kw): return a\n"
+           "def outer(x):\n"
+           "    def inner(y): return x\n"
+           "    return inner\n"
+           "def stored(z): z = 1\n"
+           "class C:\n"
+           "    def method(self, v): return self\n"
+           "    @classmethod\n"
+           "    def make(cls): return 0\n")
+    # outer's x counts as read: inner, nested in its body, loads it
+    assert sorted(unread_parameters(src)) == [
+        "inner.y", "method.v", "stored.z", "unused.args", "unused.b",
+        "unused.c", "unused.kw"]
+
+
+def test_every_parameter_is_read():
+    found = []
+    for module in sorted(os.listdir(SRC)):
+        if module.endswith(".py"):
+            with open(os.path.join(SRC, module)) as f:
+                found += [f"{module}: {name}"
+                          for name in unread_parameters(f.read())]
     assert found == []

@@ -53,6 +53,18 @@ def test_encode_orders_and_roundtrip():
         pencil.decode(ctx, pencil.encode_tuple(a)[:-2])
 
 
+@pytest.mark.parametrize("r,sigma", [(3, 1), (4, 2)])
+def test_decode_rejects_non_canonical_key(r, sigma):
+    """A key with two points of one chunk swapped spells a valid pencil, but
+    encode_tuple never writes it, so decode refuses it."""
+    ctx = SpaceCtx(r, sigma)
+    k = pencil.encode_tuple(pencil.base_vertex_tuple(ctx))
+    swapped = bytes([k[0], k[2], k[1]]) + k[3:]
+    assert swapped != k
+    with pytest.raises(pencil.PencilError, match="canonical"):
+        pencil.decode(ctx, swapped)
+
+
 @pytest.mark.parametrize("spell", [
     list, tuple, bytearray, memoryview, lambda k: k.decode("latin-1"),
     lambda k: "abc", lambda k: None, lambda k: 7,
