@@ -11,6 +11,12 @@ Each p(Q, a) is GF(2)-linear, so the group they generate lies in GL(rho, 2).
 stop as soon as it holds |GL(rho, 2)| = ``group_order_formula(rho)``
 elements: a subgroup of that order is the whole of GL(rho, 2).  This is the
 usual order bound of the orbit algorithm.
+
+``type_of`` writes the nested type expression of a linear element (it raises
+HrhoError on any other).  A cycle's dominator is the cycle or fixed point
+whose support is the cycle's ds-set; every node renders by one rule, "(" +
+length + [_shift, for a loop of one] + grouped children + [next member, for
+a longer loop] + ")".
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 
 from pencilgraphs import gf2
 
@@ -224,175 +231,76 @@ def ds_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cyc[i] ^ cyc[(i + 1) % x] for i in range(x))
 
 
-@dataclass
-class TypeExpr:
-    """Nested domination expression for one component of a permutation."""
-
-    text: str
-    weight: int
-    flagged: bool = False
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def _shift_of(seq: tuple[int, ...], ref: tuple[int, ...]) -> int:
-    """y with seq[i] == ref[(i - y) mod x], or -1."""
-    x = len(seq)
-    for y in range(x):
-        if all(seq[i] == ref[(i - y) % x] for i in range(x)):
-            return y
-    return -1
+def _grouped(parts: list[str], run: str) -> str:
+    """parts sorted, each run of k > 1 equal parts written once as
+    run % (part, k)."""
+    if len(parts) < 2:
+        return "".join(parts)
+    out = ""
+    for part, same in groupby(sorted(parts)):
+        k = len(list(same))
+        out += part if k == 1 else run % (part, k)
+    return out
 
 
-def type_of(p: bytes):
-    """The nested type expression; (1) for the identity.
+def type_of(p: bytes) -> str:
+    """The nested type expression of a linear p; (1) for the identity.
 
-    Each cycle is dominated by the cycle or fixed point whose support equals
-    the set of its consecutive differences; domination cycles get a shift
-    subscript computed by aligning each dominated member's ds-cycle with its
-    dominator.  Elements whose ds-supports match nothing are flagged.
+    The dominator of a cycle c is the cycle or fixed point holding
+    d = c[0] ^ p(c[0]).  For linear p the ds-set of c is the p-orbit of d,
+    so it is exactly the support of the dominator, and dominator arrows end
+    at a fixed point or in a loop of equally long cycles.  Every node renders
+    by one rule: "(" + length + [_shift, for a loop of one] + its grouped
+    children off the loop + [next member, for a longer loop] + ")".  A loop
+    is written from its least member c0 down its dominated members, each
+    rotated so that its ds-cycle reads as the member before it; the last
+    member closes with "(_y)", y the shift with ds(c0)[i] == last[i - y].
+    As q(x) = x ^ p(x) commutes with p, that is the y with q^k(c0[0]) ==
+    c0[-y], k the loop's length.  The roots are the loops and the fixed
+    points with children; equal roots are written once with ^k, equal
+    children once as (child^k).
     """
+    _check_linear(p)
     cycs = cycles(p)
     if not cycs:
-        return TypeExpr("(1)", len(p) - 1)
-    fixed = set(fixed_points(p))
-    support = {frozenset(c): c for c in cycs}
-    dom: dict[tuple[int, ...], tuple] = {}
-    flagged = False
+        return "(1)"
+    fixed = [(b,) for b in fixed_points(p)]
+    owner = {x: c for c in cycs + fixed for x in c}
+    dom = {c: owner[c[0] ^ p[c[0]]] for c in cycs}
+    kids = {c: [] for c in cycs + fixed}
+    loops, seen = [], set()
     for c in cycs:
-        ds = ds_cycle(c)
-        target = frozenset(ds)
-        if len(target) == 1:
-            (b,) = target
-            dom[c] = ("fixed", b) if b in fixed else ("none", None)
-            if b not in fixed:
-                flagged = True
-        elif target in support:
-            dom[c] = ("cycle", support[target])
-        else:
-            dom[c] = ("none", None)
-            flagged = True
+        kids[dom[c]].append(c)
+        path, d = [], c
+        while d in dom and d not in seen:
+            seen.add(d)
+            path.append(d)
+            d = dom[d]
+        if d in path:
+            loops.append(path[path.index(d):])
+    on_loop = {c for loop in loops for c in loop}
 
-    children: dict = {("fixed", b): [] for b in fixed}
-    for c in cycs:
-        children[("cycle", c)] = []
-    for c in cycs:
-        kind, d = dom[c]
-        if kind != "none":
-            children[(kind, d)].append(c)
+    def render(c, mark="", nxt=""):
+        return (f"({len(c)}{mark}"
+                + _grouped([render(k) for k in kids[c] if k not in on_loop],
+                           "(%s^%d)")
+                + nxt + ")")
 
-    # walk domination arrows to find cycles of cycles
-    color: dict = {}
-    comp_cycles: list[list] = []
-    for c in cycs:
-        if c in color:
-            continue
-        path, node = [], c
-        pos = {}
-        while True:
-            if node in color:
-                for q in path:
-                    color[q] = "done"
-                break
-            if node in pos:
-                loop = path[pos[node]:]
-                comp_cycles.append(loop)
-                for q in path:
-                    color[q] = "done"
-                break
-            pos[node] = len(path)
-            path.append(node)
-            kind, d = dom[node]
-            if kind != "cycle":
-                for q in path:
-                    color[q] = "done"
-                break
-            node = d
-
-    def render_children(node_key, skip=None) -> str:
-        subs = [c for c in children.get(node_key, []) if c is not skip]
-        parts = sorted(render_tree(c) for c in subs)
-        out = ""
-        i = 0
-        while i < len(parts):
-            j = i
-            while j < len(parts) and parts[j] == parts[i]:
-                j += 1
-            if j - i > 1:
-                out += f"({parts[i]}^{j - i})"
-            else:
-                out += parts[i]
-            i = j
-        return out
-
-    in_loop = set()
-    for loop in comp_cycles:
-        in_loop.update(loop)
-
-    def render_tree(c) -> str:
-        # c is a cycle that is not part of a domination loop
-        return f"({len(c)}" + render_children(("cycle", c)) + ")"
-
-    exprs = []
-    used_fixed = set()
-    for b in sorted(fixed):
-        if children[("fixed", b)]:
-            used_fixed.add(b)
-            exprs.append("(1" + render_children(("fixed", b)) + ")")
-    for loop in comp_cycles:
+    roots = [render(b) for b in fixed if kids[b]]
+    for loop in loops:  # each listed up its dominator arrows
+        i = loop.index(min(loop))
+        c0, x = loop[i], loop[i][0]
+        for _ in loop:
+            x ^= p[x]
+        y = -c0.index(x) % len(c0)
         if len(loop) == 1:
-            c = loop[0]
-            ds = ds_cycle(c)
-            y = _shift_of(ds, c)
-            exprs.append(
-                f"({len(c)}_{y}" + render_children(("cycle", c), skip=c) + ")"
-            )
-        else:
-            # Write c1 freely, then each cycle it dominates rotated so that
-            # its ds-cycle reads exactly like the previous written form; the
-            # closing shift y aligns ds(c1) with the last written member.
-            # Loop detection followed dominator arrows, so the dominated
-            # chain is the loop anchor followed by the rest reversed.
-            chain = [loop[0]] + list(reversed(loop[1:]))
-            written = [chain[0]]
-            ok = True
-            for nxt in chain[1:]:
-                rot = None
-                for k in range(len(nxt)):
-                    cand = nxt[k:] + nxt[:k]
-                    if ds_cycle(cand) == written[-1]:
-                        rot = cand
-                        break
-                if rot is None:
-                    ok = False
-                    break
-                written.append(rot)
-            y = _shift_of(ds_cycle(written[0]), written[-1]) if ok else -1
-            inner = f"(_{y})"
-            for c in reversed(written[1:]):
-                inner = f"({len(c)}" + render_children(("cycle", c), skip=None) + inner + ")"
-            exprs.append(f"({len(written[0])}" + inner + ")")
-            if y < 0:
-                flagged = True
-
-    # orphan cycles (flagged): render bare
-    for c in cycs:
-        kind, _ = dom[c]
-        if kind == "none":
-            exprs.append(f"[{len(c)}?]")
-
-    parts = sorted(exprs)
-    text = ""
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        text += parts[i] + (f"^{j - i}" if j - i > 1 else "")
-        i = j
-    weight = sum(len(c) for c in cycs) + len(fixed)
-    return TypeExpr(text, weight, flagged)
+            roots.append(render(c0, f"_{y}"))
+            continue
+        text = f"(_{y})"
+        for c in loop[i + 1:] + loop[:i] + [c0]:  # up from dom(c0) to c0
+            text = render(c, nxt=text)
+        roots.append(text)
+    return _grouped(roots, "%s^%d")
 
 
 def super_type(p: bytes) -> tuple[tuple[int, int], ...]:
@@ -444,10 +352,10 @@ def _check_linear(g: bytes) -> None:
     checked one bit at a time, and over GF(2) additivity is linearity.
     """
     if sorted(g) != list(range(len(g))) or g[0] != 0:
-        raise HrhoError("generator is not a permutation fixing 0")
+        raise HrhoError("element is not a permutation fixing 0")
     for x in range(1, len(g)):
         if g[x] != g[x & -x] ^ g[x & (x - 1)]:
-            raise HrhoError(f"generator is not linear at point {x}")
+            raise HrhoError(f"element is not linear at point {x}")
 
 
 @lru_cache(maxsize=None)

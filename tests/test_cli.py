@@ -180,6 +180,21 @@ def test_report_passes_31(tmp_path):
     assert data["failed_checks"] == []
 
 
+@pytest.mark.parametrize("r,sigma", [(3, 1), (4, 2), (5, 3)])
+def test_report_stabilizer_order_agrees_with_aut(tmp_path, r, sigma):
+    """The report runs its stabilizer_order check at every case, with or
+    without an NR_ORDERS row, and it passes exactly when ``aut`` exits 0.
+    (5,3) has no row, and both fail there: for sigma >= 3 the synthesized
+    generators close to less than the formula's order."""
+    case = ["-r", str(r), "-s", str(sigma)]
+    out = tmp_path / "r.json"
+    main(["report"] + case + ["--out", str(out)])
+    check, = [c for c in json.loads(out.read_text())["checks"]
+              if c["check"] == "stabilizer_order"]
+    aut_code = main(["aut"] + case + ["--out", str(tmp_path / "a.json")])
+    assert (check["status"] == "PASS") == (aut_code == 0)
+
+
 def test_report_decomposition_without_golden_row(monkeypatch):
     """With no golden row the decomposition check expects the closed forms
     ell0 = (2^sigma - 1) n and ell1 = m1 n / (s t), and the (3,1) entry

@@ -9,13 +9,17 @@ reads the parameter annotations of every public top-level function.
 The second check reads the body of every function and method, nested ones
 too: each parameter but ``self`` and ``cls`` is read somewhere in it, so no
 caller passes a value that nothing uses.
+
+The third check does the same for the fields of the package's dataclasses:
+each is read as an attribute somewhere in ``src/``, ``scripts/`` or
+``perfbench/``, unless its class serializes ``self.__dict__``.
 """
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "pencilgraphs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "pencilgraphs")
 
 
 def _annotation_name(node) -> str | None:
@@ -100,3 +104,69 @@ def test_every_parameter_is_read():
                 found += [f"{module}: {name}"
                           for name in unread_parameters(f.read())]
     assert found == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        f = dec.func if isinstance(dec, ast.Call) else dec
+        if _annotation_name(f) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(defining: list[str], reading: list[str]) -> list[str]:
+    """Class.field for each dataclass field in the defining sources that no
+    reading source loads as an attribute; a class that reads
+    ``self.__dict__`` serializes every field and is skipped."""
+    read = {n.attr for source in reading for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            if any(isinstance(n, ast.Attribute) and n.attr == "__dict__"
+                   and isinstance(n.value, ast.Name) and n.value.id == "self"
+                   for n in ast.walk(node)):
+                continue
+            out += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in read]
+    return out
+
+
+def test_checker_finds_unread_fields():
+    src = ("@dataclass\n"
+           "class Read:\n"
+           "    a: int\n"
+           "    b: int = 0\n"
+           "    def total(self): return self.a\n"
+           "@dataclasses.dataclass(frozen=True)\n"
+           "class Dotted:\n"
+           "    c: int\n"
+           "    e: int\n"
+           "@dataclass\n"
+           "class Dumped:\n"
+           "    d: int\n"
+           "    def as_dict(self): return dict(self.__dict__)\n"
+           "class Plain:\n"
+           "    f: int\n"
+           "x = Dotted(1, 2).c\n"
+           "x.b = 3\n")
+    # b is only stored, e never named; Dumped serializes its __dict__
+    assert unread_fields([src], [src]) == ["Read.b", "Dotted.e"]
+
+
+def test_every_dataclass_field_is_read():
+    def sources(*trees):
+        for tree in trees:
+            for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, tree)):
+                dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+                for name in sorted(filenames):
+                    if name.endswith(".py"):
+                        with open(os.path.join(dirpath, name)) as f:
+                            yield f.read()
+
+    assert unread_fields(list(sources("src")),
+                         list(sources("src", "scripts", "perfbench"))) == []
