@@ -1,24 +1,29 @@
 """Generators of the base-vertex symmetry group and their closure order.
 
 The group measured here is the automorphism group of the subgraph induced by
-the open neighborhood of the base vertex.  Its generators come in two kinds:
+the open neighborhood of the base vertex.  Its generators come in two kinds,
+each one family enumerated exactly.  With J the base initial entry and
+rho = r - sigma:
 
-* point kind: a transvection x -> x ^ c off a hyperplane axis, together with
-  the induced permutation of entry positions.  These act on every vertex and
-  are genuine automorphisms of the whole graph.
+* point kind: a transvection x -> x ^ c off a hyperplane axis alpha, with c
+  in J or J inside alpha, together with the induced permutation of entry
+  positions; (2^sigma - 1)(2^(r-1) - 1) + (2^rho - 1)(2^(r-1) - 2^sigma) of
+  them, 9, 33, 49 and 129 at (3,1), (4,2), (4,1) and (5,3).  These act on
+  every vertex and are genuine automorphisms of the whole graph.
 * fiber kind: a swap of affine blocks applied only to the neighbors whose
-  initial entry meets the base initial entry in a prescribed hyperplane.
-  For sigma >= 2 these are automorphisms of the neighborhood subgraph that
-  provably do not extend to the whole graph (the closure order check below
-  is what detects the difference).
+  initial entry meets J in a prescribed hyperplane theta of J, one for each
+  theta and each axis containing J; (2^sigma - 1)(2^rho - 1) of them, 3, 9,
+  7 and 21 at the same cases.  For sigma >= 2 these are automorphisms of the
+  neighborhood subgraph that provably do not extend to the whole graph (the
+  closure order check below is what detects the difference).
 
-Candidate parameters are enumerated more broadly than strictly necessary and
-validated against the built graph; only verified automorphisms are kept.
-A point-kind candidate is mapped over the whole graph at once by
-PencilGraph.linear_vperm, a gather over the graph's label rows; mapping each
-vertex through apply_point_map with vperm_of gives the same permutation and
-is kept as the literal reference.  Fiber maps act on the neighborhood only,
-and are checked on the sorted rows of the neighbors.
+Every member of a family is validated on the built graph, and one that fails
+raises AutError; nothing is filtered out.  A point-kind generator is mapped
+over the whole graph at once by PencilGraph.linear_vperm, a gather over the
+graph's label rows; mapping each vertex through apply_point_map with vperm_of
+gives the same permutation and is kept as the literal reference.  Fiber maps
+act on the neighborhood only, and are checked on the sorted rows of the
+neighbors.
 
 A whole-graph candidate is validated exactly, on every vertex, by one test:
 it is a permutation and it maps every clique copy onto a clique copy.  The
@@ -146,30 +151,32 @@ def point_factors(ctx: SpaceCtx, table, thetas: list[int],
 
 
 def synth_point_kind(g: PencilGraph) -> list[AutoMap]:
-    """Transvection generators fixing the base vertex, validated on g."""
+    """The transvections (alpha, c) with c in the base initial entry J or
+    J inside alpha, by axis and then centre, each validated on g.
+
+    Raises AutError when one does not map g onto itself fixing the base.
+    """
     ctx = g.ctx
     J = g.vertices[0][0]
-    slots = sorted(g.neighbors_of(0))
+    slots = g.neighbors_of(0)
     slot_index = {s: k for k, s in enumerate(slots)}
     j_thetas = subsets_of_dim(J, ctx.sigma - 1)
     out = []
-    seen_vperms = set()
     for alpha in gf2.hyperplane_masks(ctx.r):
-        for c in gf2.points_of(alpha):
-            in_j = bool(J >> c & 1)
-            if not in_j and alpha & J != J:
-                continue  # it cannot fix the base
+        holds_j = alpha & J == J
+        for c in gf2.points_of(alpha if holds_j else alpha & J):
             table = transvection_table(ctx.r, alpha, c)
             psi = quotient_psi(ctx, table)
             vperm = g.linear_vperm(table, psi)
-            if (vperm is None or vperm[0] != 0 or vperm in seen_vperms
+            if (vperm is None or vperm[0] != 0
                     or not g.permutes_copies(vperm)):
-                continue
-            seen_vperms.add(vperm)
+                raise AutError(f"transvection ({gf2.mask_str(alpha)}, "
+                               f"{gf2.point_str(c)}) is not an automorphism "
+                               "fixing the base")
             within = None
-            if not in_j:
+            if not J >> c & 1:
                 cat, pi, thetas = "A", c, j_thetas
-            elif alpha & J == J:
+            elif holds_j:
                 # pi for category B: the hyperplane of J missing the center
                 cat, pi, thetas = "B", _b_pi(ctx, J, c), j_thetas
             else:
@@ -225,57 +232,42 @@ def fiber_apply(ctx: SpaceCtx, J: int, theta: int, block_map: dict[int, int],
 def synth_fiber_kind(g: PencilGraph) -> list[AutoMap]:
     """Block-swap generators acting on a single neighbor fiber.
 
-    For each hyperplane theta of the base initial entry and each axis alpha
-    containing it, swap the theta-blocks outside alpha with their translate
-    by the complementary block of theta; keep the candidate when the induced
-    permutation of the closed neighborhood preserves its adjacency.
+    For each hyperplane theta of the base initial entry J and each axis
+    alpha containing J, swap the theta-blocks outside alpha with their
+    translate by a point c of the complementary block of theta.  As c lies
+    in alpha but not in theta, the translate of such a block is another
+    block outside alpha.  Raises AutError unless the map permutes N(v) and
+    preserves the adjacency of the closed neighborhood.
     """
     ctx = g.ctx
     J = g.vertices[0][0]
-    slots = sorted(g.neighbors_of(0))
+    slots = g.neighbors_of(0)
     slot_index = {s: k for k, s in enumerate(slots)}
+    psi = tuple(range(ctx.m1 + 1))
+    axes = [a for a in gf2.hyperplane_masks(ctx.r) if a & J == J]
     out = []
-    seen = set()
     for theta in subsets_of_dim(J, ctx.sigma - 1):
         chi = J & ~theta
         c = gf2.min_point(chi)
         shift = [x ^ c for x in range(ctx.n + 1)]  # translation by c
-        for alpha in gf2.hyperplane_masks(ctx.r):
-            if alpha & J != J:
-                continue
-            block_map = {}
-            for b in gf2.coset_table(ctx.r, theta)[0]:
-                if b & alpha == b:
-                    continue
-                b2 = gf2.map_mask(b, shift)
-                if b2 & alpha != b2 and b != b2:
-                    block_map[b] = b2
-            if not block_map:
-                continue
-            nperm = []
-            ok = True
-            for s in slots:
-                w = fiber_apply(ctx, J, theta, block_map, g.vertices[s])
-                j = g.index.get(w) if w is not None else None
-                if j is None or j not in slot_index:
-                    ok = False
-                    break
-                nperm.append(slot_index[j])
-            if not ok or sorted(nperm) != list(range(len(slots))):
-                continue
-            # verify adjacency inside the closed ball
-            if not _nperm_preserves_ball(g, slots, nperm):
-                continue
-            key = tuple(nperm)
-            if key in seen:
-                continue
-            seen.add(key)
+        for alpha in axes:
+            block_map = {b: gf2.map_mask(b, shift)
+                         for b in gf2.coset_table(ctx.r, theta)[0]
+                         if b & alpha != b}
+            nperm = tuple(
+                slot_index.get(g.index.get(
+                    fiber_apply(ctx, J, theta, block_map, g.vertices[s])))
+                for s in slots)
+            if (None in nperm or sorted(nperm) != list(range(len(slots)))
+                    or not _nperm_preserves_ball(g, slots, nperm)):
+                raise AutError(f"fiber map [{gf2.mask_str(theta)}."
+                               f"{gf2.mask_str(chi)}] on axis "
+                               f"{gf2.mask_str(alpha)} is not an automorphism "
+                               "of the neighborhood")
             pairs = tuple(sorted((min(b, b2), max(b, b2))
                                  for b, b2 in block_map.items() if b < b2))
-            factors = ((theta, chi, pairs),)
-            psi = tuple(range(ctx.m1 + 1))
-            out.append(AutoMap("B", "fiber", theta, alpha, factors, psi,
-                               key, None))
+            out.append(AutoMap("B", "fiber", theta, alpha,
+                               ((theta, chi, pairs),), psi, nperm, None))
     return out
 
 

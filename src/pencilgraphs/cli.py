@@ -361,7 +361,8 @@ def cmd_report(cfg: RunConfig) -> int:
     from pencilgraphs.report import acceptance_report
 
     data = acceptance_report(cfg.r, cfg.sigma, seed=cfg.seed,
-                             enable_heavy=cfg.enable_heavy)
+                             enable_heavy=cfg.enable_heavy,
+                             cap_vertices=cfg.cap_vertices)
     _emit(cfg, _json(data))
     return 0 if data["all_pass"] else 1
 

@@ -6,12 +6,13 @@ ascending indices of the lines through each point.  A point's adjacency
 row must list, each once, the other points of its lines, its Menger row;
 ``graphbuild.row_faults`` checks it one point at a time, so no edge set is
 built.  The lines are the BFS's own clique copies, whose unions the BFS
-took as the rows: the Menger check re-reads the build.  The graph's independent tie to the paper's edge rule
-is ``graphbuild.adjacent`` (see "Check the graph against the literal edge
-rule" in ROADMAP.md).  For sigma = 1 the configuration is square; a duality
-is searched for on the Levi graph's rows, read from ``through`` and
-``lines`` by the extension search of ``homog``, and the dual Menger check
-compares the rows of the dual lines.
+took as the rows: the Menger check re-reads the build.  The graph's
+independent tie to the paper's edge rule is ``graphbuild.adjacent`` (see
+"Check the graph against the literal edge rule" in ROADMAP.md).  For
+sigma = 1 the configuration is square; a duality, sending points to lines
+and lines to points, is searched for on the Levi graph's rows, read from
+``through`` and ``lines`` by the extension search of ``homog``, and the
+dual Menger check compares the rows of the dual lines.
 """
 
 from __future__ import annotations
@@ -73,25 +74,6 @@ def menger_equals_graph(cfg: IncidenceStructure, g: PencilGraph) -> bool:
     return _rows_match(g, cfg.lines, cfg.through)
 
 
-REFINE_ROUNDS = 4  # colour-refinement passes before the duality search
-
-
-def _refine_colors(cfg: IncidenceStructure, colors: list[int]):
-    nb = cfg.n_points
-    for _ in range(REFINE_ROUNDS):
-        line_colors = colors[nb:]
-        sig = [(colors[p], tuple(sorted(line_colors[li] for li in lns)))
-               for p, lns in enumerate(cfg.through)]
-        sig += [(line_colors[li], tuple(sorted(colors[p] for p in ln)))
-                for li, ln in enumerate(cfg.lines)]
-        relab = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [relab[s] for s in sig]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
 DUALITY_NODE_CAP = 5_000_000
 SELF_DUAL_VERTEX_CAP = 1000  # larger graphs search only under --enable-heavy
 
@@ -103,18 +85,17 @@ def self_duality_map(cfg: IncidenceStructure):
     combined permutation of the Levi graph, points 0..nb-1 then line li as
     nb + li, when found.  The search is :func:`homog._backtrack` on the
     rows ``through`` (offset by nb) and ``lines``, each vertex sent to one
-    of the same refined colour on the other side.
+    on the other side.  The Levi graph of a square configuration is
+    regular, so the two sides already form an equitable partition.
     """
     m, c, n, d = cfg.params
     if m != n or c != d:
         return None
     nb = cfg.n_points
     rows = [[nb + li for li in lns] for lns in cfg.through] + cfg.lines
-    # swap-color refinement: colors must be color-blind, so start uniform
-    colors = _refine_colors(cfg, [0] * len(rows))
-    # x may go to y when they share a colour and lie on opposite sides
-    dom = [(col, x < nb) for x, col in enumerate(colors)]
-    img = [(col, x >= nb) for x, col in enumerate(colors)]
+    # x may go to y when they lie on opposite sides
+    dom = [x < nb for x in range(len(rows))]
+    img = [x >= nb for x in range(len(rows))]
     try:
         dual, _ = homog._backtrack(rows.__getitem__, dom, img, {},
                                    DUALITY_NODE_CAP)

@@ -78,6 +78,15 @@ def span_mask(points) -> int:
     return mask
 
 
+def linear_table(r: int, images) -> bytes:
+    """Point table of the linear map of GF(2)^r sending point 1 << i to
+    images[i]: entry x is the xor of the images of the bits of x."""
+    table = [0]
+    for x in range(1, 1 << r):
+        table.append(table[x & (x - 1)] ^ images[(x & -x).bit_length() - 1])
+    return bytes(table)
+
+
 @dataclass(frozen=True)
 class SpaceCtx:
     """Parameters of one (r, sigma) instance.

@@ -81,41 +81,34 @@ def full_generator_set(g: PencilGraph,
 _FEEDBACK = {3: 3, 4: 3, 5: 5, 6: 3, 7: 3, 8: 29}  # primitive polynomials
 
 
-def _table_from_basis_images(r: int, images: list[int]) -> list[int]:
-    n = (1 << r) - 1
-    table = [0] * (n + 1)
-    for x in range(1, n + 1):
-        y = 0
-        for i in range(r):
-            if x >> i & 1:
-                y ^= images[i]
-        table[x] = y
-    return table
-
-
 def base_movers(g: PencilGraph, entry_vperms: list[tuple[int, ...]]
                 ) -> list[tuple[int, ...]]:
     """Position-preserving linear maps that move the base vertex: a full-cycle
     map, then one transvection per axis until, together with the entry
-    permutations, they reach every vertex of g."""
+    permutations, they reach every vertex of g.
+
+    Each component is one orbit of GL(r, 2) acting on the points, so every
+    such map sends g onto itself; HomogError is raised if one does not.
+    """
     ctx = g.ctx
 
     def linear(table):
-        return g.linear_vperm(table, range(ctx.m1 + 1))
+        vperm = g.linear_vperm(table, range(ctx.m1 + 1))
+        if vperm is None:
+            raise HomogError("a position-preserving linear map leaves the "
+                             "component")
+        return vperm
 
-    out = []
     # companion map of a primitive polynomial: cycles all points
     images = [1 << (i + 1) for i in range(ctx.r - 1)] + [_FEEDBACK[ctx.r]]
-    cyc = linear(_table_from_basis_images(ctx.r, images))
-    if cyc is not None:
-        out.append(cyc)
+    out = [linear(gf2.linear_table(ctx.r, images))]
     gens = list(entry_vperms) + out
     for alpha in gf2.hyperplane_masks(ctx.r):
         if len(_orbit(0, gens)[0]) == len(g.vertices):
             break
         for c in gf2.points_of(alpha):
             vperm = linear(autnr.transvection_table(ctx.r, alpha, c))
-            if vperm is None or vperm[0] == 0:
+            if vperm[0] == 0:
                 continue
             out.append(vperm)
             gens.append(vperm)

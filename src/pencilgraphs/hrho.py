@@ -516,10 +516,7 @@ def _class_rep(rho: int, form) -> bytes:
             d, off = f.bit_length() - 1, len(col)
             col += [1 << (off + i + 1) for i in range(d - 1)]
             col.append((f ^ 1 << d) << off)
-    img = [0]
-    for x in range(1, 1 << rho):
-        img.append(img[x & (x - 1)] ^ col[(x & -x).bit_length() - 1])
-    return bytes(img)
+    return gf2.linear_table(rho, col)
 
 
 def conjugacy_classes(rho: int) -> list[tuple[bytes, int]]:

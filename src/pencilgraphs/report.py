@@ -37,10 +37,13 @@ def _order_degree(g: graphbuild.PencilGraph, exp_order: int) -> dict:
 
 
 def acceptance_report(r: int, sigma: int, seed: int = 20240801,
-                      enable_heavy: bool = False) -> dict:
+                      enable_heavy: bool = False,
+                      cap_vertices: int = graphbuild.DEFAULT_CAP) -> dict:
+    """The battery for (r, sigma); raises graphbuild.CapError when a graph
+    it builds would pass cap_vertices."""
     ctx = SpaceCtx(r, sigma)
     checks: list[dict] = []
-    g = graphbuild.component(r, sigma)
+    g = graphbuild.component(r, sigma, cap_vertices)
     case = (r, sigma)
     data = _golden.CASE_DATA.get(case, {})
 
@@ -163,7 +166,7 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
 
     # 11: connectivity of the full graph
     if pencil.total_pencil_count(ctx) <= (1 << 17):
-        gf = graphbuild.full_graph(r, sigma)
+        gf = graphbuild.full_graph(r, sigma, cap_vertices)
         sizes = graphbuild.component_sizes(gf)
         if ctx.rho == 2:
             ok = gf.n_components == 1

@@ -302,6 +302,47 @@ def test_unfaithful_copies_are_refused(fault):
         bad.permutes_copies(tuple(range(len(bad))))
 
 
+@pytest.mark.parametrize("case,point,fiber", [
+    pytest.param((3, 1), 9, 3, id="3-1"),
+    pytest.param((4, 2), 33, 9, id="4-2"),
+    pytest.param((4, 1), 49, 7, id="4-1"),
+    pytest.param((5, 3), 129, 21, id="5-3"),
+    pytest.param((5, 2), 129, 21, id="5-2", marks=pytest.mark.heavy),
+])
+def test_family_sizes_match_closed_forms(case, point, fiber):
+    """Synthesis returns the whole of each family: (2^sigma-1)(2^(r-1)-1) +
+    (2^rho-1)(2^(r-1)-2^sigma) transvections and (2^sigma-1)(2^rho-1) fiber
+    maps, no two with the same permutation."""
+    ctx, _, gens = _gens(case)
+    r, sigma, rho = ctx.r, ctx.sigma, ctx.rho
+    assert point == (((1 << sigma) - 1) * ((1 << (r - 1)) - 1)
+                     + ((1 << rho) - 1) * ((1 << (r - 1)) - (1 << sigma)))
+    assert fiber == ((1 << sigma) - 1) * ((1 << rho) - 1)
+    points = [a for a in gens if a.kind == "point"]
+    fibers = [a for a in gens if a.kind == "fiber"]
+    assert (len(points), len(fibers)) == (point, fiber)
+    assert len({a.vperm for a in points}) == point
+    assert len({a.nperm for a in fibers}) == fiber
+
+
+@pytest.mark.parametrize("case", [(3, 1), (4, 2)], ids=["3-1", "4-2"])
+@pytest.mark.parametrize("synth", [autnr.synth_point_kind,
+                                   autnr.synth_fiber_kind],
+                         ids=["point", "fiber"])
+def test_doctored_graph_raises_rather_than_filtering(case, synth):
+    """The labels of the base vertex's two least neighbours are swapped, the
+    rows and copies kept: a family member that is no automorphism of this
+    graph raises AutError, and no shorter list is returned."""
+    g = gb.component(*case)
+    a, b = g.neighbors_of(0)[:2]
+    verts = list(g.vertices)
+    verts[a], verts[b] = verts[b], verts[a]
+    bad = gb.PencilGraph(g.ctx, verts, {v: i for i, v in enumerate(verts)},
+                         g.adj, g.clique_copies)
+    with pytest.raises(autnr.AutError, match="is not an automorphism"):
+        synth(bad)
+
+
 def _ball_by_masks(g, slots, nperm) -> bool:
     """The ball check on the neighbour bitmasks: nperm keeps every pair of
     slots adjacent or not, pair by pair."""
@@ -410,8 +451,7 @@ POINT_KIND_52_VPERMS = (
 
 @pytest.mark.heavy
 def test_closure_order_52():
-    g = gb.component(5, 2)
-    gens = autnr.synth_generators(g)
+    _, _, gens = _gens((5, 2))
     point = [a for a in gens if a.kind == "point"]
     with open(POINT_KIND_52) as f:
         assert [a.display() for a in point] == f.read().splitlines()

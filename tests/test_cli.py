@@ -260,10 +260,15 @@ def test_artifact_digests_pinned(tmp_path, args, sha256):
     ["build", "-r", "4", "-s", "1", "--cap-vertices", "10"],
     ["build", "-r", "4", "-s", "1", "--full", "--cap-vertices", "3000"],
     ["verify", "-r", "8", "-s", "3"],
-], ids=["build-cap-10", "build-full-cap-3000", "verify-8-3"])
+    ["report", "-r", "4", "-s", "1", "--cap-vertices", "100"],
+    ["report", "-r", "4", "-s", "1", "--cap-vertices", "3000"],
+], ids=["build-cap-10", "build-full-cap-3000", "verify-8-3", "report-cap-100",
+        "report-full-cap-3000"])
 def test_cap_refusal_exit_2(tmp_path, capsys, args):
     """A build past the vertex cap is refused with one stderr line and exit
-    2, no traceback, and no --out file."""
+    2, no traceback, and no --out file.  The report builds the component
+    and then the full graph, and each honours the cap: at 3000 the 2,520
+    vertices of the (4,1) component pass and the full graph does not."""
     out = tmp_path / "a.out"
     assert main(args + ["--out", str(out)]) == 2
     captured = capsys.readouterr()

@@ -319,8 +319,8 @@ def _mask_extend(g, partial, node_cap=homog.EXTEND_NODE_CAP):
 
 def _mask_self_duality(cfg):
     """The reference duality search on the bitmask Levi graph, points
-    0..nb-1 and line li as nb + li, with colour-class candidates masked to
-    the other side.  Returns (map | None, stats)."""
+    0..nb-1 and line li as nb + li, each vertex's candidates the other
+    side.  Returns (map | None, stats)."""
     nb = cfg.n_points
     size = nb + len(cfg.lines)
     adj = [0] * size
@@ -328,14 +328,9 @@ def _mask_self_duality(cfg):
         for p in ln:
             adj[p] |= 1 << (nb + li)
             adj[nb + li] |= 1 << p
-    colors = cfgmod._refine_colors(cfg, [0] * size)
-    classes: dict[int, int] = {}
-    for x in range(size):
-        classes[colors[x]] = classes.get(colors[x], 0) | 1 << x
     black = (1 << nb) - 1
     white = ((1 << size) - 1) ^ black
-    cand = [classes[colors[x]] & (white if x < nb else black)
-            for x in range(size)]
+    cand = [white if x < nb else black for x in range(size)]
     return _mask_backtrack(adj, cand, {}, cfgmod.DUALITY_NODE_CAP)
 
 

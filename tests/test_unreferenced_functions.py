@@ -1,10 +1,13 @@
-"""Every public top-level function of the package is referenced somewhere.
+"""Every public top-level function of the package is used by the program.
 
-A function that nothing in ``src/``, ``tests/``, ``scripts/`` or
-``perfbench/`` names is dead code.  A name counts as referenced when any
-file reads it as a name, an attribute or an imported name, or holds it as a
-whole string (``perfbench/spans.py`` wraps functions by name); its own
-``def`` does not count.
+A function that nothing in ``src/``, ``scripts/`` or ``perfbench/`` names
+is dead code, even when a test calls it: a test alone does not keep a
+function alive.  The few that only tests call are listed in ``TEST_ONLY``,
+each with its reason, and an entry that no longer needs listing fails the
+check too.  A name counts as referenced when any file reads it as a name, an
+attribute or an imported name, or holds it as a whole string
+(``perfbench/spans.py`` wraps functions by name); its own ``def`` does not
+count.
 """
 
 import ast
@@ -12,7 +15,21 @@ import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "pencilgraphs")
-TREES = ("src", "tests", "scripts", "perfbench")
+TREES = ("src", "scripts", "perfbench")
+
+# module.function -> why it stays although only tests call it
+TEST_ONLY = {
+    "autnr.apply": "applies a synthesized generator to any pencil, the "
+                   "literal form of the maps the tests check",
+    "gf2.parse_mask": "the inverse of mask_str, which reads the golden "
+                      "generator text",
+    "hrho.eta_by_rules": "the paper's alternate construction of the "
+                         "two-line lower level, checked against "
+                         "two_line_lower",
+    "hrho.ds_cycle": "the definition of a cycle's differences that the "
+                     "type_of docstring uses",
+    "pencil.decode": "the public query API: a pencil from its key",
+}
 
 
 def public_functions(source: str) -> list[str]:
@@ -66,8 +83,9 @@ def test_every_public_function_is_referenced():
     for module in sorted(os.listdir(SRC)):
         if module.endswith(".py"):
             with open(os.path.join(SRC, module)) as f:
-                unreferenced += [f"{module}: {name}"
+                unreferenced += [f"{module[:-3]}.{name}"
                                  for name in public_functions(f.read())
                                  if name not in read]
-    assert unreferenced == []
-
+    unlisted = sorted(set(unreferenced) - set(TEST_ONLY))
+    stale = sorted(set(TEST_ONLY) - set(unreferenced))
+    assert (unlisted, stale) == ([], [])
