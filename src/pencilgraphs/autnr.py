@@ -33,12 +33,17 @@ the rows; then every edge lies in a copy and every copy is a clique, so the
 test is sufficient.  It is also necessary wherever every automorphism
 permutes the clique copies, as at (3,1), (4,2) and (4,1), whose generated
 groups are all of Aut(G).
+
+orbit, the one orbit routine of the symmetry layer, returns a Schreier
+vector.  close_permutations keeps one per level of its stabilizer chain, and
+homog reads its orbits and labelled generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import itemgetter
 
 from pencilgraphs import gf2, hrho
 from pencilgraphs.gf2 import SpaceCtx
@@ -292,77 +297,93 @@ def synth_generators(g: PencilGraph) -> list[AutoMap]:
 # closure
 
 
+def orbit(seed: int, gens: list[tuple[int, ...]]) -> dict[int, int]:
+    """Schreier vector of seed's orbit under gens: each orbit point maps to
+    the index of the generator that first reached it, seed to -1 (Seress,
+    Permutation Group Algorithms, 2003, 4.1).  Passes over gens repeat
+    until none maps the orbit outside itself; one that does is enlarging,
+    and the orbit is closed at once under the enlarging ones, so only they
+    label points, each at least one."""
+    vec, orb, used, size = {seed: -1}, {seed}, [], 0
+    while size < len(vec):
+        size = len(vec)
+        for i, p in enumerate(gens):
+            if i in used or orb.issuperset(map(p.__getitem__, orb)):
+                continue
+            # closed under the other enlarging ones, p alone adds a layer
+            used.append(i)
+            layer = set(map(p.__getitem__, orb)).difference(orb)
+            vec.update(dict.fromkeys(layer, i))
+            while layer:
+                orb |= layer
+                new, layer = layer, set()
+                for j in used:
+                    fresh = set(map(gens[j].__getitem__, new)).difference(vec)
+                    if fresh:
+                        vec.update(dict.fromkeys(fresh, j))
+                        layer |= fresh
+    return vec
+
+
 def close_permutations(gens: list[tuple[int, ...]]) -> int:
     """Order of the permutation group generated by the given tuples.
 
-    Deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
-    Algorithms, 2003, ch. 4).  Level i of the stabilizer chain keeps a base
-    point b_i, the strong generators fixing b_0 .. b_{i-1}, and the orbit of
-    b_i under them with a transversal.  Every Schreier generator of every
-    level is sifted through the levels below it; a residue that is not the
-    identity becomes a new strong generator.  Once all of them sift, the
-    order is the product of the basic orbit lengths.  No group element is
-    enumerated.
+    Deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4).  Level i
+    keeps a base point b_i, the strong generators fixing b_0 .. b_{i-1}
+    with their inverses, and the Schreier vector of b_i's orbit under them,
+    which gives a coset representative on demand; each composition is one
+    itemgetter gather.  Every Schreier generator of every level is sifted
+    through the levels below it, and a residue that is not the identity
+    becomes a new strong generator.  Once all of them sift, the order is
+    the product of the basic orbit lengths.
     """
     if not gens:
         return 1
-    k = len(gens[0])
-    ident = tuple(range(k))
-
-    def inverse(p):
-        inv = [0] * k
-        for x, y in enumerate(p):
-            inv[y] = x
-        return tuple(inv)
-
+    ident = tuple(range(len(gens[0])))
     base: list[int] = []
-    strong: list[list[tuple]] = []  # level -> [(s, s^-1)]
-    trans: list[dict] = []  # level -> {point: (u, u^-1)}, u(b_i) = point
-
-    def orbit(i):
-        b = base[i]
-        t = {b: (ident, ident)}
-        pts = [b]
-        for beta in pts:
-            u, ui = t[beta]
-            for s, si in strong[i]:
-                gamma = s[beta]
-                if gamma not in t:
-                    t[gamma] = (tuple(s[x] for x in u), tuple(ui[x] for x in si))
-                    pts.append(gamma)
-        return t
+    strong: list[list[tuple]] = []  # level -> strong generators
+    inverse: list[list[tuple]] = []  # level -> their inverses
+    vecs: list[dict[int, int]] = []  # level -> Schreier vector of b_i
 
     def sift(h, i):
         """Strip h through levels i, i+1, ...; (residue, level it stuck at)."""
         for j in range(i, len(base)):
-            hit = trans[j].get(h[base[j]])
-            if hit is None:
+            b, vec, inv = base[j], vecs[j], inverse[j]
+            x = h[b]
+            if x not in vec:
                 return h, j
-            ui = hit[1]
-            h = tuple(ui[x] for x in h)
+            while x != b:  # h <- s^-1 h for each label s back to b_j
+                t = inv[vec[x]]
+                h, x = itemgetter(*h)(t), t[x]
         return h, len(base)
 
     def add(h, i, j):
         """Make the residue h (fixing b_0 .. b_{j-1}) a strong generator of
         levels i .. j, opening level j when h fixes every base point."""
         if j == len(base):
-            base.append(next(x for x in range(k) if h[x] != x))
-            strong.append([])
-            trans.append({})
-        pair = (h, inverse(h))
+            base.append(next(x for x in ident if h[x] != x))
+            for level in (strong, inverse, vecs):
+                level.append([])
+        hinv = tuple(sorted(ident, key=h.__getitem__))
         for lv in range(i, j + 1):
-            strong[lv].append(pair)
-            trans[lv] = orbit(lv)
+            strong[lv].append(h)
+            inverse[lv].append(hinv)
+            vecs[lv] = orbit(base[lv], strong[lv])
 
     def residue(i):
-        """The first Schreier generator u_beta * s * u_{s(beta)}^-1 of level
-        i that does not sift to the identity, as (residue, level), or None."""
-        for beta, (u, _) in trans[i].items():
-            for s, _ in strong[i]:
-                ui = trans[i][s[beta]][1]
-                h, j = sift(tuple(ui[s[x]] for x in u), i + 1)
-                if h != ident:
-                    return h, j
+        """The first Schreier generator u_{s(beta)}^-1 s u_beta of level i
+        that does not sift to the identity, as (residue, level), or None.
+        Where the vector labels s(beta) by s, it is the identity."""
+        vec, gs, inv = vecs[i], strong[i], inverse[i]
+        for beta in vec:
+            u, x = ident, beta  # u <- u s for each label s back to b_i
+            while (m := vec[x]) >= 0:
+                u, x = itemgetter(*gs[m])(u), inv[m][x]
+            for m, s in enumerate(gs):
+                if vec[s[beta]] != m:
+                    h, j = sift(itemgetter(*u)(s), i)
+                    if h != ident:
+                        return h, j
         return None
 
     for gen in gens:
@@ -377,7 +398,7 @@ def close_permutations(gens: list[tuple[int, ...]]) -> int:
         else:
             add(hit[0], i + 1, hit[1])
             i = hit[1]
-    return prod(len(t) for t in trans)
+    return prod(map(len, vecs))
 
 
 def closure_order(gens: list[AutoMap], cross_check_full: bool = False) -> int:

@@ -372,6 +372,12 @@ class PencilGraph:
         return pencil.display(self.vertices[i])
 
 
+def refuse_past_cap(what: str, order: int, cap: int) -> None:
+    """Raise CapError when a graph of this order would pass the cap."""
+    if order > cap:
+        raise CapError(f"{what} {order} exceeds cap {cap}")
+
+
 def build_component(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     """Deterministic BFS closure of the base vertex; vertex 0 is the base.
 
@@ -382,11 +388,8 @@ def build_component(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     is kept, with its sorted ids, in clique_copies.  Numbering and rows are
     those of a BFS that calls neighbors(v) per vertex.
     """
-    predicted = pencil.component_order(ctx)
-    if predicted > cap:
-        raise CapError(
-            f"predicted component order {predicted} exceeds cap {cap}"
-        )
+    refuse_past_cap("predicted component order", pencil.component_order(ctx),
+                    cap)
     size = 2 * ctx.s
     base = pencil.base_vertex_tuple(ctx)
     vertices = [base]
@@ -455,8 +458,7 @@ def build_full(ctx: SpaceCtx, cap: int = DEFAULT_CAP) -> PencilGraph:
     kept: clique_copies is {}, and clique_family() raises BuildError.
     """
     total = pencil.total_pencil_count(ctx)
-    if total > cap:
-        raise CapError(f"full graph order {total} exceeds cap {cap}")
+    refuse_past_cap("full graph order", total, cap)
     base = component(ctx.r, ctx.sigma, cap)
     n = len(base)
     v0 = base.vertices[0]

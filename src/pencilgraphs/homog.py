@@ -13,7 +13,9 @@ preserved, is certified on vertices rather than arcs: a group is transitive
 on the arcs exactly when it is transitive on the vertices and a vertex
 stabilizer is transitive on that vertex's neighbours (Gardiner, "Homogeneous
 graphs", JCT B 20, 1976).  Two orbits, of sizes n and the degree, stand in
-for the orbit on all 2|E| arcs.
+for the orbit on all 2|E| arcs.  Every orbit here is walked by autnr.orbit,
+whose Schreier vector labels exactly the generators that enlarge the orbit;
+those are the generators the certificate checks.
 
 Whether a partial map extends to an automorphism, for the non-UH witness
 and for the self-duality search of ``config``, is one backtracking search on
@@ -102,54 +104,20 @@ def base_movers(g: PencilGraph, entry_vperms: list[tuple[int, ...]]
     # companion map of a primitive polynomial: cycles all points
     images = [1 << (i + 1) for i in range(ctx.r - 1)] + [_FEEDBACK[ctx.r]]
     out = [linear(gf2.linear_table(ctx.r, images))]
-    gens = list(entry_vperms) + out
     for alpha in gf2.hyperplane_masks(ctx.r):
-        if len(_orbit(0, gens)[0]) == len(g.vertices):
+        if len(autnr.orbit(0, entry_vperms + out)) == len(g.vertices):
             break
         for c in gf2.points_of(alpha):
             vperm = linear(autnr.transvection_table(ctx.r, alpha, c))
             if vperm[0] == 0:
                 continue
             out.append(vperm)
-            gens.append(vperm)
             break
     return out
 
 
-# ---------------------------------------------------------------------------
-# orbits
-
-
-def _orbit(seed: int, gens: list[tuple[int, ...]]
-           ) -> tuple[set[int], list[tuple[int, ...]]]:
-    """Orbit of vertex seed under gens, and the generators that enlarged it.
-
-    Passes over gens repeat until none maps the orbit outside itself.  A
-    generator that does joins the enlarging ones, and the orbit is closed
-    under those at once, so it is also their orbit alone.
-    """
-    orb = {seed}
-    used: list[tuple[int, ...]] = []
-    grew = True
-    while grew:
-        grew = False
-        for p in gens:
-            if orb.issuperset(map(p.__getitem__, orb)):
-                continue
-            used.append(p)
-            grew = True
-            new = orb
-            while new:
-                img = set()
-                for q in used:
-                    img.update(map(q.__getitem__, new))
-                new = img - orb
-                orb |= new
-    return orb, used
-
-
 def vertex_orbit_of_base(gens: list[tuple[int, ...]]) -> set[int]:
-    return _orbit(0, gens)[0]
+    return set(autnr.orbit(0, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +157,11 @@ def check_H_property(g: PencilGraph, gens: GeneratorSet) -> list[HReport]:
     neighbours.
     """
     vperms = gens.vperms()
-    vorb, vused = _orbit(0, vperms)
+    fixing = [p for p in vperms if p[0] == 0]
     _, u = base_arc(g)
-    norb, nused = _orbit(u, [p for p in vperms if p[0] == 0])
-    cert = vused + [p for p in nused if p not in vused]
+    vorb, norb = autnr.orbit(0, vperms), autnr.orbit(u, fixing)
+    cert = ({vperms[j] for j in set(vorb.values()) if j >= 0}
+            | {fixing[j] for j in set(norb.values()) if j >= 0})
     tu_copies, _ = decomp.enumerate_turan_copies(g)
     families = {
         "clique": g.clique_family(),

@@ -39,9 +39,15 @@ def _order_degree(g: graphbuild.PencilGraph, exp_order: int) -> dict:
 def acceptance_report(r: int, sigma: int, seed: int = 20240801,
                       enable_heavy: bool = False,
                       cap_vertices: int = graphbuild.DEFAULT_CAP) -> dict:
-    """The battery for (r, sigma); raises graphbuild.CapError when a graph
-    it builds would pass cap_vertices."""
+    """The battery for (r, sigma); raises graphbuild.CapError, before any
+    build, when a graph it builds would pass cap_vertices."""
     ctx = SpaceCtx(r, sigma)
+    total = pencil.total_pencil_count(ctx)
+    full = total <= (1 << 17)  # check 11 builds the full graph
+    graphbuild.refuse_past_cap("predicted component order",
+                               pencil.component_order(ctx), cap_vertices)
+    if full:
+        graphbuild.refuse_past_cap("full graph order", total, cap_vertices)
     checks: list[dict] = []
     g = graphbuild.component(r, sigma, cap_vertices)
     case = (r, sigma)
@@ -165,14 +171,14 @@ def acceptance_report(r: int, sigma: int, seed: int = 20240801,
          "witness": None if wit is None else wit.as_dict()}))
 
     # 11: connectivity of the full graph
-    if pencil.total_pencil_count(ctx) <= (1 << 17):
+    if full:
         gf = graphbuild.full_graph(r, sigma, cap_vertices)
         sizes = graphbuild.component_sizes(gf)
         if ctx.rho == 2:
             ok = gf.n_components == 1
             exp = {"components": 1}
         else:
-            exp_n = pencil.total_pencil_count(ctx) // pencil.component_order(ctx)
+            exp_n = total // pencil.component_order(ctx)
             ok = (gf.n_components == exp_n
                   and set(sizes) == {pencil.component_order(ctx)})
             exp = {"components": exp_n,

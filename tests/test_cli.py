@@ -278,6 +278,29 @@ def test_cap_refusal_exit_2(tmp_path, capsys, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cap, err", [
+    (100, "refused: predicted component order 2520 exceeds cap 100\n"),
+    (3000, "refused: full graph order 75600 exceeds cap 3000\n"),
+], ids=["component", "full"])
+def test_report_refuses_cap_before_any_build(tmp_path, capsys, monkeypatch,
+                                             cap, err):
+    """The report checks the component and, when check 11 will run, the
+    full graph against the cap before it builds either, with the texts the
+    builds raise: with every build patched to fail, it still refuses."""
+    def no_build(*args):
+        raise AssertionError("a graph was built before the cap refusal")
+
+    for name in ("component", "full_graph", "build_component", "build_full"):
+        monkeypatch.setattr(graphbuild, name, no_build)
+    out = tmp_path / "a.out"
+    assert main(["report", "-r", "4", "-s", "1", "--cap-vertices", str(cap),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_r_past_8_is_invalid(tmp_path, capsys):
     """r = 9 passes the vertex cap at sigma = 7 (260,610 vertices), but
     points past 255 do not fit the build's byte keys: the parameters are

@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -57,6 +57,31 @@ def test_combined_closure_order_31():
     full = autnr.close_permutations(gens.vperms())
     assert full == 42 * 24  # vertex-transitive with the full stabilizer
     assert full % len(g) == 0
+
+
+def _gl_order(n: int) -> int:
+    return prod((1 << n) - (1 << i) for i in range(n))
+
+
+@pytest.mark.parametrize("case, order", [
+    pytest.param((4, 2), 120_960, id="4-2"),
+    pytest.param((4, 1), 3_386_880, id="4-1", marks=pytest.mark.heavy),
+])
+def test_generator_set_order_is_gl_r_times_gl_rho(case, order):
+    """The whole generator set makes a group of order |GL(r,2)| * |GL(rho,2)|
+    (1,008 at (3,1), above); at (4,1) the closure takes about 10 s."""
+    ctx, g, gens = _cached_setup(case)
+    assert order == _gl_order(ctx.r) * _gl_order(ctx.rho)
+    assert autnr.close_permutations(gens.vperms()) == order
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_feedback_polynomials_are_primitive(r):
+    """The companion map of each _FEEDBACK[r] cycles all 2^r - 1 points in
+    one cycle, so base_movers' first map moves every point."""
+    images = [1 << (i + 1) for i in range(r - 1)] + [homog._FEEDBACK[r]]
+    table = gf2.linear_table(r, images)
+    assert len(autnr.orbit(1, [table])) == (1 << r) - 1
 
 
 @pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1)])
