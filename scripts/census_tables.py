@@ -1,11 +1,11 @@
 """Print the cycle-type census of the auxiliary group, one table per rho.
 
 Usage:
-    python scripts/census_tables.py [--max-rho 4] [--heavy]
+    python scripts/census_tables.py [--max-rho 4]
 
 Each table is summed over the conjugacy classes of GL(rho, 2)
-(``hrho.census_rows``); the rho = 5 table (9,999,360 elements) is printed
-only with --heavy, as ``census --rho 5`` needs --enable-heavy.
+(``hrho.census_rows``), so the rho = 5 table (9,999,360 elements) takes
+milliseconds like the others; --max-rho is capped at 5.
 """
 
 import argparse
@@ -30,11 +30,10 @@ def print_table(rho: int, rows) -> bool:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-rho", type=int, default=4)
-    ap.add_argument("--heavy", action="store_true")
     args = ap.parse_args()
 
     ok = True
-    for rho in range(2, min(args.max_rho, 5 if args.heavy else 4) + 1):
+    for rho in range(2, min(args.max_rho, 5) + 1):
         ok &= print_table(rho, hrho.census_rows(rho))
     return 0 if ok else 1
 

@@ -20,9 +20,9 @@ rho = r - sigma:
 Every member of a family is validated on the built graph, and one that fails
 raises AutError; nothing is filtered out.  A point-kind generator is mapped
 over the whole graph at once by PencilGraph.linear_vperm, a gather over the
-graph's label rows; mapping each vertex through apply_point_map with vperm_of
-gives the same permutation and is kept as the literal reference.  Fiber maps
-act on the neighborhood only, and are checked on the sorted rows of the
+graph's label rows; it gives the permutation that mapping each vertex
+through apply_point_map gives, the literal reference the tests keep.  Fiber
+maps act on the neighborhood only, and are checked on the sorted rows of the
 neighbors.
 
 A whole-graph candidate is validated exactly, on every vertex, by one test:

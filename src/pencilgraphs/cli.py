@@ -242,29 +242,24 @@ def cmd_aut(cfg: RunConfig) -> int:
 
 def cmd_hrho(cfg: RunConfig) -> int:
     rho = cfg.rho
-    data: dict = {"rho": rho, "j_display": hrho.perm_display(hrho.j_rho(rho))}
+    index = len(hrho_heavy.coset_reps_heavy(rho)) if rho >= 3 else None
+    data: dict = {"rho": rho, "j_display": hrho.perm_display(hrho.j_rho(rho)),
+                  "order_formula": hrho.group_order_formula(rho),
+                  "coset_index": index}
     if rho <= 4:
         store = hrho.build_group(rho)
-        data.update(
-            order=len(store),
-            order_formula=hrho.group_order_formula(rho),
-            distance_law=hrho.check_distance_law(store),
-            cayley_diameter=hrho.cayley_diameter(store),
-            coset_index=len(hrho.coset_partition(rho)) if rho >= 3 else None,
-        )
-    else:
-        order, index = hrho_heavy.order_by_cosets(rho)
-        data.update(order=order, order_formula=hrho.group_order_formula(rho),
-                    coset_index=index)
+        data.update(order=len(store),
+                    distance_law=hrho.check_distance_law(store),
+                    cayley_diameter=hrho.cayley_diameter(store))
+    else:  # the index times |K|, K's order closed by Schreier-Sims
+        sub = [g for _, _, g in hrho.generators(rho - 1)]
+        data["order"] = index * autnr.close_permutations(sub)
     _emit(cfg, _json(data))
     return 0
 
 
 def cmd_census(cfg: RunConfig) -> int:
     rho = cfg.rho
-    if rho >= 5 and not cfg.enable_heavy:
-        sys.stderr.write("refused: the rho = 5 census needs --enable-heavy\n")
-        return 2
     rows = hrho.census_rows(rho)
     golden = _golden.TABLE1.get(rho)
     diff = []

@@ -278,18 +278,6 @@ class PencilGraph:
             self._nbr_masks = masks
         return self._nbr_masks[i]
 
-    def vperm_of(self, image) -> tuple[int, ...] | None:
-        """The vertex permutation v -> image(v), or None when an image is
-        not a vertex of the graph.  Injectivity is not checked."""
-        index = self.index
-        out = []
-        for v in self.vertices:
-            j = index.get(image(v))
-            if j is None:
-                return None
-            out.append(j)
-        return tuple(out)
-
     def _split(self, buf: bytes):
         """buf cut into rows of 2^r bytes, one per vertex, in vertex order."""
         w = 1 << self.ctx.r
@@ -315,7 +303,8 @@ class PencilGraph:
         then send entry k to position psi[k]", or None when an image is not
         a vertex of the graph.
 
-        Equals vperm_of(lambda v: autnr.apply_point_map(ctx, table, psi, v)).
+        Equals looking up autnr.apply_point_map(ctx, table, psi, v) for
+        every vertex v.
         psi[0] is not read.  Raises MapError unless table is a permutation of
         0..2^r-1 that fixes 0 and psi[1:] is a permutation of 1..m1.
         """

@@ -22,7 +22,7 @@ a longer loop] + ")".
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
@@ -336,7 +336,6 @@ class GroupStore:
     elements: list[bytes]
     index: dict[bytes, int]
     distance: list[int]
-    generators: list[tuple[int, int, bytes]] = field(repr=False, default_factory=list)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -402,7 +401,7 @@ def build_group(rho: int) -> GroupStore:
         raise HrhoError(
             f"closure has {len(elements)} elements, expected {expected}"
         )
-    return GroupStore(rho, elements, index, distance, gens)
+    return GroupStore(rho, elements, index, distance)
 
 
 def check_distance_law(store: GroupStore) -> bool:
@@ -594,23 +593,28 @@ def certified_coset_label(rho: int) -> tuple[bytes, list[bytes]]:
     Raises HrhoError unless (i) every generator is linear, so a label is a
     hyperplane and a point off it, at most ``coset_index_formula`` of them;
     (ii) every doubled rho - 1 generator is a rho generator fixing the label
-    table, so K lies in H and in the stabilizer of (n, L); (iii)
-    ``len(build_group(rho - 1))`` times that index is |GL(rho, 2)|, so K is
-    the stabilizer.  Equal labels then mean one coset of K in GL(rho, 2).
+    table, so K lies in H and in the stabilizer of (n, L); (iii) the order
+    of the group of the rho - 1 generators, which doubling carries onto K,
+    times that index is |GL(rho, 2)|, so K is the stabilizer.  Equal labels
+    then mean one coset of K in GL(rho, 2).  The order is closed by
+    Schreier-Sims, without listing K.
     """
+    from pencilgraphs.autnr import close_permutations  # autnr imports hrho
+
     label = _label_table(rho)
     gens = [g for _, _, g in generators(rho)]
     for g in gens:
         _check_linear(g)
-    sub = build_group(rho - 1)
+    sub = [g for _, _, g in generators(rho - 1)]
     gen_set = set(gens)
-    for _, _, g in sub.generators:
+    for g in sub:
         d = doubling(g)
         if d not in gen_set or d.translate(label) != label[:len(d)]:
             raise HrhoError(
                 "a doubled generator is not a generator fixing the coset label"
             )
-    if len(sub) * coset_index_formula(rho) != group_order_formula(rho):
+    if (close_permutations(sub) * coset_index_formula(rho)
+            != group_order_formula(rho)):
         raise HrhoError(
             "the doubled subgroup is not the stabilizer of the coset label"
         )
@@ -619,7 +623,9 @@ def certified_coset_label(rho: int) -> tuple[bytes, list[bytes]]:
 
 def coset_partition(rho: int) -> list[list[int]]:
     """Left cosets g*K of the doubled subgroup as sorted lists of element
-    indices, in order of their least member: the group grouped by label."""
+    indices, in order of their least member: the closed group grouped by
+    label.  The program counts cosets by ``hrho_heavy.coset_reps_heavy`` at
+    every rho >= 3; this grouping is the literal reference for that walk."""
     label, _ = certified_coset_label(rho)
     cosets: dict[bytes, list[int]] = {}
     for i, g in enumerate(build_group(rho).elements):

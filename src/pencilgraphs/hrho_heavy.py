@@ -1,9 +1,12 @@
-"""The auxiliary group at rho = 5, handled through its cosets.
+"""Cosets of the doubled subgroup K in the auxiliary group, one walk for
+every rho >= 3.
 
-The full group (9,999,360 elements) is never materialized.  It is covered by
-the left cosets g*K of the doubled subgroup K, one representative each, found
-by a breadth-first walk over the generators p(Q, a).  Its census needs no
-walk: ``hrho.class_census`` sums over the conjugacy classes of GL(rho, 2).
+The cosets g*K are found one representative each by a breadth-first walk
+over the generators p(Q, a), so the group is never listed: at rho = 5 its
+9,999,360 elements are covered by 496 representatives.  ``cli.cmd_hrho``
+and ``report`` take the coset index from this walk at every rho >= 3.  The
+census needs no walk: ``hrho.class_census`` sums over the conjugacy classes
+of GL(rho, 2).
 
 Each coset has the exact label of ``hrho.certified_coset_label``, which
 certifies once, before the walk, that equal labels mean one coset of K in
@@ -37,9 +40,3 @@ def coset_reps_heavy(rho: int) -> list[bytes]:
                 if len(reps) == expected:
                     return reps
     raise hrho.HrhoError(f"found {len(reps)} cosets, expected {expected}")
-
-
-def order_by_cosets(rho: int) -> tuple[int, int]:
-    """(group order, coset index): the index times the certified order of K."""
-    index = len(coset_reps_heavy(rho))
-    return index * len(hrho.build_group(rho - 1)), index

@@ -184,6 +184,26 @@ def test_fiber_generators_do_not_extend_for_sigma2():
     assert autnr.closure_order(gens) == 2304
 
 
+@pytest.mark.parametrize("case,order", [
+    pytest.param((3, 1), 24, id="3-1"),
+    pytest.param((4, 2), 576, id="4-2"),
+    pytest.param((4, 1), 1344, id="4-1"),
+    pytest.param((5, 3), 64512, id="5-3"),
+    pytest.param((5, 2), 64512, id="5-2", marks=pytest.mark.heavy),
+])
+def test_point_kind_restriction_is_faithful(case, order):
+    """The point-kind transvections, closed on the 2^r points, and their
+    restrictions to N(v) generate groups of one order: restricting to the
+    neighborhood loses nothing.  A point table fixes its entry permutation,
+    so the group on the points is the group on the graph."""
+    ctx, _, gens = _gens(case)
+    point = [a for a in gens if a.kind == "point"]
+    tables = [autnr.transvection_table(ctx.r, a.alpha, a.center)
+              for a in point]
+    assert autnr.close_permutations(tables) == order
+    assert autnr.close_permutations([a.nperm for a in point]) == order
+
+
 def _enumerated_order(gens):
     """The literal definition: every product of generators, by BFS."""
     ident = tuple(range(len(gens[0])))
@@ -393,6 +413,19 @@ def _transposed(psi):
     return tuple(p)
 
 
+def vperm_of(g, image):
+    """The vertex permutation v -> image(v) of g, looked up one vertex at a
+    time, or None when an image is not a vertex of g; the literal reference
+    for linear_vperm.  Injectivity is not checked."""
+    out = []
+    for v in g.vertices:
+        j = g.index.get(image(v))
+        if j is None:
+            return None
+        out.append(j)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("case", [(3, 1), (4, 2), (4, 1), (5, 3)])
 def test_linear_vperm_matches_literal_map(case, monkeypatch):
     """The label-row gather equals vperm_of over the literal point map, or
@@ -411,7 +444,8 @@ def test_linear_vperm_matches_literal_map(case, monkeypatch):
     ident = tuple(range(ctx.m1 + 1))
 
     def literal(table, psi):
-        return g.vperm_of(lambda v: autnr.apply_point_map(ctx, table, psi, v))
+        return vperm_of(
+            g, lambda v: autnr.apply_point_map(ctx, table, psi, v))
 
     fixing = None
     for alpha in gf2.hyperplane_masks(ctx.r):
@@ -433,8 +467,8 @@ def test_linear_vperm_matches_literal_map(case, monkeypatch):
     for psi in gens + [bytes(p[x] for x in q) for p, q in zip(gens, gens[1:])]:
         inv = sorted(range(len(psi)), key=psi.__getitem__)
         entry.append(g.linear_vperm(range(1 << ctx.r), inv))
-        assert entry[-1] == g.vperm_of(
-            lambda v: decomp.apply_index_perm(ctx, v, psi))
+        assert entry[-1] == vperm_of(
+            g, lambda v: decomp.apply_index_perm(ctx, v, psi))
     del entry[len(gens):]
     movers = homog.base_movers(g, entry)
     monkeypatch.setattr(g, "linear_vperm", literal)

@@ -142,17 +142,24 @@ def test_format_choices_per_verb(capsys, verb, args, formats):
         assert "invalid choice" in captured.err
 
 
+CENSUS_5_SHA256 = (
+    "a15316d7253ba58baf43c816b1c311f49f334767520d24a78793d3aa865c6b18")
+
+
 def test_heavy_guard(capsys, tmp_path):
-    """The rho = 5 census needs --enable-heavy and is refused without it, like
-    a capped build: exit 2, a message on stderr, nothing on stdout and an
-    existing --out left untouched.  The rho = 5 order needs no flag."""
-    rc = main(["census", "--rho", "5"])
+    """Neither the rho = 5 census nor the rho = 5 order needs
+    --enable-heavy: the census without it writes the pinned bytes.  A
+    refusal, as by a capped build, exits 2 with a message on stderr,
+    nothing on stdout and an existing --out left untouched."""
+    dest = tmp_path / "census.csv"
+    assert main(["census", "--rho", "5", "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == CENSUS_5_SHA256
+    dest.write_text("keep me\n")
+    rc = main(["build", "-r", "4", "-s", "1", "--cap-vertices", "10",
+               "--out", str(dest)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert "--enable-heavy" in captured.err
-    dest = tmp_path / "x.csv"
-    dest.write_text("keep me\n")
-    assert main(["census", "--rho", "5", "--out", str(dest)]) == 2
+    assert captured.err.startswith("refused: ")
     assert dest.read_text() == "keep me\n"
     assert list(tmp_path.iterdir()) == [dest]
     rc, out = run(capsys, "hrho", "--rho", "5")
@@ -243,8 +250,7 @@ def test_report_decomposition_without_golden_row(monkeypatch):
      "fd4bb29e0beac8f6ece7398955b52c88128ad2173d17070b9f7a217975f8557c"),
     (["hrho", "--rho", "5"],
      "58f5222e1e5080224c2576475e36a791b6433616b99d1273fd26c0eb75890aba"),
-    (["census", "--rho", "5", "--enable-heavy"],
-     "a15316d7253ba58baf43c816b1c311f49f334767520d24a78793d3aa865c6b18"),
+    (["census", "--rho", "5", "--enable-heavy"], CENSUS_5_SHA256),
 ], ids=["report-3-1", "report-4-2", "build-3-1", "build-4-1", "verify-4-1",
         "homog-4-2", "config-3-1", "config-3-1-dot", "config-4-1", "aut-4-2",
         "aut-3-1", "aut-4-1", "homog-4-1", "census-4", "hrho-4", "hrho-5",

@@ -24,9 +24,9 @@ def test_pure_entry_permutation_action():
     ctx = SpaceCtx(3, 1)
     g = gb.component(3, 1)
     psi = hrho.parse_perm(2, "1(23)")
-    vperm = g.vperm_of(lambda v: decomp.apply_index_perm(ctx, v, psi))
-    image = g.vertices[vperm[0]]
-    assert pencil.display(image) == "(1,23,67,45)"
+    images = [decomp.apply_index_perm(ctx, v, psi) for v in g.vertices]
+    assert sorted(map(g.index.__getitem__, images)) == list(range(len(g)))
+    assert pencil.display(images[0]) == "(1,23,67,45)"
 
 
 def test_entry_permutations_are_automorphisms():

@@ -233,7 +233,7 @@ def test_distance_law_and_j_extremality(rho):
 
 def test_h2_is_complete_bipartite():
     store = hrho.build_group(2)
-    gens = [g for _, _, g in store.generators]
+    gens = [g for _, _, g in hrho.generators(2)]
     assert len(gens) == 3
     odd = {p for p in store.elements if store.distance[store.index[p]] % 2 == 1}
     assert len(odd) == 3

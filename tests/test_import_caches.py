@@ -1,15 +1,19 @@
-"""Importing the package leaves every module-level lru cache empty.
+"""Module-level lru caches hold only what a run needs.
 
-A module that filled a cache at import would move work out of the timed
-queries into the import, so a speed-up measured on the queries would be
-partly an artifact of where the work ran.  The check runs in a fresh
-interpreter, so no other test has touched the caches.
+Importing the package leaves every one empty.  A module that filled a
+cache at import would move work out of the timed queries into the import,
+so a speed-up measured on the queries would be partly an artifact of where
+the work ran.  The auxiliary-group verbs fill ``hrho.build_group`` only
+where a Cayley distance is read.  Each check runs in a fresh interpreter,
+so no other test has touched the caches.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import pencilgraphs
 
@@ -26,14 +30,40 @@ print(json.dumps(sizes))
 """
 
 
-def test_import_leaves_lru_caches_empty():
+VERB = """
+import contextlib, io, json, sys
+from pencilgraphs import cli, hrho
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, hrho.build_group.cache_info().currsize]))
+"""
+
+
+def _fresh(code, *args):
+    """json.loads of what code prints in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(pencilgraphs.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", CODE], env=env,
+    res = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    sizes = json.loads(res.stdout)
+    return json.loads(res.stdout)
+
+
+def test_import_leaves_lru_caches_empty():
+    sizes = _fresh(CODE)
     # the scan sees the neighbour kernel's caches, so it is not vacuous
     assert {"gf2.coset_table", "graphbuild._copy_dual_points",
             "graphbuild._copy_tables", "graphbuild.component"} <= set(sizes)
     assert {name: n for name, n in sizes.items() if n} == {}
+
+
+@pytest.mark.parametrize("args,groups", [
+    (["hrho", "--rho", "5"], 0),
+    (["census", "--rho", "5"], 0),
+    (["hrho", "--rho", "4"], 1),
+], ids=["hrho-5", "census-5", "hrho-4"])
+def test_build_group_runs_only_for_distances(args, groups):
+    """hrho at rho = 4 closes GL(4, 2) for its Cayley distances and nothing
+    else: the coset certificate closes |K| by Schreier-Sims.  The rho = 5
+    order and census list no group at all."""
+    assert _fresh(VERB, *args) == [0, groups]

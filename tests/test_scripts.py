@@ -20,6 +20,7 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 
 @pytest.mark.parametrize("args", [
     ["census_tables.py", "--max-rho", "4"],
+    ["census_tables.py", "--max-rho", "5"],
     ["neighborhood_group_audit.py", "-r", "3", "-s", "1"],
     ["neighborhood_group_audit.py", "-r", "4", "-s", "2"],
 ], ids=lambda a: "-".join(a))
