@@ -4,8 +4,10 @@ Usage:
     python scripts/census_tables.py [--max-rho 4]
 
 Each table is summed over the conjugacy classes of GL(rho, 2)
-(``hrho.census_rows``), so the rho = 5 table (9,999,360 elements) takes
-milliseconds like the others; --max-rho is capped at 5.
+(``hrho.census_rows``), each class with the Cayley distance that
+``hrho.certified_distances`` certifies for it, so the rho = 5 table
+(9,999,360 elements) takes milliseconds like the others and lists no
+element; --max-rho is capped at 5.
 """
 
 import argparse

@@ -243,17 +243,15 @@ def cmd_aut(cfg: RunConfig) -> int:
 def cmd_hrho(cfg: RunConfig) -> int:
     rho = cfg.rho
     index = len(hrho_heavy.coset_reps_heavy(rho)) if rho >= 3 else None
+    gens = [g for _, _, g in hrho.generators(rho)]
     data: dict = {"rho": rho, "j_display": hrho.perm_display(hrho.j_rho(rho)),
+                  "order": autnr.close_permutations(gens),
                   "order_formula": hrho.group_order_formula(rho),
                   "coset_index": index}
     if rho <= 4:
-        store = hrho.build_group(rho)
-        data.update(order=len(store),
-                    distance_law=hrho.check_distance_law(store),
-                    cayley_diameter=hrho.cayley_diameter(store))
-    else:  # the index times |K|, K's order closed by Schreier-Sims
-        sub = [g for _, _, g in hrho.generators(rho - 1)]
-        data["order"] = index * autnr.close_permutations(sub)
+        diameter = hrho.certified_diameter(rho)
+        data.update(distance_law=diameter is not None,
+                    cayley_diameter=diameter)
     _emit(cfg, _json(data))
     return 0
 

@@ -6,11 +6,13 @@ b[x] = image of x for x in 1..2^rho-1.  Composition is left to right:
 to 256 entries) as the table.  The generators are the involutions p(Q, a)
 that fix a hyperplane Q pointwise and map x to a^x off Q.
 
-Each p(Q, a) is GF(2)-linear, so the group they generate lies in GL(rho, 2).
-``build_group`` checks that of every generator, and then its BFS closure may
-stop as soon as it holds |GL(rho, 2)| = ``group_order_formula(rho)``
-elements: a subgroup of that order is the whole of GL(rho, 2).  This is the
-usual order bound of the orbit algorithm.
+The p(Q, a) are exactly the transvections of GF(2)^rho, one conjugacy
+class of GL(rho, 2).  ``certified_distances`` checks that, and then
+certifies the Cayley distance d(g) = rank(g - 1) class by class: a lower
+bound from the rank, a matching word peeled off each representative.  The
+census and the verbs read their distances from it, and no verb lists the
+group.  ``build_group``, a BFS closure, stays as the tests' literal
+reference for the elements and their distances at rho <= 4.
 
 ``type_of`` writes the nested type expression of a linear element (it raises
 HrhoError on any other).  A cycle's dominator is the cycle or fixed point
@@ -104,13 +106,14 @@ def parse_perm(rho: int, text: str) -> bytes:
     return bytes(img)
 
 
-def pQa(rho: int, q_mask: int, a: int) -> bytes:
-    """The involution fixing hyperplane Q pointwise, x -> a^x off Q."""
-    n = (1 << rho) - 1
+def _check_hyperplane(rho: int, q_mask: int) -> None:
     if q_mask.bit_count() != (1 << (rho - 1)) - 1 or not gf2.is_xor_closed(q_mask):
         raise HrhoError(f"Q is not a hyperplane: {gf2.mask_str(q_mask)}")
-    if not q_mask >> a & 1:
-        raise HrhoError(f"pivot {a} not in Q")
+
+
+def _involution(rho: int, q_mask: int, a: int) -> bytes:
+    """p(Q, a) for a Q and a pivot the caller has checked."""
+    n = (1 << rho) - 1
     img = bytearray(range(n + 1))
     for x in range(1, n + 1):
         if not q_mask >> x & 1:
@@ -118,12 +121,21 @@ def pQa(rho: int, q_mask: int, a: int) -> bytes:
     return bytes(img)
 
 
+def pQa(rho: int, q_mask: int, a: int) -> bytes:
+    """The involution fixing hyperplane Q pointwise, x -> a^x off Q."""
+    _check_hyperplane(rho, q_mask)
+    if not q_mask >> a & 1:
+        raise HrhoError(f"pivot {a} not in Q")
+    return _involution(rho, q_mask, a)
+
+
 def generators(rho: int) -> list[tuple[int, int, bytes]]:
-    """All (Q, a) pairs with their permutations; (2^rho-1)(2^(rho-1)-1) many."""
+    """All (Q, a) pairs with their permutations; (2^rho-1)(2^(rho-1)-1) many.
+    Each Q is checked once; every pivot a is a point of its Q."""
     out = []
     for q in gf2.hyperplane_masks(rho):
-        for a in gf2.points_of(q):
-            out.append((q, a, pQa(rho, q, a)))
+        _check_hyperplane(rho, q)
+        out += [(q, a, _involution(rho, q, a)) for a in gf2.points_of(q)]
     return out
 
 
@@ -361,6 +373,8 @@ def _check_linear(g: bytes) -> None:
 def build_group(rho: int) -> GroupStore:
     """BFS closure of the p(Q, a) generators; also yields Cayley distances.
 
+    No verb calls it: it is the tests' literal reference for the class
+    certificate's distances, the census and the cosets at rho <= 4.
     Every generator is checked to be linear, so the closure lies in
     GL(rho, 2), and the BFS stops the moment it holds |GL(rho, 2)| elements:
     then it is all of GL(rho, 2), and expanding further finds nothing new.
@@ -437,9 +451,9 @@ def table_census(store: GroupStore) -> dict[tuple, tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # census by conjugacy class
 #
-# H is all of GL(rho, 2) (see build_group and the coset certificate), and a
-# super-type is a cycle type, constant on a conjugacy class; by the distance
-# law so is the distance.  So the census is a sum over the classes, each
+# H is all of GL(rho, 2), and a super-type is a cycle type, constant on a
+# conjugacy class, as the Cayley distance is (both by certified_distances,
+# below).  So the census is a sum over the classes, each
 # adding |GL| / |C(g)| elements.  A class is its primary rational canonical
 # form: a partition lambda_phi for each monic irreducible phi != x, with
 # sum deg(phi) |lambda_phi| = rho.  Its centralizer has order
@@ -539,17 +553,118 @@ def conjugacy_classes(rho: int) -> list[tuple[bytes, int]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Cayley distances by a class certificate
+#
+# For linear g, Fix(g) = ker(g - 1) is a subspace, so 1 + #fixed is
+# 2^dim Fix(g), and the residue rank(g - 1) is rho - dim Fix(g).
+
+
+def residue(g: bytes) -> int:
+    """rank(g - 1) = rho - log2(1 + #fixed) for a linear g."""
+    ones = sum(map(operator.eq, g, _PAD))  # 0 and the fixed points
+    if ones.bit_count() != 1:
+        raise HrhoError(f"1 + #fixed = {ones} is not a power of two")
+    return (len(g) // ones).bit_length() - 1
+
+
+def _transvection_class(rho: int) -> frozenset[bytes]:
+    """The generators as a set, once certified to be every transvection.
+
+    Each is checked to be linear with residue 1: it fixes a hyperplane
+    pointwise, t(z) = z + phi(z) u.  Over GF(2), t(u) = (1 + phi(u)) u is
+    nonzero only if phi(u) = 0, so t is a transvection.  There are
+    (2^rho - 1)(2^(rho-1) - 1) of those, one per nonzero phi and nonzero u
+    in ker phi, so that many distinct generators are all of them.
+    """
+    gens = [g for _, _, g in generators(rho)]
+    expected = ((1 << rho) - 1) * ((1 << (rho - 1)) - 1)
+    out = frozenset(gens)
+    if len(gens) != len(out) or len(out) != expected:
+        raise HrhoError(f"{len(out)} distinct generators of {len(gens)}, "
+                        f"expected {expected} transvections")
+    for t in out:
+        _check_linear(t)
+        if residue(t) != 1:
+            raise HrhoError(f"generator {perm_display(t)} is not a transvection")
+    return out
+
+
+def _peel_factor(rho: int, h: bytes) -> bytes | None:
+    """A transvection t with t(h(x)) = x at the least point x that h moves,
+    fixing Fix(h) pointwise, so Fix(t h) holds Fix(h) and x.
+
+    t = p(Q, u) with u = x ^ h(x) and Q a hyperplane through Fix(h) and u,
+    missing x: then h(x) = x ^ u is off Q, and t maps it to x.  For linear
+    h, x lies outside the span of Fix(h) and u, so such a Q exists; None
+    if there is none.
+    """
+    x = next(x for x in range(1, len(h)) if h[x] != x)
+    u = x ^ h[x]
+    need = gf2.mask_of(fixed_points(h)) | 1 << u
+    for q in gf2.hyperplane_masks(rho):
+        if q & need == need and not q >> x & 1:
+            return _involution(rho, q, u)
+    return None
+
+
+def _peeled_length(rho: int, g: bytes, gens: frozenset[bytes]) -> int | None:
+    """residue(g) when g peels down to the identity one generator at a
+    time, each factor lowering the residue by exactly one; else None."""
+    h, r = g, residue(g)
+    for k in range(r - 1, -1, -1):  # the residue after each factor
+        t = _peel_factor(rho, h)
+        if t not in gens:
+            return None
+        h = compose(h, t)
+        if residue(h) != k:
+            return None
+    return r
+
+
+def certified_distances(rho: int) -> list[tuple[bytes, int, int | None]]:
+    """(representative, class size, Cayley distance) for every class of
+    ``conjugacy_classes(rho)``; the distance is None where the peel fails.
+
+    The generators are first certified to be the whole transvection class
+    (raising HrhoError otherwise).  That set is closed under conjugation,
+    so a word for g conjugates letter by letter into one for h g h^-1, and
+    the Cayley distance is a class function.  Lower bound: t g - 1 =
+    t (g - 1) + (t - 1), so one transvection raises the residue by at most
+    one, and a word of k generators has residue at most k: d(g) >=
+    rank(g - 1) (O'Meara, Lectures on Linear Groups, 1974).  Upper bound:
+    ``_peeled_length`` writes g as a word of exactly rank(g - 1)
+    generators.  So a certified class has d = rank(g - 1) = rho -
+    log2(1 + #fixed), the distance law, on every element.  When every
+    class is certified, the group of the generators holds an element of
+    every class and, being generated by a class, is normal: it is all of
+    GL(rho, 2).
+    """
+    gens = _transvection_class(rho)
+    return [(g, size, _peeled_length(rho, g, gens))
+            for g, size in conjugacy_classes(rho)]
+
+
+def certified_diameter(rho: int) -> int | None:
+    """The Cayley diameter when every class is certified, else None."""
+    dists = [d for _, _, d in certified_distances(rho)]
+    return None if None in dists else max(dists)
+
+
 def class_census(rho: int) -> dict[tuple, tuple[int, int]]:
-    """super_type -> (distance, count) over the classes of GL(rho, 2), the
-    distance by the law d = rho - log2(1 + #fixed); the same dict as
-    ``table_census(build_group(rho))``, without the group."""
+    """super_type -> (distance, count) over the classes of GL(rho, 2), each
+    distance certified; the same dict as ``table_census(build_group(rho))``,
+    without the group.  Raises HrhoError on a class without a certified
+    distance, or on two distances for one super type."""
     out: dict[tuple, tuple[int, int]] = {}
-    for g, size in conjugacy_classes(rho):
-        ones = 1 + len(fixed_points(g))
-        if ones.bit_count() != 1:
-            raise HrhoError(f"1 + #fixed = {ones} is not a power of two")
-        st = super_type(g)  # fixes #fixed, so the distance too
-        out[st] = (rho + 1 - ones.bit_length(), out.get(st, (0, 0))[1] + size)
+    for g, size, d in certified_distances(rho):
+        if d is None:
+            raise HrhoError(f"no certified distance for {perm_display(g)}")
+        st = super_type(g)
+        d0, count = out.get(st, (d, 0))
+        if d0 != d:
+            raise HrhoError(f"distance not constant on super-type {st}")
+        out[st] = (d, count + size)
     return out
 
 

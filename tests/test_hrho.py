@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from collections import Counter
@@ -621,3 +622,163 @@ def test_class_census_refuses_nonlinear_representative(monkeypatch):
                         lambda rho: [(hrho.parse_perm(3, "(12)"), 168)])
     with pytest.raises(hrho.HrhoError, match="not a power of two"):
         hrho.class_census(3)
+
+
+# ---------------------------------------------------------------------------
+# the class certificate of the Cayley distances
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4, 5])
+def test_generators_equal_checked_involutions(rho):
+    """Checking each hyperplane once builds the same list as pQa's
+    per-pair check."""
+    assert hrho.generators(rho) == [
+        (q, a, hrho.pQa(rho, q, a))
+        for q in gf2.hyperplane_masks(rho) for a in gf2.points_of(q)]
+
+
+def _elementary(rho):
+    """e_a -> e_a + e_b for adjacent basis vectors a, b: these generate
+    SL(rho, 2) = GL(rho, 2)."""
+    out = []
+    for i in range(rho - 1):
+        for a, b in ((i, i + 1), (i + 1, i)):
+            cols = [1 << k for k in range(rho)]
+            cols[a] |= 1 << b
+            out.append(gf2.linear_table(rho, cols))
+    return out
+
+
+def _conjugacy_class(g, gens):
+    """The orbit of g under conjugation by the (involutory) gens."""
+    seen, todo = {g}, [g]
+    for h in todo:
+        for t in gens:
+            c = hrho.compose(hrho.compose(t, h), t)
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return seen
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4])
+def test_certified_distances_equal_bfs(rho):
+    """Each class, grown by conjugation to its stated size, carries the
+    certified distance of its representative at every element in the
+    literal BFS; the classes cover the group, and the diameters agree."""
+    store = hrho.build_group(rho)
+    gens = _elementary(rho)
+    covered = 0
+    for g, size, d in hrho.certified_distances(rho):
+        cls = _conjugacy_class(g, gens)
+        assert len(cls) == size
+        assert {store.distance[store.index[h]] for h in cls} == {d}
+        covered += size
+    assert covered == len(store)
+    assert hrho.certified_diameter(rho) == hrho.cayley_diameter(store) == rho
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4, 5])
+def test_certified_distance_is_the_residue(rho):
+    for g, _, d in hrho.certified_distances(rho):
+        assert d == hrho.residue(g) == rho + 1 - (
+            1 + len(hrho.fixed_points(g))).bit_length()
+
+
+def _with_generators(monkeypatch, gens):
+    monkeypatch.setattr(hrho, "generators",
+                        lambda rho: [(0, 0, g) for g in gens])
+
+
+def test_class_check_refuses_missing_transvection(monkeypatch):
+    _with_generators(monkeypatch, [g for _, _, g in hrho.generators(4)][1:])
+    with pytest.raises(hrho.HrhoError, match="expected 105 transvections"):
+        hrho.certified_distances(4)
+
+
+@pytest.mark.parametrize("swap", ["j4", "duplicate", "nonlinear"])
+def test_class_check_refuses_replaced_transvection(monkeypatch, swap):
+    gens = [g for _, _, g in hrho.generators(4)]
+    bad = bytearray(hrho.identity(4))
+    bad[3], bad[4] = 4, 3
+    gens[0] = {"j4": hrho.j_rho(4), "duplicate": gens[1],
+               "nonlinear": bytes(bad)}[swap]
+    _with_generators(monkeypatch, gens)
+    match = {"j4": "not a transvection", "duplicate": "104 distinct",
+             "nonlinear": "not linear"}[swap]
+    with pytest.raises(hrho.HrhoError, match=match):
+        hrho.certified_distances(4)
+
+
+def _no_descent(rho, h):
+    """A generator that does not lower the residue of h."""
+    return next(t for _, _, t in hrho.generators(rho)
+                if hrho.residue(hrho.compose(h, t)) >= hrho.residue(h))
+
+
+def _one_step_to_identity(rho, h):
+    """h^-1: lowers the residue to 0 at once, and is a generator only
+    when h is one."""
+    inv = bytearray(len(h))
+    for x, y in enumerate(h):
+        inv[y] = x
+    return bytes(inv)
+
+
+_PEEL_FACTOR = hrho._peel_factor
+
+
+def _two_letters(rho, h):
+    """A product of two generators, itself none, that lowers the residue
+    of h by one; the true factor when h is a transvection, as then there
+    is no such product."""
+    gens = [t for _, _, t in hrho.generators(rho)]
+    r = hrho.residue(h)
+    return next((f for f in (hrho.compose(a, b) for a in gens for b in gens)
+                 if f not in gens and hrho.residue(hrho.compose(h, f)) == r - 1),
+                _PEEL_FACTOR(rho, h))
+
+
+@pytest.mark.parametrize("factor",
+                         [_no_descent, _one_step_to_identity, _two_letters],
+                         ids=["no-descent", "inverse", "two-letters"])
+def test_peel_refuses_a_bad_factor(monkeypatch, factor, capsys):
+    """A peel that takes a factor other than a residue-lowering generator
+    certifies no class past a transvection: the law reads false, the
+    census raises, and hrho prints no diameter."""
+    monkeypatch.setattr(hrho, "_peel_factor", factor)
+    certified = {hrho.residue(g): d
+                 for g, _, d in hrho.certified_distances(4) if d is not None}
+    assert set(certified) <= {0, 1}
+    assert hrho.certified_diameter(4) is None
+    with pytest.raises(hrho.HrhoError, match="no certified distance"):
+        hrho.class_census(4)
+    from pencilgraphs import cli
+    assert cli.main(["hrho", "--rho", "4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["distance_law"], data["cayley_diameter"]) == (False, None)
+
+
+@pytest.mark.parametrize("i", range(14))
+def test_census_sees_one_shifted_class(monkeypatch, i):
+    """A certificate with one class's distance off by one gives a census
+    that differs from the BFS census, or is refused outright."""
+    real = hrho.certified_distances(4)
+    shifted = [(g, s, d + (k == i)) for k, (g, s, d) in enumerate(real)]
+    monkeypatch.setattr(hrho, "certified_distances", lambda rho: shifted)
+    try:
+        got = hrho.class_census(4)
+    except hrho.HrhoError as e:
+        assert "not constant" in str(e)
+    else:
+        assert got != hrho.table_census(hrho.build_group(4))
+
+
+def test_report_fails_an_uncertified_class(monkeypatch):
+    """The report's auxiliary checks FAIL, rather than raise, when the peel
+    certifies nothing."""
+    from pencilgraphs import report
+    monkeypatch.setattr(hrho, "_peel_factor", _one_step_to_identity)
+    rep = report.acceptance_report(3, 1)
+    assert {"aux_census", "distance_law", "farthest_element",
+            "diameter"} <= set(rep["failed_checks"])
