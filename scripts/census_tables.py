@@ -5,7 +5,8 @@ Usage:
 
 Each table is summed over the conjugacy classes of GL(rho, 2)
 (``hrho.census_rows``), each class with the Cayley distance that
-``hrho.certified_distances`` certifies for it, so the rho = 5 table
+``hrho.certified_distances`` certifies for it (a class it cannot certify
+raises), so the rho = 5 table
 (9,999,360 elements) takes milliseconds like the others and lists no
 element; --max-rho is capped at 5.
 """
@@ -36,7 +37,8 @@ def main() -> int:
 
     ok = True
     for rho in range(2, min(args.max_rho, 5) + 1):
-        ok &= print_table(rho, hrho.census_rows(rho))
+        rows = hrho.census_rows(hrho.certified_distances(rho))
+        ok &= print_table(rho, rows)
     return 0 if ok else 1
 
 

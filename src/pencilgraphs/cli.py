@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from pencilgraphs import (_golden, autnr, config as configmod, decomp, gf2,
-                          graphbuild, homog, hrho, hrho_heavy)
+                          graphbuild, hrho, report)
 from pencilgraphs.gf2 import SpaceCtx
 
 
@@ -42,7 +42,7 @@ class RunConfig:
     sigma: int = 0
     rho: int = 0
     cap_vertices: int = graphbuild.DEFAULT_CAP
-    seed: int = 20240801
+    seed: int = report.DEFAULT_SEED
     enable_heavy: bool = False
     full: bool = False
     out: str | None = None
@@ -69,7 +69,7 @@ def _parser() -> argparse.ArgumentParser:
                        choices=formats)
         p.add_argument("--cap-vertices", type=int,
                        default=graphbuild.DEFAULT_CAP)
-        p.add_argument("--seed", type=int, default=20240801)
+        p.add_argument("--seed", type=int, default=report.DEFAULT_SEED)
         p.add_argument("--enable-heavy", action="store_true")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted and ignored: every verb is serial")
@@ -241,31 +241,23 @@ def cmd_aut(cfg: RunConfig) -> int:
 
 
 def cmd_hrho(cfg: RunConfig) -> int:
-    rho = cfg.rho
-    index = len(hrho_heavy.coset_reps_heavy(rho)) if rho >= 3 else None
-    gens = [g for _, _, g in hrho.generators(rho)]
-    data: dict = {"rho": rho, "j_display": hrho.perm_display(hrho.j_rho(rho)),
-                  "order": autnr.close_permutations(gens),
-                  "order_formula": hrho.group_order_formula(rho),
-                  "coset_index": index}
-    if rho <= 4:
-        diameter = hrho.certified_diameter(rho)
-        data.update(distance_law=diameter is not None,
-                    cayley_diameter=diameter)
+    data = report.aux_group(cfg.rho)
+    if cfg.rho <= 4:
+        dist = report.aux_distances(cfg.rho)
+        data.update(distance_law=dist["distance_law"],
+                    cayley_diameter=dist["cayley_diameter"])
     _emit(cfg, _json(data))
     return 0
 
 
 def cmd_census(cfg: RunConfig) -> int:
-    rho = cfg.rho
-    rows = hrho.census_rows(rho)
-    golden = _golden.TABLE1.get(rho)
-    diff = []
-    if golden is not None:
-        got = {s: (d, c) for s, d, c in rows}
-        for key in sorted(set(golden) | set(got)):
-            if golden.get(key) != got.get(key):
-                diff.append(f"{key}: expected {golden.get(key)}, got {got.get(key)}")
+    rows = report.aux_distances(cfg.rho)["census"]
+    if rows is None:
+        raise hrho.HrhoError("a class has no certified Cayley distance")
+    golden, got = _golden.TABLE1[cfg.rho], {s: (d, c) for s, d, c in rows}
+    diff = [f"{key}: expected {golden.get(key)}, got {got.get(key)}"
+            for key in sorted(set(golden) | set(got))
+            if golden.get(key) != got.get(key)]
     if cfg.fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -280,8 +272,8 @@ def cmd_census(cfg: RunConfig) -> int:
 
 def cmd_config(cfg: RunConfig) -> int:
     g = _graph_for(cfg)
-    c = configmod.build_config(g)
     if cfg.fmt == "dot":
+        c = configmod.build_config(g)
         nb = c.n_points
         buf = ["graph L {"]
         buf += [f'  {x} [color={"black" if x < nb else "white"}];'
@@ -291,71 +283,21 @@ def cmd_config(cfg: RunConfig) -> int:
         buf.append("}")
         _emit(cfg, "\n".join(buf) + "\n")
         return 0
-    data: dict = {
-        "params": list(c.params),
-        "balanced": c.check_balance(),
-        "menger_equals_graph": configmod.menger_equals_graph(c, g),
-        "levi": {
-            "points": c.n_points,
-            "lines": len(c.lines),
-            "point_degree": c.lines_per_point,
-            "line_degree": c.points_per_line,
-        },
-    }
-    m, cc, n, d = c.params
-    if m == n and cc == d:
-        if len(g) > configmod.SELF_DUAL_VERTEX_CAP and not cfg.enable_heavy:
-            data["self_dual"] = "skipped (needs --enable-heavy)"
-        else:
-            dual = configmod.self_duality_map(c)
-            data["self_dual"] = dual is not None
-            if dual is not None:
-                data["dual_menger_isomorphic"] = configmod.dual_menger_isomorphic(
-                    c, g, dual
-                )
-                data["duality_point_to_line"] = [dual[i] - c.n_points
-                                                 for i in range(c.n_points)]
-    else:
-        data["self_dual"] = False
+    data, _ = report.configuration(g, cfg.enable_heavy)
     _emit(cfg, _json(data))
     return 0
 
 
 def cmd_homog(cfg: RunConfig) -> int:
-    g = _graph_for(cfg)
-    gens = homog.full_generator_set(g)
-    reports = homog.check_H_property(g, gens)
-    wit, tried = homog.non_uh_witness(g)
-    vorb = homog.vertex_orbit_of_base(gens.vperms())
-    data = {
-        "h_property": [rep.as_dict() for rep in reports],
-        "vertex_transitive_under_generators": len(vorb) == len(g),
-        "witness": None if wit is None else wit.as_dict(),
-        "witness_candidates_tried": tried,
-        "generator_counts": {
-            "stabilizer": len(gens.stabilizer),
-            "entry_perms": len(gens.entry_perms),
-            "base_movers": len(gens.movers),
-        },
-        "note": (
-            "stabilizer and entry permutations alone preserve the initial "
-            "entry of the base vertex; the base movers are required for "
-            "vertex transitivity"
-        ),
-        "seed": cfg.seed,
-    }
-    _emit(cfg, _json(data))
-    ok = all(rep.ok for rep in reports)
-    ok = ok and ((wit is not None) == homog.witness_expected(g.ctx))
-    return 0 if ok else 1
+    data, checks = report.homogeneity(_graph_for(cfg))
+    _emit(cfg, _json(dict(data, seed=cfg.seed)))
+    return 0 if all(c["status"] == "PASS" for c in checks) else 1
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    from pencilgraphs.report import acceptance_report
-
-    data = acceptance_report(cfg.r, cfg.sigma, seed=cfg.seed,
-                             enable_heavy=cfg.enable_heavy,
-                             cap_vertices=cfg.cap_vertices)
+    data = report.acceptance_report(cfg.r, cfg.sigma, seed=cfg.seed,
+                                    enable_heavy=cfg.enable_heavy,
+                                    cap_vertices=cfg.cap_vertices)
     _emit(cfg, _json(data))
     return 0 if data["all_pass"] else 1
 

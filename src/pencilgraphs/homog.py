@@ -4,9 +4,7 @@ The working generator set contains the extending base-vertex stabilizer
 generators, the entry-position permutations, and additionally the
 position-preserving linear maps that move the base vertex.  The last family
 is required: the first two preserve the initial-entry fiber of the base
-vertex, so on their own they can never be vertex-transitive.  The report
-carries the measured closure data so the discrepancy with the nominal
-semidirect-product order stays visible.
+vertex, so on their own they can never be vertex-transitive.
 
 Claim (d), that every copy of each family with a distinguished arc is
 preserved, is certified on vertices rather than arcs: a group is transitive

@@ -568,26 +568,27 @@ def residue(g: bytes) -> int:
     return (len(g) // ones).bit_length() - 1
 
 
-def _transvection_class(rho: int) -> frozenset[bytes]:
-    """The generators as a set, once certified to be every transvection.
+@lru_cache(maxsize=None)
+def certified_generators(rho: int) -> tuple[bytes, ...]:
+    """The generators' permutations, once certified to be every transvection.
 
     Each is checked to be linear with residue 1: it fixes a hyperplane
     pointwise, t(z) = z + phi(z) u.  Over GF(2), t(u) = (1 + phi(u)) u is
     nonzero only if phi(u) = 0, so t is a transvection.  There are
     (2^rho - 1)(2^(rho-1) - 1) of those, one per nonzero phi and nonzero u
-    in ker phi, so that many distinct generators are all of them.
+    in ker phi, so that many distinct generators are all of them.  Cached:
+    the class certificate, the coset label and the orders read one tuple.
     """
-    gens = [g for _, _, g in generators(rho)]
-    expected = ((1 << rho) - 1) * ((1 << (rho - 1)) - 1)
-    out = frozenset(gens)
-    if len(gens) != len(out) or len(out) != expected:
-        raise HrhoError(f"{len(out)} distinct generators of {len(gens)}, "
-                        f"expected {expected} transvections")
-    for t in out:
+    gens = tuple(g for _, _, g in generators(rho))
+    for t in gens:
         _check_linear(t)
         if residue(t) != 1:
             raise HrhoError(f"generator {perm_display(t)} is not a transvection")
-    return out
+    expected = ((1 << rho) - 1) * ((1 << (rho - 1)) - 1)
+    if len(set(gens)) != len(gens) or len(gens) != expected:
+        raise HrhoError(f"{len(set(gens))} distinct generators of {len(gens)}, "
+                        f"expected {expected} transvections")
+    return gens
 
 
 def _peel_factor(rho: int, h: bytes) -> bytes | None:
@@ -638,26 +639,27 @@ def certified_distances(rho: int) -> list[tuple[bytes, int, int | None]]:
     log2(1 + #fixed), the distance law, on every element.  When every
     class is certified, the group of the generators holds an element of
     every class and, being generated by a class, is normal: it is all of
-    GL(rho, 2).
+    GL(rho, 2).  The diameter and the census read the list this returns.
     """
-    gens = _transvection_class(rho)
+    gens = frozenset(certified_generators(rho))
     return [(g, size, _peeled_length(rho, g, gens))
             for g, size in conjugacy_classes(rho)]
 
 
-def certified_diameter(rho: int) -> int | None:
-    """The Cayley diameter when every class is certified, else None."""
-    dists = [d for _, _, d in certified_distances(rho)]
+def certified_diameter(classes) -> int | None:
+    """The Cayley diameter of ``certified_distances`` classes when every
+    class is certified, else None."""
+    dists = [d for _, _, d in classes]
     return None if None in dists else max(dists)
 
 
-def class_census(rho: int) -> dict[tuple, tuple[int, int]]:
-    """super_type -> (distance, count) over the classes of GL(rho, 2), each
-    distance certified; the same dict as ``table_census(build_group(rho))``,
+def class_census(classes) -> dict[tuple, tuple[int, int]]:
+    """super_type -> (distance, count) over ``certified_distances`` classes
+    of GL(rho, 2); the same dict as ``table_census(build_group(rho))``,
     without the group.  Raises HrhoError on a class without a certified
     distance, or on two distances for one super type."""
     out: dict[tuple, tuple[int, int]] = {}
-    for g, size, d in certified_distances(rho):
+    for g, size, d in classes:
         if d is None:
             raise HrhoError(f"no certified distance for {perm_display(g)}")
         st = super_type(g)
@@ -668,11 +670,11 @@ def class_census(rho: int) -> dict[tuple, tuple[int, int]]:
     return out
 
 
-def census_rows(rho: int) -> list[tuple[str, int, int]]:
-    """The census as (super_type_str, distance, count) rows, by distance and
-    then super type."""
+def census_rows(classes) -> list[tuple[str, int, int]]:
+    """The census of ``certified_distances`` classes as (super_type_str,
+    distance, count) rows, by distance and then super type."""
     return sorted(((super_type_str(st), d, c)
-                   for st, (d, c) in class_census(rho).items()),
+                   for st, (d, c) in class_census(classes).items()),
                   key=lambda t: (t[1], t[0]))
 
 
@@ -702,25 +704,26 @@ def coset_index_formula(rho: int) -> int:
     return 1 + 2 * (half - 1) + quarter * (half - 1) * 3 + (quarter - 1) * (half - 1)
 
 
-def certified_coset_label(rho: int) -> tuple[bytes, list[bytes]]:
+@lru_cache(maxsize=None)
+def certified_coset_label(rho: int) -> tuple[bytes, tuple[bytes, ...]]:
     """The label table and the rho generators, once the labels are certified.
 
-    Raises HrhoError unless (i) every generator is linear, so a label is a
-    hyperplane and a point off it, at most ``coset_index_formula`` of them;
-    (ii) every doubled rho - 1 generator is a rho generator fixing the label
-    table, so K lies in H and in the stabilizer of (n, L); (iii) the order
-    of the group of the rho - 1 generators, which doubling carries onto K,
-    times that index is |GL(rho, 2)|, so K is the stabilizer.  Equal labels
-    then mean one coset of K in GL(rho, 2).  The order is closed by
-    Schreier-Sims, without listing K.
+    Raises HrhoError unless (i) the rho and the rho - 1 generators pass
+    ``certified_generators``, so each is linear and a label is a hyperplane
+    and a point off it, at most ``coset_index_formula`` of them; (ii) every
+    doubled rho - 1 generator is a rho generator fixing the label table, so
+    K lies in H and in the stabilizer of (n, L); (iii) the order of the
+    group of the rho - 1 generators, which doubling carries onto K, times
+    that index is |GL(rho, 2)|, so K is the stabilizer.  Equal labels then
+    mean one coset of K in GL(rho, 2).  The order is closed by
+    Schreier-Sims, without listing K.  Cached: the coset walk and the
+    category check read one certificate per rho.
     """
     from pencilgraphs.autnr import close_permutations  # autnr imports hrho
 
     label = _label_table(rho)
-    gens = [g for _, _, g in generators(rho)]
-    for g in gens:
-        _check_linear(g)
-    sub = [g for _, _, g in generators(rho - 1)]
+    gens = certified_generators(rho)
+    sub = certified_generators(rho - 1)
     gen_set = set(gens)
     for g in sub:
         d = doubling(g)

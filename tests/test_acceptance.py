@@ -126,8 +126,8 @@ def test_criterion_06_heavy_rho5():
     reps = hrho_heavy.coset_reps_heavy(5)
     order = len(reps) * hrho.group_order_formula(4)
     ok = order == _golden.GROUP_ORDERS[5] and len(reps) == 496
-    got = {hrho.super_type_str(st): dc
-           for st, dc in hrho.class_census(5).items()}
+    census = hrho.class_census(hrho.certified_distances(5))
+    got = {hrho.super_type_str(st): dc for st, dc in census.items()}
     ok &= got == _golden.TABLE1[5]
     _line(6, "auxiliary group census (rho=5)", ok)
 

@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from pencilgraphs import _golden, cli, gf2, graphbuild, report
+from pencilgraphs import _golden, cli, gf2, graphbuild, hrho, report
 from pencilgraphs.cli import main
 
 
@@ -200,6 +202,81 @@ def test_report_stabilizer_order_agrees_with_aut(tmp_path, r, sigma):
               if c["check"] == "stabilizer_order"]
     aut_code = main(["aut"] + case + ["--out", str(tmp_path / "a.json")])
     assert (check["status"] == "PASS") == (aut_code == 0)
+
+
+def test_report_agrees_with_the_verbs_at_53(tmp_path):
+    """At (5,3), which no digest pins, the report's entries equal what the
+    config, homog and hrho verbs write: the configuration, both homogeneity
+    checks, the vertex transitivity and the auxiliary order; homog exits 0
+    exactly when both of its checks pass."""
+    def verb(*args):
+        out = tmp_path / f"{args[0]}.json"
+        code = main(list(args) + ["--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    case = ("-r", "5", "-s", "3")
+    code, rep = verb("report", *case)
+    assert code == 1
+    got = {c["check"]: c for c in rep["checks"]}
+    _, cfg = verb("config", *case)
+    hom_code, hom = verb("homog", *case)
+    _, aux = verb("hrho", "--rho", "2")
+    conf = got["configuration"]["got"]
+    assert {"params", "menger_equals_graph", "balanced"} <= set(conf)
+    assert conf == {k: cfg[k] for k in conf}
+    assert got["h_property"]["got"] == hom["h_property"]
+    assert got["uh_witness"]["got"] == {
+        "witness_found": hom["witness"] is not None,
+        "tried": hom["witness_candidates_tried"], "witness": hom["witness"]}
+    assert (got["diameter"]["got"]["vertex_transitive"]
+            == hom["vertex_transitive_under_generators"])
+    assert got["aux_group_order"]["got"] == aux["order"]
+    assert (hom_code == 0) == (got["h_property"]["status"]
+                               == got["uh_witness"]["status"] == "PASS")
+
+
+def _count_certificates(monkeypatch):
+    """Counts per (name, rho): calls of certified_distances and generators,
+    and runs of the cached certified_generators and certified_coset_label,
+    each given an empty cache."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(rho):
+            calls[name, rho] += 1
+            return fn(rho)
+        return wrapper
+
+    for name in ("certified_generators", "certified_coset_label"):
+        inner = getattr(hrho, name).__wrapped__
+        monkeypatch.setattr(hrho, name, lru_cache(maxsize=None)(
+            counted(name, inner)))
+    for name in ("certified_distances", "generators"):
+        monkeypatch.setattr(hrho, name, counted(name, getattr(hrho, name)))
+    return calls
+
+
+def test_report_certifies_once_per_rho(monkeypatch, tmp_path):
+    """One report at (4,1) runs the class certificate once, certifies the
+    coset label once, and certifies each generator list it reads once."""
+    calls = _count_certificates(monkeypatch)
+    assert main(["report", "-r", "4", "-s", "1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert {k: n for k, n in calls.items() if k[0] != "generators"} == {
+        ("certified_distances", 3): 1, ("certified_coset_label", 3): 1,
+        ("certified_generators", 3): 1, ("certified_generators", 2): 1}
+
+
+def test_hrho_5_builds_generators_once(monkeypatch, tmp_path):
+    """hrho --rho 5 builds and certifies each generator list once, for the
+    order and the coset label, and runs no class certificate."""
+    calls = _count_certificates(monkeypatch)
+    assert main(["hrho", "--rho", "5",
+                 "--out", str(tmp_path / "h.json")]) == 0
+    assert dict(calls) == {
+        ("generators", 5): 1, ("generators", 4): 1,
+        ("certified_generators", 5): 1, ("certified_generators", 4): 1,
+        ("certified_coset_label", 5): 1}
 
 
 def test_report_decomposition_without_golden_row(monkeypatch):

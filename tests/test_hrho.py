@@ -12,6 +12,18 @@ from hypothesis import strategies as st
 from pencilgraphs import _golden, gf2, hrho, hrho_heavy
 
 
+@pytest.fixture(autouse=True)
+def _fresh_certificates():
+    """Each test certifies the generators and the coset label afresh, so a
+    generator list or label it patches in is seen, and no patched
+    certificate outlives it."""
+    for fn in (hrho.certified_generators, hrho.certified_coset_label):
+        fn.cache_clear()
+    yield
+    for fn in (hrho.certified_generators, hrho.certified_coset_label):
+        fn.cache_clear()
+
+
 def P(rho, text):
     return hrho.parse_perm(rho, text.replace(" ", ""))
 
@@ -515,12 +527,13 @@ def test_coset_certificate_rejects_nonlinear_generator(monkeypatch):
 
 def test_coset_certificate_rejects_missing_doubled_generator(monkeypatch):
     """The rest still generate GL(3, 2), but K is no longer shown to lie in
-    the walked group, so the certificate refuses."""
+    the walked group.  20 generators are not all 21 transvections, so the
+    generator certificate that the label certificate reads refuses first."""
     doubled = {hrho.doubling(g) for _, _, g in hrho.generators(2)}
     _generators_with(monkeypatch, 3, lambda gens: [
         x for x in gens if x[2] != min(doubled)
     ])
-    with pytest.raises(hrho.HrhoError, match="doubled generator"):
+    with pytest.raises(hrho.HrhoError, match="expected 21 transvections"):
         hrho_heavy.coset_reps_heavy(3)
 
 
@@ -580,7 +593,7 @@ def test_coset_partition_refuses_uncertified_label(monkeypatch):
 def test_class_census_matches_table_census(rho):
     """The census summed over conjugacy classes equals the literal census of
     the closed group at rho <= 4, and the golden Table 1 at rho = 5."""
-    got = hrho.class_census(rho)
+    got = hrho.class_census(hrho.certified_distances(rho))
     if rho <= 4:
         assert got == hrho.table_census(hrho.build_group(rho))
     else:
@@ -621,7 +634,7 @@ def test_class_census_refuses_nonlinear_representative(monkeypatch):
     monkeypatch.setattr(hrho, "conjugacy_classes",
                         lambda rho: [(hrho.parse_perm(3, "(12)"), 168)])
     with pytest.raises(hrho.HrhoError, match="not a power of two"):
-        hrho.class_census(3)
+        hrho.class_census(hrho.certified_distances(3))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +688,8 @@ def test_certified_distances_equal_bfs(rho):
         assert {store.distance[store.index[h]] for h in cls} == {d}
         covered += size
     assert covered == len(store)
-    assert hrho.certified_diameter(rho) == hrho.cayley_diameter(store) == rho
+    assert (hrho.certified_diameter(hrho.certified_distances(rho))
+            == hrho.cayley_diameter(store) == rho)
 
 
 @pytest.mark.parametrize("rho", [2, 3, 4, 5])
@@ -747,12 +761,12 @@ def test_peel_refuses_a_bad_factor(monkeypatch, factor, capsys):
     certifies no class past a transvection: the law reads false, the
     census raises, and hrho prints no diameter."""
     monkeypatch.setattr(hrho, "_peel_factor", factor)
-    certified = {hrho.residue(g): d
-                 for g, _, d in hrho.certified_distances(4) if d is not None}
+    classes = hrho.certified_distances(4)
+    certified = {hrho.residue(g): d for g, _, d in classes if d is not None}
     assert set(certified) <= {0, 1}
-    assert hrho.certified_diameter(4) is None
+    assert hrho.certified_diameter(classes) is None
     with pytest.raises(hrho.HrhoError, match="no certified distance"):
-        hrho.class_census(4)
+        hrho.class_census(classes)
     from pencilgraphs import cli
     assert cli.main(["hrho", "--rho", "4"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -760,14 +774,13 @@ def test_peel_refuses_a_bad_factor(monkeypatch, factor, capsys):
 
 
 @pytest.mark.parametrize("i", range(14))
-def test_census_sees_one_shifted_class(monkeypatch, i):
+def test_census_sees_one_shifted_class(i):
     """A certificate with one class's distance off by one gives a census
     that differs from the BFS census, or is refused outright."""
     real = hrho.certified_distances(4)
     shifted = [(g, s, d + (k == i)) for k, (g, s, d) in enumerate(real)]
-    monkeypatch.setattr(hrho, "certified_distances", lambda rho: shifted)
     try:
-        got = hrho.class_census(4)
+        got = hrho.class_census(shifted)
     except hrho.HrhoError as e:
         assert "not constant" in str(e)
     else:
