@@ -14,25 +14,14 @@ rho = r - sigma:
   initial entry meets J in a prescribed hyperplane theta of J, one for each
   theta and each axis containing J; (2^sigma - 1)(2^rho - 1) of them, 3, 9,
   7 and 21 at the same cases.  For sigma >= 2 these are automorphisms of the
-  neighborhood subgraph that provably do not extend to the whole graph (the
-  closure order check below is what detects the difference).
+  neighborhood subgraph that provably do not extend to the whole graph
+  (the closure order is what detects the difference).
 
-Every member of a family is validated on the built graph, and one that fails
-raises AutError; nothing is filtered out.  A point-kind generator is mapped
-over the whole graph at once by PencilGraph.linear_vperm, a gather over the
-graph's label rows; it gives the permutation that mapping each vertex
-through apply_point_map gives, the literal reference the tests keep.  Fiber
-maps act on the neighborhood only, and are checked on the sorted rows of the
-neighbors.
-
-A whole-graph candidate is validated exactly, on every vertex, by one test:
-it is a permutation and it maps every clique copy onto a clique copy.  The
-premise, checked once per graph, is that each row lists, each once, the
-other members of the vertex's clique copies, which is how the build makes
-the rows; then every edge lies in a copy and every copy is a clique, so the
-test is sufficient.  It is also necessary wherever every automorphism
-permutes the clique copies, as at (3,1), (4,2) and (4,1), whose generated
-groups are all of Aut(G).
+Every member of a family is validated, and one that fails raises AutError;
+nothing is filtered out.  Both kinds are checked on the base vertex's ball
+alone, where the measured group acts: the map must fix the base, send N(v)
+onto N(v) and keep every pair of neighbours adjacent or not.  A point-kind
+generator carries its point table, which homog checks on the whole graph.
 
 orbit, the one orbit routine of the symmetry layer, returns a Schreier
 vector.  close_permutations keeps one per level of its stabilizer chain, and
@@ -47,7 +36,7 @@ from operator import itemgetter
 
 from pencilgraphs import gf2, hrho
 from pencilgraphs.gf2 import SpaceCtx
-from pencilgraphs.graphbuild import PencilGraph
+from pencilgraphs.graphbuild import PencilGraph, label_rows, map_rows
 from pencilgraphs.pencil import VTuple
 
 
@@ -75,7 +64,7 @@ Factor = tuple[int, int, tuple[tuple[int, int], ...]]  # (theta, chi, pairs)
 
 @dataclass(frozen=True)
 class AutoMap:
-    """One synthesized generator with its neighborhood permutation."""
+    """One synthesized generator, its N(v) permutation and point table."""
 
     category: str  # 'A' | 'B' | 'C'
     kind: str  # 'point' | 'fiber'
@@ -84,8 +73,7 @@ class AutoMap:
     factors: tuple[Factor, ...]
     psi: tuple[int, ...]  # images of entry positions 1..m1 (psi[0] unused)
     nperm: tuple[int, ...] = field(compare=False)  # on sorted N(v) slots
-    vperm: tuple[int, ...] | None = field(compare=False, default=None)
-    center: int | None = None  # transvection center for point kind
+    table: bytes | None = None  # point table, for the point kind
 
     def display(self) -> str:
         parts = []
@@ -155,16 +143,50 @@ def point_factors(ctx: SpaceCtx, table, thetas: list[int],
 # synthesis
 
 
+class _Ball:
+    """The base vertex and its neighbours (slots, in row order): their ids,
+    the ordered pairs of adjacent slots as a set, and the pairs a < b as two
+    columns.  Built once per synthesis call."""
+
+    def __init__(self, g: PencilGraph):
+        self.slots = g.neighbors_of(0)
+        self.ids = (0, *self.slots)
+        slot = self.slot = {s: k for k, s in enumerate(self.slots)}
+        edges = [(a, slot[j]) for a, s in enumerate(self.slots)
+                 for j in g.neighbors_of(s) if j in slot]
+        self.edges = frozenset(edges)
+        self.ends = tuple(zip(*(e for e in edges if e[0] < e[1])))
+
+    def keeps_adjacency(self, nperm) -> bool:
+        """Whether the slot bijection maps the edges into, so onto, them."""
+        return self.edges.issuperset(zip(*(map(nperm.__getitem__, e)
+                                           for e in self.ends)))
+
+    def nperm(self, images, name: str) -> tuple[int, ...]:
+        """The slot permutation of a pencil map from the ids of the images of
+        the ball's vertices.  Raises AutError unless the map fixes the base,
+        maps N(v) onto N(v) and keeps every pair of slots adjacent or not."""
+        base, *rest = images
+        nperm = tuple(map(self.slot.get, rest))
+        if (base != 0 or None in nperm or len(set(nperm)) != len(nperm)
+                or not self.keeps_adjacency(nperm)):
+            raise AutError(f"{name} is not an automorphism of the "
+                           "neighborhood fixing the base")
+        return nperm
+
+
 def synth_point_kind(g: PencilGraph) -> list[AutoMap]:
     """The transvections (alpha, c) with c in the base initial entry J or
-    J inside alpha, by axis and then centre, each validated on g.
+    J inside alpha, by axis and then centre, each validated on the ball.
 
-    Raises AutError when one does not map g onto itself fixing the base.
+    Raises AutError when one is not an automorphism of the neighborhood
+    fixing the base.
     """
     ctx = g.ctx
+    ball = _Ball(g)
+    rows = label_rows(ctx.r, [g.vertices[i] for i in ball.ids])
+    row_ids, rows = dict(zip(rows, ball.ids)), b"".join(rows)
     J = g.vertices[0][0]
-    slots = g.neighbors_of(0)
-    slot_index = {s: k for k, s in enumerate(slots)}
     j_thetas = subsets_of_dim(J, ctx.sigma - 1)
     out = []
     for alpha in gf2.hyperplane_masks(ctx.r):
@@ -172,12 +194,9 @@ def synth_point_kind(g: PencilGraph) -> list[AutoMap]:
         for c in gf2.points_of(alpha if holds_j else alpha & J):
             table = transvection_table(ctx.r, alpha, c)
             psi = quotient_psi(ctx, table)
-            vperm = g.linear_vperm(table, psi)
-            if (vperm is None or vperm[0] != 0
-                    or not g.permutes_copies(vperm)):
-                raise AutError(f"transvection ({gf2.mask_str(alpha)}, "
-                               f"{gf2.point_str(c)}) is not an automorphism "
-                               "fixing the base")
+            img = map_rows(rows, table, bytes(psi))
+            nperm = ball.nperm(map(row_ids.get, img), f"transvection "
+                               f"({gf2.mask_str(alpha)}, {gf2.point_str(c)})")
             within = None
             if not J >> c & 1:
                 cat, pi, thetas = "A", c, j_thetas
@@ -191,9 +210,8 @@ def synth_point_kind(g: PencilGraph) -> list[AutoMap]:
                 ]
                 within = J
             factors = point_factors(ctx, table, thetas, within)
-            nperm = tuple(slot_index[vperm[s]] for s in slots)
             out.append(AutoMap(cat, "point", pi, alpha, factors, psi, nperm,
-                               vperm, center=c))
+                               table))
     return out
 
 
@@ -241,13 +259,12 @@ def synth_fiber_kind(g: PencilGraph) -> list[AutoMap]:
     alpha containing J, swap the theta-blocks outside alpha with their
     translate by a point c of the complementary block of theta.  As c lies
     in alpha but not in theta, the translate of such a block is another
-    block outside alpha.  Raises AutError unless the map permutes N(v) and
-    preserves the adjacency of the closed neighborhood.
+    block outside alpha.  Raises AutError when one is not an automorphism
+    of the neighborhood fixing the base.
     """
     ctx = g.ctx
+    ball = _Ball(g)
     J = g.vertices[0][0]
-    slots = g.neighbors_of(0)
-    slot_index = {s: k for k, s in enumerate(slots)}
     psi = tuple(range(ctx.m1 + 1))
     axes = [a for a in gf2.hyperplane_masks(ctx.r) if a & J == J]
     out = []
@@ -259,34 +276,16 @@ def synth_fiber_kind(g: PencilGraph) -> list[AutoMap]:
             block_map = {b: gf2.map_mask(b, shift)
                          for b in gf2.coset_table(ctx.r, theta)[0]
                          if b & alpha != b}
-            nperm = tuple(
-                slot_index.get(g.index.get(
-                    fiber_apply(ctx, J, theta, block_map, g.vertices[s])))
-                for s in slots)
-            if (None in nperm or sorted(nperm) != list(range(len(slots)))
-                    or not _nperm_preserves_ball(g, slots, nperm)):
-                raise AutError(f"fiber map [{gf2.mask_str(theta)}."
-                               f"{gf2.mask_str(chi)}] on axis "
-                               f"{gf2.mask_str(alpha)} is not an automorphism "
-                               "of the neighborhood")
+            nperm = ball.nperm(
+                [g.index.get(fiber_apply(ctx, J, theta, block_map,
+                                         g.vertices[i])) for i in ball.ids],
+                f"fiber map [{gf2.mask_str(theta)}.{gf2.mask_str(chi)}] on "
+                f"axis {gf2.mask_str(alpha)}")
             pairs = tuple(sorted((min(b, b2), max(b, b2))
                                  for b, b2 in block_map.items() if b < b2))
             out.append(AutoMap("B", "fiber", theta, alpha,
-                               ((theta, chi, pairs),), psi, nperm, None))
+                               ((theta, chi, pairs),), psi, nperm))
     return out
-
-
-def _nperm_preserves_ball(g: PencilGraph, slots, nperm) -> bool:
-    """nperm, on the sorted neighbour slots, keeps every pair of slots
-    adjacent or not; read from the sorted rows."""
-    slot_index = {s: k for k, s in enumerate(slots)}
-    sub = [{slot_index[j] for j in g.neighbors_of(s) if j in slot_index}
-           for s in slots]
-    for a, ia in enumerate(nperm):
-        image = {nperm[b] for b in sub[a]}
-        if image != sub[ia]:
-            return False
-    return True
 
 
 def synth_generators(g: PencilGraph) -> list[AutoMap]:
@@ -401,27 +400,24 @@ def close_permutations(gens: list[tuple[int, ...]]) -> int:
     return prod(map(len, vecs))
 
 
-def closure_order(gens: list[AutoMap], cross_check_full: bool = False) -> int:
+def closure_order(gens: list[AutoMap]) -> int:
     """Group order generated by the neighborhood restrictions.
 
-    With cross_check_full, also takes the order of the group generated by
-    the full-graph permutations of the point-kind generators and checks that
-    it equals the order of their restrictions, i.e. that restricting to the
-    neighborhood loses nothing (the faithfulness check).
+    Raises AutError unless restricting the point kind to N(v) is faithful:
+    its tables on the 2^r points, its nperms, and the two side by side
+    generate groups of one order, so table -> nperm is an isomorphism.  A
+    table fixes its entry permutation, so its group is the one on the graph.
     """
-    nperms = [a.nperm for a in gens]
-    order = close_permutations(nperms)
-    if cross_check_full:
-        vperms = [a.vperm for a in gens if a.vperm is not None]
-        full = close_permutations(vperms)
-        restricted = close_permutations(
-            [a.nperm for a in gens if a.vperm is not None]
-        )
-        if full != restricted:
-            raise AutError(
-                f"neighborhood restriction is not faithful: {full} vs {restricted}"
-            )
-    return order
+    point = [a for a in gens if a.table is not None]
+    orders = {close_permutations([a.table for a in point]),
+              close_permutations([a.nperm for a in point]),
+              close_permutations([(*a.table, *(len(a.table) + x
+                                               for x in a.nperm))
+                                  for a in point])}
+    if len(orders) != 1:
+        raise AutError("neighborhood restriction is not faithful: orders "
+                       f"{sorted(orders)} on the points, N(v) and both")
+    return close_permutations([a.nperm for a in gens])
 
 
 def nr_order_formula(ctx: SpaceCtx) -> int:
@@ -440,8 +436,7 @@ def nr_order_formula(ctx: SpaceCtx) -> int:
 def apply(ctx: SpaceCtx, a: AutoMap, v: VTuple) -> VTuple:
     """Apply a generator to a pencil (point kind: any vertex)."""
     if a.kind == "point":
-        table = transvection_table(ctx.r, a.alpha, a.center)
-        return apply_point_map(ctx, table, a.psi, v)
+        return apply_point_map(ctx, a.table, a.psi, v)
     J = a.factors[0][0] | a.factors[0][1]
     w = fiber_apply(ctx, J, a.pi, dict(a.factors[0][2]), v)
     if w is None:

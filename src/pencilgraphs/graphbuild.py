@@ -24,14 +24,12 @@ is (2^rho - 1)!/|GL(rho,2)| relabelled copies of the base component; it is
 built that way, with no BFS of its own.  It keeps no clique copies, since
 no verb reads them: report reads only its component ids.
 
-A built graph also keeps a private, lazily built label-row index for
-linear_vperm.  A pencil's A0 and its m1 cosets partition the points, so
-vertex i is one row of 2^r bytes whose byte x is the entry position that
-holds point x (0 for A0).  A point table T with an entry permutation psi
-sends row L to psi[L[T^-1]]: over the n rows stored as one bytes object,
-that is 2^r strided column copies and one translate, and each image row
-finds its vertex id with one dict lookup.  The rows are derived; the mask
-tuple stays the only public form of a pencil.
+A built graph also keeps a private, lazily built index of label_rows for
+linear_vperm.  A pencil's A0 and its m1 cosets partition the points, so it
+is one row of 2^r bytes whose byte x is the entry position that holds point
+x.  map_rows maps n rows in 2^r strided column copies and one translate,
+and an image row finds its vertex id with one dict lookup.  The rows are
+derived; the mask tuple stays the only public form of a pencil.
 
 It keeps a second private, lazily built index, its clique copies as a copy
 family: one itemgetter of the copies' members in turn, the copy size 2s and
@@ -90,6 +88,31 @@ def copy_family(copies, size: int) -> CopyFamily:
     if size < 2 or not copies or any(len(c) != size for c in copies):
         raise BuildError(f"not a family of copies of {size} >= 2 members")
     return itemgetter(*chain.from_iterable(copies)), size, frozenset(copies)
+
+
+def label_rows(r: int, pencils) -> list[bytes]:
+    """The pencils' label rows: byte x names the entry that holds point x."""
+    out = []
+    for v in pencils:
+        row = bytearray(1 << r)
+        for k, m in enumerate(v):
+            for x in gf2.points_of(m):
+                row[x] = k
+        out.append(bytes(row))
+    return out
+
+
+def map_rows(rows: bytes, table: bytes, psi: bytes):
+    """The image rows of the joined label rows when the point table T maps
+    each entry and entry k moves to position psi[k]: row L goes to
+    psi[L[T^-1]].  psi[0] is not read, and neither argument is checked."""
+    w = len(table)
+    img = bytearray(len(rows))
+    for x, y in enumerate(table):
+        img[y::w] = rows[x::w]
+    img = bytes(img).translate(bytes(1) + psi[1:] + bytes(256 - len(psi)))
+    return map(img.__getitem__, map(slice, range(0, len(img), w),
+                                    range(w, len(img) + w, w)))
 
 
 def held_by(n: int, groups) -> list[list]:
@@ -278,26 +301,6 @@ class PencilGraph:
             self._nbr_masks = masks
         return self._nbr_masks[i]
 
-    def _split(self, buf: bytes):
-        """buf cut into rows of 2^r bytes, one per vertex, in vertex order."""
-        w = 1 << self.ctx.r
-        return map(buf.__getitem__, map(slice, range(0, len(buf), w),
-                                        range(w, len(buf) + w, w)))
-
-    def _label_index(self) -> tuple[bytes, dict[bytes, int]]:
-        """The label rows, one bytes of n * 2^r, and row -> vertex id."""
-        if self._label_rows is None:
-            w = 1 << self.ctx.r
-            rows = bytearray(len(self.vertices) * w)
-            for off, v in zip(range(0, len(rows), w), self.vertices):
-                for k, m in enumerate(v):
-                    for x in gf2.points_of(m):
-                        rows[off + x] = k
-            rows = bytes(rows)
-            self._label_rows = rows, dict(zip(self._split(rows),
-                                              range(len(self.vertices))))
-        return self._label_rows
-
     def linear_vperm(self, table, psi) -> tuple[int, ...] | None:
         """The vertex permutation of "apply the point table to every entry,
         then send entry k to position psi[k]", or None when an image is not
@@ -320,13 +323,12 @@ class PencilGraph:
         if len(p) != m1 + 1 or sorted(p[1:]) != list(range(1, m1 + 1)):
             raise MapError(f"entry permutation is not a permutation of "
                            f"1..{m1}")
-        rows, ids = self._label_index()
-        # image row = psi[row[T^-1]]: column T[x] of the image is column x
-        img = bytearray(len(rows))
-        for x, y in enumerate(t):
-            img[y::w] = rows[x::w]
-        img = bytes(img).translate(bytes(1) + p[1:] + bytes(255 - m1))
-        vperm = tuple(map(ids.get, self._split(img)))
+        if self._label_rows is None:  # joined rows, row -> vertex id
+            rows = label_rows(self.ctx.r, self.vertices)
+            self._label_rows = (b"".join(rows),
+                                dict(zip(rows, range(len(rows)))))
+        rows, ids = self._label_rows
+        vperm = tuple(map(ids.get, map_rows(rows, t, p)))
         return None if None in vperm else vperm
 
     def clique_family(self) -> CopyFamily:

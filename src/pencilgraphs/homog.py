@@ -6,6 +6,15 @@ position-preserving linear maps that move the base vertex.  The last family
 is required: the first two preserve the initial-entry fiber of the base
 vertex, so on their own they can never be vertex-transitive.
 
+Each generator of that set is mapped over the whole graph and checked at
+one site, _automorphism, exactly and on every vertex: it must permute the
+vertices and map every clique copy onto a clique copy.  The premise, checked
+once per graph, is that each row lists, each once, the other members of the
+vertex's clique copies, as the build makes them; then every edge lies in a
+copy and every copy is a clique, so the test is sufficient.  It is also
+necessary wherever every automorphism permutes the clique copies, as at
+(3,1), (4,2) and (4,1), whose generated groups are all of Aut(G).
+
 Claim (d), that every copy of each family with a distinguished arc is
 preserved, is certified on vertices rather than arcs: a group is transitive
 on the arcs exactly when it is transitive on the vertices and a vertex
@@ -55,27 +64,26 @@ def full_generator_set(g: PencilGraph,
                        stab_gens: list[autnr.AutoMap] | None = None
                        ) -> GeneratorSet:
     """Stabilizer generators, entry permutations and the base movers of
-    :func:`base_movers`, each validated as an automorphism of g."""
+    :func:`base_movers`, each validated by :func:`_automorphism`."""
     if stab_gens is None:
         stab_gens = autnr.synth_generators(g)
-    stab = [a.vperm for a in stab_gens if a.vperm is not None]
-    entry = []
-    identity = range(1 << g.ctx.r)
-    for q, a, psi in hrho.generators(g.ctx.rho):
-        # apply_index_perm reads entry psi[j] into position j, so entry k
-        # moves to position psi^-1[k], and the argsort of psi is psi^-1
-        inv = sorted(range(len(psi)), key=psi.__getitem__)
-        vperm = g.linear_vperm(identity, inv)
-        if vperm is None or not g.permutes_copies(vperm):
-            raise HomogError(
-                f"entry permutation p({gf2.mask_str(q)},{a}) is not an automorphism"
-            )
-        entry.append(vperm)
-    movers = base_movers(g, entry)
-    for k, vperm in enumerate(movers):
-        if not g.permutes_copies(vperm):
-            raise HomogError(f"base mover {k} is not an automorphism")
-    return GeneratorSet(stab, entry, movers)
+    stab = [_automorphism(g, a.table, a.psi, f"stabilizer generator {k}")
+            for k, a in enumerate(stab_gens) if a.table is not None]
+    # apply_index_perm reads entry psi[j] into position j, so entry k moves
+    # to position psi^-1[k], and the argsort of psi is psi^-1
+    entry = [_automorphism(g, range(1 << g.ctx.r),
+                           sorted(range(len(psi)), key=psi.__getitem__),
+                           "entry permutation " + hrho.perm_display(psi))
+             for psi in hrho.certified_generators(g.ctx.rho)]
+    return GeneratorSet(stab, entry, base_movers(g, entry))
+
+
+def _automorphism(g: PencilGraph, table, psi, name: str) -> tuple[int, ...]:
+    """g.linear_vperm(table, psi), checked by the copy test above."""
+    vperm = g.linear_vperm(table, psi)
+    if vperm is None or not g.permutes_copies(vperm):
+        raise HomogError(f"{name} is not an automorphism")
+    return vperm
 
 
 _FEEDBACK = {3: 3, 4: 3, 5: 5, 6: 3, 7: 3, 8: 29}  # primitive polynomials
@@ -91,22 +99,17 @@ def base_movers(g: PencilGraph, entry_vperms: list[tuple[int, ...]]
     such map sends g onto itself; HomogError is raised if one does not.
     """
     ctx = g.ctx
-
-    def linear(table):
-        vperm = g.linear_vperm(table, range(ctx.m1 + 1))
-        if vperm is None:
-            raise HomogError("a position-preserving linear map leaves the "
-                             "component")
-        return vperm
-
+    fixed = range(ctx.m1 + 1)
     # companion map of a primitive polynomial: cycles all points
     images = [1 << (i + 1) for i in range(ctx.r - 1)] + [_FEEDBACK[ctx.r]]
-    out = [linear(gf2.linear_table(ctx.r, images))]
+    out = [_automorphism(g, gf2.linear_table(ctx.r, images), fixed,
+                         "companion map")]
     for alpha in gf2.hyperplane_masks(ctx.r):
         if len(autnr.orbit(0, entry_vperms + out)) == len(g.vertices):
             break
         for c in gf2.points_of(alpha):
-            vperm = linear(autnr.transvection_table(ctx.r, alpha, c))
+            vperm = _automorphism(g, autnr.transvection_table(ctx.r, alpha, c),
+                                  fixed, f"base mover {len(out)}")
             if vperm[0] == 0:
                 continue
             out.append(vperm)

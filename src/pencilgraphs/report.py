@@ -194,7 +194,7 @@ def acceptance_report(r: int, sigma: int, seed: int = DEFAULT_SEED,
     # the formula, and the golden row where there is one; the generators
     # are synthesized once and reused by check 10
     stab_gens = autnr.synth_generators(g)
-    order = autnr.closure_order(stab_gens, cross_check_full=(case == (3, 1)))
+    order = autnr.closure_order(stab_gens)
     formula = autnr.nr_order_formula(ctx)
     checks.append(_check(
         "stabilizer_order",

@@ -96,12 +96,11 @@ def test_criterion_05_stabilizer_orders():
         ctx = SpaceCtx(*case)
         g = gb.component(*case)
         gens = autnr.synth_generators(g)
-        order = autnr.closure_order(gens, cross_check_full=(case == (3, 1)))
+        order = autnr.closure_order(gens)
         ok &= order == _golden.NR_ORDERS[case] == autnr.nr_order_formula(ctx)
     _line(5, "stabilizer group orders", ok)
 
 
-@pytest.mark.heavy
 def test_criterion_05_heavy_52():
     g = gb.component(5, 2)
     gens = autnr.synth_generators(g)

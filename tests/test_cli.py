@@ -258,13 +258,15 @@ def _count_certificates(monkeypatch):
 
 def test_report_certifies_once_per_rho(monkeypatch, tmp_path):
     """One report at (4,1) runs the class certificate once, certifies the
-    coset label once, and certifies each generator list it reads once."""
+    coset label once, and builds and certifies each generator list it
+    reads once; the entry permutations of homog read the certified list."""
     calls = _count_certificates(monkeypatch)
     assert main(["report", "-r", "4", "-s", "1",
                  "--out", str(tmp_path / "r.json")]) == 0
-    assert {k: n for k, n in calls.items() if k[0] != "generators"} == {
+    assert dict(calls) == {
         ("certified_distances", 3): 1, ("certified_coset_label", 3): 1,
-        ("certified_generators", 3): 1, ("certified_generators", 2): 1}
+        ("certified_generators", 3): 1, ("certified_generators", 2): 1,
+        ("generators", 3): 1, ("generators", 2): 1}
 
 
 def test_hrho_5_builds_generators_once(monkeypatch, tmp_path):
@@ -319,6 +321,8 @@ def test_report_decomposition_without_golden_row(monkeypatch):
      "d33bfd2a6de35f2d3b7852c664589c40f847aa91a3f4e571147e4f76a98b08ed"),
     (["aut", "-r", "4", "-s", "1"],
      "5c188a2e38432c11d78fdf61fc20fc06c520107b060741f351fa6cf41c4aa908"),
+    (["aut", "-r", "5", "-s", "2"],
+     "a75a6ac1fa26d1bdb645399c2c8f12d904577bd0ee9e6467dd134e0794b8031a"),
     (["homog", "-r", "4", "-s", "1"],
      "c01be42e1444fdfc47110406d6a31e0e5ba6ab0b5668d83af51ec8f87f1d6450"),
     (["census", "--rho", "4"],
@@ -330,13 +334,23 @@ def test_report_decomposition_without_golden_row(monkeypatch):
     (["census", "--rho", "5", "--enable-heavy"], CENSUS_5_SHA256),
 ], ids=["report-3-1", "report-4-2", "build-3-1", "build-4-1", "verify-4-1",
         "homog-4-2", "config-3-1", "config-3-1-dot", "config-4-1", "aut-4-2",
-        "aut-3-1", "aut-4-1", "homog-4-1", "census-4", "hrho-4", "hrho-5",
-        "census-5"])
+        "aut-3-1", "aut-4-1", "aut-5-2", "homog-4-1", "census-4", "hrho-4",
+        "hrho-5", "census-5"])
 def test_artifact_digests_pinned(tmp_path, args, sha256):
     """Artifacts at the default seed stay byte-identical to the reference."""
     out = tmp_path / "a.out"
     assert main(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.heavy
+def test_aut_64_digest_pinned(tmp_path):
+    """At (6,4) the synthesized generators close to less than the formula
+    order, so aut exits 1; its output stays byte-identical."""
+    out = tmp_path / "a.out"
+    assert main(["aut", "-r", "6", "-s", "4", "--out", str(out)]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7325a9b3c1bbc31cfe4e49b83689b0e73324970358af70f324f3e2d0013cf7f9")
 
 
 @pytest.mark.parametrize("args", [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -96,12 +97,26 @@ def test_h_property_exhaustive(case):
         assert rep.as_dict()["sampled_checked"] == rep.total
 
 
+def test_generator_set_refuses_doctored_table():
+    """A stabilizer table with the images of two nonzero points swapped is
+    still a permutation of the points fixing 0, but its map of the graph is
+    no automorphism, and full_generator_set raises rather than drop it."""
+    g = gb.component(4, 2)
+    gens = autnr.synth_generators(g)
+    a = gens[0]
+    t = bytearray(a.table)
+    t[1], t[2] = t[2], t[1]
+    gens[0] = dataclasses.replace(a, table=bytes(t))
+    with pytest.raises(homog.HomogError, match="is not an automorphism"):
+        homog.full_generator_set(g, stab_gens=gens)
+
+
 def test_h_property_fails_on_stabilizer_alone_41():
     """The stabilizer fixes the base vertex, so its arc orbit is short of
     the total and the check fails although every generator is valid."""
     g = gb.component(4, 1)
-    stab = [a.vperm for a in autnr.synth_generators(g)
-            if a.vperm is not None]
+    stab = [g.linear_vperm(a.table, a.psi) for a in autnr.synth_generators(g)
+            if a.table is not None]
     reports = homog.check_H_property(g, homog.GeneratorSet(stab, [], []))
     for rep in reports:
         assert rep.copies_equivariant

@@ -546,6 +546,16 @@ def test_coset_certificate_rejects_label_not_fixed_by_k(monkeypatch):
         hrho_heavy.coset_reps_heavy(3)
 
 
+def test_coset_certificate_rejects_label_a_doubled_generator_moves(monkeypatch):
+    """The coset label with point 1 alone given its own value: the doubled
+    generators that move point 1 do not fix it, and the certificate raises."""
+    table = bytearray(hrho._label_table(3))
+    table[1] = 3
+    monkeypatch.setattr(hrho, "_label_table", lambda rho: bytes(table))
+    with pytest.raises(hrho.HrhoError, match="doubled generator does not fix"):
+        hrho.certified_coset_label(3)
+
+
 def test_coset_certificate_rejects_wrong_index(monkeypatch):
     """With the index taken as 7, the walk would stop at 7 labels; the order
     check refuses, since 7 * |GL(2, 2)| is not |GL(3, 2)|."""

@@ -175,7 +175,8 @@ def _inputs(case):
     g = gb.component(*case)
     stab = autnr.synth_generators(g)
     return {"nperms": [a.nperm for a in stab],
-            "point-vperms": [a.vperm for a in stab if a.vperm is not None],
+            "point-vperms": [g.linear_vperm(a.table, a.psi) for a in stab
+                             if a.table is not None],
             "full-vperms": homog.full_generator_set(g, stab_gens=stab).vperms()}
 
 
