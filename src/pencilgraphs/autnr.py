@@ -30,6 +30,7 @@ homog reads its orbits and labelled generators.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import prod
 from operator import itemgetter
@@ -324,24 +325,47 @@ def orbit(seed: int, gens: list[tuple[int, ...]]) -> dict[int, int]:
     return vec
 
 
-def close_permutations(gens: list[tuple[int, ...]]) -> int:
-    """Order of the permutation group generated by the given tuples.
+_BYTE_POINTS = hrho.identity(8)  # the identity on 256 points
+
+
+def _gather(h, t):
+    """t after h, as one itemgetter gather of t by h."""
+    return itemgetter(*h)(t)
+
+
+def _inverse(h):
+    return tuple(sorted(range(len(h)), key=h.__getitem__))
+
+
+def _byte_inverse(h):
+    return bytes.maketrans(h, _BYTE_POINTS)  # maps h[x] to x
+
+
+def close_permutations(gens: Sequence[Sequence[int]]) -> int:
+    """Order of the permutation group generated by the given permutations,
+    tuples or bytes of images of 0, 1, ..., all of one length.
 
     Deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4).  Level i
     keeps a base point b_i, the strong generators fixing b_0 .. b_{i-1}
     with their inverses, and the Schreier vector of b_i's orbit under them,
-    which gives a coset representative on demand; each composition is one
-    itemgetter gather.  Every Schreier generator of every level is sifted
-    through the levels below it, and a residue that is not the identity
-    becomes a new strong generator.  Once all of them sift, the order is
-    the product of the basic orbit lengths.
+    which gives a coset representative on demand.  On at most 256 points
+    each permutation is padded to 256 bytes, fixing the points it does not
+    have, and a composition is one ``bytes.translate``; above 256 points it
+    is one itemgetter gather.  Every Schreier generator of every level is
+    sifted through the levels below it, and a residue that is not the
+    identity becomes a new strong generator.  Once all of them sift, the
+    order is the product of the basic orbit lengths.
     """
     if not gens:
         return 1
-    ident = tuple(range(len(gens[0])))
+    if len(gens[0]) <= 256:
+        gens = [hrho.translate_table(bytes(g)) for g in gens]
+        ident, gather, inverse_of = _BYTE_POINTS, bytes.translate, _byte_inverse
+    else:
+        ident, gather, inverse_of = tuple(range(len(gens[0]))), _gather, _inverse
     base: list[int] = []
-    strong: list[list[tuple]] = []  # level -> strong generators
-    inverse: list[list[tuple]] = []  # level -> their inverses
+    strong: list[list] = []  # level -> strong generators
+    inverse: list[list] = []  # level -> their inverses
     vecs: list[dict[int, int]] = []  # level -> Schreier vector of b_i
 
     def sift(h, i):
@@ -353,7 +377,7 @@ def close_permutations(gens: list[tuple[int, ...]]) -> int:
                 return h, j
             while x != b:  # h <- s^-1 h for each label s back to b_j
                 t = inv[vec[x]]
-                h, x = itemgetter(*h)(t), t[x]
+                h, x = gather(h, t), t[x]
         return h, len(base)
 
     def add(h, i, j):
@@ -363,7 +387,7 @@ def close_permutations(gens: list[tuple[int, ...]]) -> int:
             base.append(next(x for x in ident if h[x] != x))
             for level in (strong, inverse, vecs):
                 level.append([])
-        hinv = tuple(sorted(ident, key=h.__getitem__))
+        hinv = inverse_of(h)
         for lv in range(i, j + 1):
             strong[lv].append(h)
             inverse[lv].append(hinv)
@@ -377,16 +401,16 @@ def close_permutations(gens: list[tuple[int, ...]]) -> int:
         for beta in vec:
             u, x = ident, beta  # u <- u s for each label s back to b_i
             while (m := vec[x]) >= 0:
-                u, x = itemgetter(*gs[m])(u), inv[m][x]
+                u, x = gather(gs[m], u), inv[m][x]
             for m, s in enumerate(gs):
                 if vec[s[beta]] != m:
-                    h, j = sift(itemgetter(*u)(s), i)
+                    h, j = sift(gather(u, s), i)
                     if h != ident:
                         return h, j
         return None
 
     for gen in gens:
-        h, j = sift(tuple(gen), 0)
+        h, j = sift(gen, 0)
         if h != ident:
             add(h, 0, j)
     i = len(base) - 1

@@ -111,14 +111,19 @@ def _check_hyperplane(rho: int, q_mask: int) -> None:
         raise HrhoError(f"Q is not a hyperplane: {gf2.mask_str(q_mask)}")
 
 
+# a bit of Q's mask (or of point 0) -> byte 0, any other bit -> byte 255
+_OFF_Q = bytes.maketrans(b"01", b"\xff\x00")
+
+
 def _involution(rho: int, q_mask: int, a: int) -> bytes:
-    """p(Q, a) for a Q and a pivot the caller has checked."""
-    n = (1 << rho) - 1
-    img = bytearray(range(n + 1))
-    for x in range(1, n + 1):
-        if not q_mask >> x & 1:
-            img[x] = a ^ x
-    return bytes(img)
+    """p(Q, a) for a Q and a pivot the caller has checked: the identity,
+    read as one int, XOR a in every byte off Q and off 0.  The byte mask
+    is Q's bit string, written from point 0 up."""
+    size = 1 << rho
+    off = f"{q_mask | 1:0{size}b}"[::-1].encode().translate(_OFF_Q)
+    return (int.from_bytes(_PAD[:size])
+            ^ int.from_bytes(bytes((a,)) * size) & int.from_bytes(off)
+            ).to_bytes(size)
 
 
 def pQa(rho: int, q_mask: int, a: int) -> bytes:
@@ -356,17 +361,28 @@ class GroupStore:
 GROUP_CAP = 1 << 22
 
 
+_LOW = bytes(x & -x for x in range(256))  # lowest bit of x
+_REST = bytes(x & (x - 1) for x in range(256))  # x without it
+
+
 def _check_linear(g: bytes) -> None:
     """Raise unless g is a permutation fixing 0 and GF(2)-linear.
 
     g[x] == g[lowest bit of x] ^ g[rest of x] for every x is additivity,
-    checked one bit at a time, and over GF(2) additivity is linearity.
+    and over GF(2) additivity is linearity.  Both sides are gathered by
+    translate and compared as ints; the first failing point is named only
+    on failure.
     """
-    if sorted(g) != list(range(len(g))) or g[0] != 0:
+    size = len(g)
+    if bytes(sorted(g)) != _PAD[:size] or g[0] != 0:
         raise HrhoError("element is not a permutation fixing 0")
-    for x in range(1, len(g)):
-        if g[x] != g[x & -x] ^ g[x & (x - 1)]:
-            raise HrhoError(f"element is not linear at point {x}")
+    table = g + _PAD[size:]
+    split = (int.from_bytes(_LOW[:size].translate(table))
+             ^ int.from_bytes(_REST[:size].translate(table)))
+    if split != int.from_bytes(g):
+        x = next(x for x in range(1, size)
+                 if g[x] != g[x & -x] ^ g[x & (x - 1)])
+        raise HrhoError(f"element is not linear at point {x}")
 
 
 @lru_cache(maxsize=None)
@@ -591,6 +607,16 @@ def certified_generators(rho: int) -> tuple[bytes, ...]:
     return gens
 
 
+@lru_cache(maxsize=None)
+def aux_order(rho: int) -> int:
+    """|H|, the order of the group of ``certified_generators(rho)``, by
+    Schreier-Sims.  Cached: ``hrho`` reports it at rho and the coset label
+    of rho + 1 reads it as |K|, so a process that runs both closes once."""
+    from pencilgraphs.autnr import close_permutations  # autnr imports hrho
+
+    return close_permutations(certified_generators(rho))
+
+
 def _peel_factor(rho: int, h: bytes) -> bytes | None:
     """A transvection t with t(h(x)) = x at the least point x that h moves,
     fixing Fix(h) pointwise, so Fix(t h) holds Fix(h) and x.
@@ -717,12 +743,10 @@ def certified_coset_label(rho: int) -> tuple[bytes, tuple[bytes, ...]]:
     GF(2)^rho, and the rho generators are all of those; (iii) the order of
     the group of the rho - 1 generators, which doubling carries onto K,
     times that index is |GL(rho, 2)|, so K is the stabilizer.  Equal labels
-    then mean one coset of K in GL(rho, 2).  The order is closed by
-    Schreier-Sims, without listing K.  Cached: the coset walk and the
-    category check read one certificate per rho.
+    then mean one coset of K in GL(rho, 2).  The order is ``aux_order(rho -
+    1)``, closed by Schreier-Sims without listing K.  Cached: the coset walk
+    and the category check read one certificate per rho.
     """
-    from pencilgraphs.autnr import close_permutations  # autnr imports hrho
-
     label = _label_table(rho)
     gens = certified_generators(rho)
     sub = certified_generators(rho - 1)
@@ -730,7 +754,7 @@ def certified_coset_label(rho: int) -> tuple[bytes, tuple[bytes, ...]]:
         d = doubling(g)
         if d.translate(label) != label[:len(d)]:
             raise HrhoError("a doubled generator does not fix the coset label")
-    if (close_permutations(sub) * coset_index_formula(rho)
+    if (aux_order(rho - 1) * coset_index_formula(rho)
             != group_order_formula(rho)):
         raise HrhoError(
             "the doubled subgroup is not the stabilizer of the coset label"

@@ -118,7 +118,7 @@ def aux_group(rho: int) -> dict:
     distinguished element and, at rho >= 3, the coset index of the doubled
     subgroup from the coset walk."""
     return {"rho": rho, "j_display": hrho.perm_display(hrho.j_rho(rho)),
-            "order": autnr.close_permutations(hrho.certified_generators(rho)),
+            "order": hrho.aux_order(rho),
             "order_formula": hrho.group_order_formula(rho),
             "coset_index": (len(hrho_heavy.coset_reps_heavy(rho))
                             if rho >= 3 else None)}

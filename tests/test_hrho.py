@@ -3,7 +3,7 @@ import json
 import random
 import re
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +14,15 @@ from pencilgraphs import _golden, gf2, hrho, hrho_heavy
 
 @pytest.fixture(autouse=True)
 def _fresh_certificates():
-    """Each test certifies the generators and the coset label afresh, so a
-    generator list or label it patches in is seen, and no patched
-    certificate outlives it."""
-    for fn in (hrho.certified_generators, hrho.certified_coset_label):
+    """Each test certifies the generators, closes their orders and
+    certifies the coset label afresh, so a generator list or label it
+    patches in is seen, and no patched certificate outlives it."""
+    cached = (hrho.certified_generators, hrho.aux_order,
+              hrho.certified_coset_label)
+    for fn in cached:
         fn.cache_clear()
     yield
-    for fn in (hrho.certified_generators, hrho.certified_coset_label):
+    for fn in cached:
         fn.cache_clear()
 
 
@@ -214,6 +216,42 @@ def test_type_of_loop_members_keep_their_children(p, text):
 def test_type_of_refuses_nonlinear_element():
     with pytest.raises(hrho.HrhoError, match="not linear"):
         hrho.type_of(P(3, "(12)"))
+
+
+def test_linear_check_names_the_one_nonadditive_point():
+    """Swapping the images of 14 and 15 keeps 0 fixed and breaks additivity
+    at 14 alone (14 = 2 + 12, while 15 = 1 + 14 still adds up)."""
+    with pytest.raises(hrho.HrhoError, match=r"not linear at point 14$"):
+        hrho._check_linear(P(4, "(ef)"))
+
+
+def _first_nonadditive(g):
+    """The per-point additivity loop: the least x with g[x] !=
+    g[lowest bit of x] ^ g[rest of x], or None."""
+    for x in range(1, len(g)):
+        if g[x] != g[x & -x] ^ g[x & (x - 1)]:
+            return x
+    return None
+
+
+@pytest.mark.parametrize("rho", [2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_linear_check_matches_per_point_loop(rho, data):
+    """On permutations fixing 0, linear ones drawn half the time, the check
+    passes exactly when the per-point loop finds no failing point, and
+    otherwise names the point the loop finds first."""
+    gens = hrho.certified_generators(rho)
+    g = data.draw(st.one_of(
+        st.lists(st.sampled_from(gens), min_size=1, max_size=4).map(
+            lambda ts: reduce(hrho.compose, ts)),
+        st.permutations(range(1, 1 << rho)).map(lambda p: bytes((0, *p)))))
+    x = _first_nonadditive(g)
+    if x is None:
+        hrho._check_linear(g)
+    else:
+        with pytest.raises(hrho.HrhoError, match=f"not linear at point {x}$"):
+            hrho._check_linear(g)
 
 
 @pytest.mark.parametrize("j,y", sorted(_golden.W5_SUBSCRIPTS.items()))
@@ -504,6 +542,34 @@ def test_coset_walk_stop_loses_nothing(rho):
     reps = _coset_walk_to_end(rho)
     assert len(reps) == hrho.coset_index_formula(rho)
     assert reps == hrho_heavy.coset_reps_heavy(rho)
+
+
+def _coset_reps_all_steps(rho: int) -> list[bytes]:
+    """The coset walk that tries every generator's label step, kept
+    verbatim as the reference for the walk that takes each step once."""
+    label, gens = hrho.certified_coset_label(rho)
+    expected = hrho.coset_index_formula(rho)
+    tables = [hrho.translate_table(g) for g in gens]
+    steps = [(t, t.translate(label)) for t in tables]  # see hrho_heavy
+    ident = hrho.identity(rho)
+    seen = {ident.translate(label)}
+    reps = [ident]  # grows while iterated: a breadth-first queue
+    for g in reps:
+        for t, lt in steps:
+            key = g.translate(lt)
+            if key not in seen:
+                seen.add(key)
+                reps.append(g.translate(t))
+                if len(reps) == expected:
+                    return reps
+    raise hrho.HrhoError(f"found {len(reps)} cosets, expected {expected}")
+
+
+@pytest.mark.parametrize("rho", [3, 4, 5])
+def test_coset_walk_one_step_per_label_step(rho):
+    """Walking only the first generator of each label step returns the
+    representatives of the walk over every generator, in the same order."""
+    assert hrho_heavy.coset_reps_heavy(rho) == _coset_reps_all_steps(rho)
 
 
 def _generators_with(monkeypatch, rho, edit):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilgraphs import autnr, graphbuild as gb, homog
+from pencilgraphs import autnr, graphbuild as gb, homog, hrho
 
 
 def _ref_close_permutations(gens: list[tuple[int, ...]]) -> int:
@@ -190,3 +190,38 @@ def _inputs(case):
     for which in ("nperms", "point-vperms", "full-vperms")])
 def test_closure_and_orbit_match_reference(case, which):
     _check_against_reference(0, _inputs(case)[which])
+
+
+def _moving(k, moved, images):
+    """The permutation of range(k) that sends moved[i] to images[i] and
+    fixes every other point, as a tuple."""
+    perm = list(range(k))
+    for x, y in zip(moved, images):
+        perm[x] = y
+    return tuple(perm)
+
+
+# degrees on both sides of 256, where close_permutations switches from
+# bytes.translate to the itemgetter gather; points near the top are drawn
+# as often as the rest
+_NEAR_256 = st.integers(min_value=250, max_value=262).flatmap(
+    lambda k: st.lists(
+        st.one_of(st.integers(k - 12, k - 1), st.integers(0, k - 1)),
+        min_size=1, max_size=8, unique=True,
+    ).flatmap(lambda moved: st.lists(
+        st.permutations(moved).map(lambda img: _moving(k, moved, img)),
+        min_size=1, max_size=4)))
+
+
+@given(_NEAR_256)
+@settings(max_examples=100, deadline=None)
+def test_closure_matches_reference_near_256_points(gens):
+    assert autnr.close_permutations(gens) == _ref_close_permutations(gens)
+
+
+def test_auxiliary_generators_close_as_bytes_and_as_tuples():
+    """The 105 transvections of GF(2)^4 generate GL(4, 2), of order 20,160,
+    given as the bytes hrho builds or as tuples."""
+    gens = hrho.certified_generators(4)
+    assert autnr.close_permutations(list(gens)) == 20160
+    assert autnr.close_permutations([tuple(g) for g in gens]) == 20160
