@@ -121,9 +121,10 @@ def _involution(rho: int, q_mask: int, a: int) -> bytes:
     is Q's bit string, written from point 0 up."""
     size = 1 << rho
     off = f"{q_mask | 1:0{size}b}"[::-1].encode().translate(_OFF_Q)
-    return (int.from_bytes(_PAD[:size])
-            ^ int.from_bytes(bytes((a,)) * size) & int.from_bytes(off)
-            ).to_bytes(size)
+    return (int.from_bytes(_PAD[:size], "big")
+            ^ int.from_bytes(bytes((a,)) * size, "big")
+            & int.from_bytes(off, "big")
+            ).to_bytes(size, "big")
 
 
 def pQa(rho: int, q_mask: int, a: int) -> bytes:
@@ -377,9 +378,9 @@ def _check_linear(g: bytes) -> None:
     if bytes(sorted(g)) != _PAD[:size] or g[0] != 0:
         raise HrhoError("element is not a permutation fixing 0")
     table = g + _PAD[size:]
-    split = (int.from_bytes(_LOW[:size].translate(table))
-             ^ int.from_bytes(_REST[:size].translate(table)))
-    if split != int.from_bytes(g):
+    split = (int.from_bytes(_LOW[:size].translate(table), "big")
+             ^ int.from_bytes(_REST[:size].translate(table), "big"))
+    if split != int.from_bytes(g, "big"):
         x = next(x for x in range(1, size)
                  if g[x] != g[x & -x] ^ g[x & (x - 1)])
         raise HrhoError(f"element is not linear at point {x}")

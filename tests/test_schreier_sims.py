@@ -219,9 +219,11 @@ def test_closure_matches_reference_near_256_points(gens):
     assert autnr.close_permutations(gens) == _ref_close_permutations(gens)
 
 
-def test_auxiliary_generators_close_as_bytes_and_as_tuples():
-    """The 105 transvections of GF(2)^4 generate GL(4, 2), of order 20,160,
-    given as the bytes hrho builds or as tuples."""
-    gens = hrho.certified_generators(4)
-    assert autnr.close_permutations(list(gens)) == 20160
-    assert autnr.close_permutations([tuple(g) for g in gens]) == 20160
+@pytest.mark.parametrize("degree", [16, 256, 257])
+def test_auxiliary_generators_close_on_both_sides_of_256_points(degree):
+    """The 105 transvections of GF(2)^4 generate GL(4, 2), of order 20,160:
+    as the bytes hrho builds, and as tuples that fix every point from 16 up
+    to the degree, which above 256 points take the itemgetter gather."""
+    gens = [g if degree == 16 else tuple(g) + tuple(range(16, degree))
+            for g in hrho.certified_generators(4)]
+    assert autnr.close_permutations(gens) == 20160
